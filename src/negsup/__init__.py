@@ -29,6 +29,7 @@ from .embedding import (
     write_embedding_file,
 )
 from .entities import (
+    EntityIndex,
     EntitySets,
     EntityVocabulary,
     classify_image_entities,

@@ -31,8 +31,10 @@ from .metrics import (
     retrieval_diagnostics,
 )
 from .pipeline import (
+    MODE_TRAINING,
     PipelineConfig,
     SourceBundle,
+    sub_config,
     read_jsonl,
     run_batch,
     write_jsonl,
@@ -107,7 +109,7 @@ def _build_config(args, file_data: dict) -> PipelineConfig:
         value = getattr(args, attr)
         if value is not None:
             data[key] = value
-    fusion = dict(data.get("fusion") or {})
+    fusion = dict(sub_config(data, "fusion") or {})
     if args.tau_quality is not None:
         fusion["tau_quality"] = args.tau_quality
     if args.fusion_strategy is not None:
@@ -116,7 +118,7 @@ def _build_config(args, file_data: dict) -> PipelineConfig:
         fusion["alpha"] = args.alpha
     if fusion:
         data["fusion"] = fusion
-    suppression = dict(data.get("suppression") or {})
+    suppression = dict(sub_config(data, "suppression") or {})
     if args.tau_neg is not None:
         suppression["tau_neg"] = args.tau_neg
     if getattr(args, "lam") is not None:
@@ -165,6 +167,17 @@ def cmd_run(args) -> int:
         keys = load_embedding_file(aux_path)
 
     instances = read_jsonl(args.input)
+    if keys is None:
+        key_field = "synthetic_key" if config.mode == MODE_TRAINING else "image_key"
+        hashed = sum(
+            isinstance(obj, dict) and obj.get(key_field) is not None for obj in instances
+        )
+        if hashed:
+            print(
+                f"warning: no --aux-embeddings given; {hashed} instances use the "
+                f"hash of their {key_field} string as the embedding",
+                file=sys.stderr,
+            )
     result = run_batch(instances, store, vocab, sources, config, weights, keys)
     write_jsonl(args.out, result.outputs)
     if args.report is not None:

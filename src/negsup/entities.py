@@ -114,32 +114,85 @@ def extract_entities(caption: str, vocab: EntityVocabulary) -> set[str]:
     return found
 
 
+class EntityIndex:
+    """The entity descriptions of one vocabulary under one entity source.
+
+    A run embeds each term's templated description ("A photo of {term}")
+    once: the first request embeds it, later ones reuse the read-only
+    vector. Embedding is lazy, so a source may lack the vectors of terms a
+    run never scores. Without a vocabulary the index only memoizes
+    vectors and ranks nothing.
+    """
+
+    def __init__(self, source: EmbeddingSource, vocab: EntityVocabulary | None = None):
+        self.source = source
+        self.vocab = vocab
+        self.terms = tuple(sorted(vocab.canonical)) if vocab is not None else ()
+        self._vectors: dict[str, np.ndarray] = {}
+        self._rows: tuple[np.ndarray, ...] | None = None
+
+    def vector(self, term: str) -> np.ndarray:
+        vec = self._vectors.get(term)
+        if vec is None:
+            vec = embed_entity(self.source, term)
+            vec.flags.writeable = False
+            self._vectors[term] = vec
+        return vec
+
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The vectors of all vocabulary terms, aligned with `terms`."""
+        if self._rows is None:
+            self._rows = tuple(self.vector(term) for term in self.terms)
+        return self._rows
+
+
+def index_for(
+    source: EmbeddingSource,
+    vocab: EntityVocabulary | None = None,
+    index: EntityIndex | None = None,
+) -> EntityIndex:
+    """`index`, checked against the source (and vocabulary) it must serve;
+    a throwaway index when none is given."""
+    if index is None:
+        return EntityIndex(source, vocab)
+    if index.source is not source or (vocab is not None and index.vocab is not vocab):
+        raise ValueError("entity index was built for another source or vocabulary")
+    return index
+
+
+def _check_width(vec: np.ndarray, img: np.ndarray) -> None:
+    # every vector of one source has the same width, so one check per call
+    if vec.shape[0] != img.shape[0]:
+        raise DimMismatch(f"entity dim {vec.shape[0]} != image dim {img.shape[0]}")
+
+
 def classify_image_entities(
     image_emb,
     vocab: EntityVocabulary,
     source: EmbeddingSource,
     top_m: int,
+    index: EntityIndex | None = None,
 ) -> list[str]:
     """Vocabulary terms ranked by cosine to the image embedding, best first.
 
     Each term scores via its templated description embedding; ties break
     by ascending term. Returns the top min(top_m, |vocab|) terms.
+    `index` reuses the description embeddings across calls.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
     if not vocab.canonical:
         raise EmptyInput("vocabulary is empty")
+    index = index_for(source, vocab, index)
     img = l2_normalize(image_emb)
-    scored = []
-    for term in sorted(vocab.canonical):
-        vec = embed_entity(source, term)
-        if vec.shape[0] != img.shape[0]:
-            raise DimMismatch(
-                f"entity dim {vec.shape[0]} != image dim {img.shape[0]}"
-            )
-        scored.append((-float(np.dot(vec, img)), term))
-    scored.sort()
-    return [term for _, term in scored[:top_m]]
+    rows = index.rows()
+    _check_width(rows[0], img)
+    # One dot per row, as for a lone term: a matrix-vector product may round
+    # differently and reorder terms whose vectors coincide.
+    neg_scores = [-float(np.dot(vec, img)) for vec in rows]
+    # terms are sorted and the sort is stable, so this is the (-score, term) order
+    order = sorted(range(len(rows)), key=neg_scores.__getitem__)
+    return [index.terms[i] for i in order[:top_m]]
 
 
 def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets:
@@ -162,26 +215,23 @@ def filter_inference(
     image_emb,
     source: EmbeddingSource,
     tau_sim: float = 0.2,
+    index: EntityIndex | None = None,
 ) -> EntitySets:
     """Inference-mode partition: filtered entities whose embedding similarity
     to the image strictly exceeds tau_sim join the positive set; the rest
-    are negative.
+    are negative. `index` reuses the description embeddings across calls.
     """
     if not (-1.0 <= tau_sim <= 1.0) or math.isnan(tau_sim):
         raise ValueError(f"tau_sim must be in [-1, 1], got {tau_sim}")
+    index = index_for(source, None, index)
     key = frozenset(key)
     candidates = frozenset(candidates)
     filtered = candidates - key
     img = l2_normalize(image_emb)
-    passed = set()
-    for term in filtered:
-        vec = embed_entity(source, term)
-        if vec.shape[0] != img.shape[0]:
-            raise DimMismatch(
-                f"entity dim {vec.shape[0]} != image dim {img.shape[0]}"
-            )
-        if float(np.dot(vec, img)) > tau_sim:
-            passed.add(term)
+    vectors = {term: index.vector(term) for term in filtered}
+    if vectors:
+        _check_width(next(iter(vectors.values())), img)
+    passed = {term for term, vec in vectors.items() if float(np.dot(vec, img)) > tau_sim}
     positive = key | passed
     return EntitySets(
         key=key,

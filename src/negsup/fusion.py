@@ -23,6 +23,7 @@ from .errors import (
     IoError,
     ZeroVector,
 )
+from .validation import check_float
 
 STRATEGY_CLIPSCORE_FORWARD = "clipscore-forward"
 STRATEGY_CLIPSCORE_REVERSE = "clipscore-reverse"
@@ -36,6 +37,10 @@ FUSION_STRATEGIES = (
 
 DEFAULT_TAU_QUALITY = 0.6
 
+# Largest mapping network xavier_weights builds: map_proj holds (L*d)^2
+# float64 values, 512 MiB allows L*d up to 8192 (L=10 at d=768).
+MAP_PROJ_MAX_BYTES = 512 * 2**20
+
 WEIGHTS_MAGIC = b"NESW"
 WEIGHTS_VERSION = 1
 
@@ -47,6 +52,8 @@ class FusionConfig:
     tau_quality: float = DEFAULT_TAU_QUALITY
 
     def __post_init__(self):
+        check_float("alpha", self.alpha, optional=True)
+        check_float("tau_quality", self.tau_quality)
         if self.strategy not in FUSION_STRATEGIES:
             raise ValueError(f"unknown fusion strategy {self.strategy!r}")
         if self.strategy == STRATEGY_FIXED:
@@ -146,6 +153,12 @@ def xavier_weights(dim: int, prefix_len: int, seed: int = 0) -> AttentionWeights
     """Seeded Xavier-uniform weights with the square (L*d, L*d) mapping."""
     if dim < 1 or prefix_len < 1:
         raise ValueError("dim and prefix_len must be >= 1")
+    map_bytes = 8 * (prefix_len * dim) ** 2
+    if map_bytes > MAP_PROJ_MAX_BYTES:
+        raise ValueError(
+            f"prefix length {prefix_len} at dim {dim} needs a {map_bytes / 2**20:.0f} MiB "
+            f"mapping matrix, over the {MAP_PROJ_MAX_BYTES // 2**20} MiB limit"
+        )
     rng = np.random.default_rng(seed)
 
     def draw(rows, cols):

@@ -22,19 +22,20 @@ import numpy as np
 from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve
 from .embedding import (
     EmbeddingSource,
-    embed_entity,
     embed_text,
     l2_normalize,
     normalize_total,
     tokenize,
 )
 from .entities import (
+    EntityIndex,
     EntitySets,
     EntityVocabulary,
     classify_image_entities,
     extract_entities,
     filter_inference,
     filter_training,
+    index_for,
 )
 from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError, IoError
 from .fusion import (
@@ -56,6 +57,7 @@ from .suppression import (
     select_tokens,
     suppress,
 )
+from .validation import check_bool, check_float, check_int
 
 MODE_TRAINING = "training"
 MODE_INFERENCE = "inference"
@@ -83,6 +85,27 @@ class SourceBundle:
         self.entity = entity if entity is not None else text
 
 
+SUB_CONFIG_KEYS = {
+    "fusion": ("strategy", "alpha", "tau_quality"),
+    "suppression": ("strategy", "tau_neg", "lambda", "proportion"),
+}
+
+
+def sub_config(data: dict, name: str) -> dict | None:
+    """The sub-config `name` ("fusion" or "suppression") of a config JSON
+    object; None when it is absent or null. Anything but an object with
+    known keys is a FormatError."""
+    value = data.get(name)
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise FormatError(f"config key {name!r} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(SUB_CONFIG_KEYS[name]))
+    if unknown:
+        raise FormatError(f"unknown {name} config keys: {unknown}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = MODE_INFERENCE
@@ -102,6 +125,19 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in (MODE_TRAINING, MODE_INFERENCE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("retrieval_k", "top_m", "prefix_length", "seed"):
+            check_int(name, getattr(self, name))
+        check_float("tau_sim", self.tau_sim)
+        for name in ("enable_sir", "enable_sif", "enable_nef", "enable_as"):
+            check_bool(name, getattr(self, name))
+        if not isinstance(self.fusion, FusionConfig):
+            raise ValueError(f"fusion must be a FusionConfig, got {self.fusion!r}")
+        if self.suppression is not None and not isinstance(
+            self.suppression, SuppressionConfig
+        ):
+            raise ValueError(
+                f"suppression must be a SuppressionConfig, got {self.suppression!r}"
+            )
         if self.retrieval_k < 1:
             raise ValueError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
         if not -1.0 <= self.tau_sim <= 1.0:
@@ -149,14 +185,16 @@ class PipelineConfig:
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
         data = dict(data)
         kwargs = {}
-        fusion_data = data.pop("fusion", None)
+        fusion_data = sub_config(data, "fusion")
+        data.pop("fusion", None)
         if fusion_data is not None:
             kwargs["fusion"] = FusionConfig(
                 strategy=fusion_data.get("strategy", FusionConfig().strategy),
                 alpha=fusion_data.get("alpha"),
                 tau_quality=fusion_data.get("tau_quality", FusionConfig().tau_quality),
             )
-        suppression_data = data.pop("suppression", None)
+        suppression_data = sub_config(data, "suppression")
+        data.pop("suppression", None)
         if suppression_data is not None:
             kwargs["suppression"] = SuppressionConfig(
                 strategy=suppression_data.get("strategy", STRATEGY_FIXED_THRESHOLD),
@@ -261,9 +299,9 @@ def _finish_instance(
     retrieval: RetrievalResult,
     entity_sets: EntitySets,
     store: Datastore,
-    sources: SourceBundle,
     config: PipelineConfig,
     weights: AttentionWeights,
+    index: EntityIndex,
 ) -> GenerationContext:
     retrieved_embs = np.stack([store.vector_of(hit.id) for hit in retrieval.hits])
     attn_out = fuse_retrieval(features, retrieved_embs, weights)
@@ -271,9 +309,7 @@ def _finish_instance(
 
     negative_terms = sorted(entity_sets.negative)
     if negative_terms:
-        negative_embs = np.stack(
-            [embed_entity(sources.entity, term) for term in negative_terms]
-        )
+        negative_embs = np.stack([index.vector(term) for term in negative_terms])
     else:
         negative_embs = np.zeros((0, prefix.shape[1]))
     scores = score_negative_attention(prefix, negative_embs)
@@ -329,14 +365,18 @@ def run_training_instance(
     sources: SourceBundle,
     config: PipelineConfig,
     weights: AttentionWeights | None = None,
+    index: EntityIndex | None = None,
 ) -> GenerationContext:
     """Training-phase flow for one caption with its synthetic-image embedding.
 
     The caller is responsible for quality-gating the synthetic embedding
-    (gated instances are skipped upstream, see run_batch).
+    (gated instances are skipped upstream, see run_batch). `index` is the
+    run's EntityIndex of (sources.entity, vocab); a throwaway one is built
+    when it is not given.
     """
     if weights is None:
         weights = default_weights(store, config)
+    index = index_for(sources.entity, vocab, index)
     text_emb = embed_text(sources.text, caption)
     synthetic = l2_normalize(synthetic_emb)
     fused = fuse_sif(synthetic, text_emb, config.fusion) if config.enable_sif else text_emb
@@ -352,7 +392,7 @@ def run_training_instance(
         entity_sets = _nef_bypass(key, candidates)
 
     return _finish_instance(
-        as_prefix(fused), retrieval, entity_sets, store, sources, config, weights
+        as_prefix(fused), retrieval, entity_sets, store, config, weights, index
     )
 
 
@@ -363,28 +403,31 @@ def run_inference_instance(
     sources: SourceBundle,
     config: PipelineConfig,
     weights: AttentionWeights | None = None,
+    index: EntityIndex | None = None,
 ) -> GenerationContext:
     """Inference-phase flow: the image embedding is the retrieval query, key
     entities come from zero-shot classification, and the entity partition
-    uses embedding similarity against tau_sim."""
+    uses embedding similarity against tau_sim. `index` is as in
+    run_training_instance."""
     if weights is None:
         weights = default_weights(store, config)
+    index = index_for(sources.entity, vocab, index)
     image = l2_normalize(image_emb)
     retrieval = retrieve(store, image, config.retrieval_k)
 
     key = frozenset(
-        classify_image_entities(image, vocab, sources.entity, config.top_m)
+        classify_image_entities(image, vocab, sources.entity, config.top_m, index)
     )
     candidates = _candidate_entities(retrieval, vocab)
     if config.enable_nef:
         entity_sets = filter_inference(
-            key, candidates, image, sources.entity, config.tau_sim
+            key, candidates, image, sources.entity, config.tau_sim, index
         )
     else:
         entity_sets = _nef_bypass(key, candidates)
 
     return _finish_instance(
-        as_prefix(image), retrieval, entity_sets, store, sources, config, weights
+        as_prefix(image), retrieval, entity_sets, store, config, weights, index
     )
 
 
@@ -492,13 +535,15 @@ def run_batch(
 ) -> BatchResult:
     """Process parsed JSON instances ({"id", "caption"?, "image_key"?,
     "synthetic_key"?}); training instances whose synthetic embedding fails
-    the quality gate are skipped and reported."""
+    the quality gate are skipped and reported. Each vocabulary term is
+    embedded at most once per call (see EntityIndex)."""
     if weights is None:
         weights = default_weights(store, config)
+    index = EntityIndex(sources.entity, vocab)
     outputs: list[dict] = []
     skipped: list[dict] = []
     for obj in instances:
-        if "id" not in obj:
+        if not isinstance(obj, dict) or "id" not in obj:
             raise FormatError('instance object needs an "id"')
         if config.mode == MODE_TRAINING:
             caption = obj.get("caption")
@@ -514,14 +559,14 @@ def run_batch(
                     skipped.append({"id": obj["id"], "clip_score": score})
                     continue
             context = run_training_instance(
-                caption, synthetic, store, vocab, sources, config, weights
+                caption, synthetic, store, vocab, sources, config, weights, index
             )
         else:
             image = _instance_embedding(obj, "image_key", keys, sources)
             if image is None:
                 raise FormatError(f'inference instance {obj["id"]!r} needs an "image_key"')
             context = run_inference_instance(
-                image, store, vocab, sources, config, weights
+                image, store, vocab, sources, config, weights, index
             )
         out = {
             "id": obj["id"],

@@ -16,6 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import DimMismatch, IndexOutOfRange, InvariantError
 from .fusion import as_prefix
+from .validation import check_float
 
 STRATEGY_FIXED_THRESHOLD = "fixed-threshold"
 STRATEGY_TOP_K = "top-k"
@@ -40,6 +41,9 @@ class SuppressionConfig:
     proportion: float | None = None
 
     def __post_init__(self):
+        check_float("tau_neg", self.tau_neg, optional=True)
+        check_float("lambda", self.lam)
+        check_float("proportion", self.proportion, optional=True)
         if self.strategy not in SUPPRESSION_STRATEGIES:
             raise ValueError(f"unknown suppression strategy {self.strategy!r}")
         if not 0.0 <= self.lam <= 1.0:

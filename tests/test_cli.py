@@ -235,6 +235,103 @@ class TestRun:
         ) in (2,)  # FileNotFoundError surfaces as OSError -> IoError path
 
 
+# Config files that a type check must reject with exit 2: each once ended
+# in a traceback or was silently accepted.
+BAD_CONFIGS = {
+    "retrieval_k_string": {"retrieval_k": "9"},
+    "fusion_list": {"fusion": []},
+    "retrieval_k_float": {"retrieval_k": 2.5},
+    "retrieval_k_bool": {"retrieval_k": True},
+    "top_m_float": {"top_m": 2.5},
+    "tau_neg_string": {"suppression": {"strategy": "fixed-threshold", "tau_neg": "0.4"}},
+    "tau_neg_nan": {"suppression": {"strategy": "fixed-threshold", "tau_neg": float("nan")}},
+    "enable_nef_string": {"enable_nef": "no"},
+    "prefix_length_huge": {"prefix_length": 100000},
+}
+
+
+class TestRunConfigTypes:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_value_exits_2(self, corpus, capsys, case):
+        store = _store(corpus)
+        config = {"mode": "training", "suppression": {"strategy": "top-k"}}
+        config.update(BAD_CONFIGS[case])
+        (corpus / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert _run(
+            ["run", "--store", store, "--config", corpus / "config.json",
+             "--input", corpus / "input.jsonl", "--out", corpus / "o.jsonl",
+             "--vocab", corpus / "vocab.txt"]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (corpus / "o.jsonl").exists()
+
+    def test_valid_base_config_runs(self, corpus):
+        store = _store(corpus)
+        config = {"mode": "training", "suppression": {"strategy": "top-k"}}
+        (corpus / "config.json").write_text(json.dumps(config))
+        assert _run(
+            ["run", "--store", store, "--config", corpus / "config.json",
+             "--input", corpus / "input.jsonl", "--out", corpus / "o.jsonl",
+             "--vocab", corpus / "vocab.txt"]
+        ) == 0
+
+
+class TestHashedKeyWarning:
+    def _inference(self, corpus, *extra):
+        (corpus / "inf.jsonl").write_text(
+            "".join(
+                json.dumps({"id": f"q{i}", "image_key": caption}) + "\n"
+                for i, caption in enumerate(["a dog in the park", "a cat on a mat"])
+            )
+        )
+        return _run(
+            ["run", "--mode", "inference", "--store", _store(corpus),
+             "--input", corpus / "inf.jsonl", "--out", corpus / "out.jsonl",
+             "--vocab", corpus / "vocab.txt", "--tau-neg", "0.5", "--seed", "3",
+             *extra]
+        )
+
+    def test_warns_once_and_output_is_unchanged(self, corpus, capsys):
+        from negsup.datastore import load_datastore
+        from negsup.entities import load_vocabulary
+        from negsup.pipeline import PipelineConfig, SourceBundle, read_jsonl, run_batch, write_jsonl
+        from negsup.suppression import SuppressionConfig
+
+        assert self._inference(corpus) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")
+        ]
+        assert warnings == [
+            "warning: no --aux-embeddings given; 2 instances use the hash of "
+            "their image_key string as the embedding"
+        ]
+        store = load_datastore(corpus / "store")
+        config = PipelineConfig(
+            mode="inference",
+            seed=3,
+            suppression=SuppressionConfig(strategy="fixed-threshold", tau_neg=0.5),
+        )
+        result = run_batch(
+            read_jsonl(corpus / "inf.jsonl"),
+            store,
+            load_vocabulary(corpus / "vocab.txt"),
+            SourceBundle(HashSource(dim=store.dim, seed=3)),
+            config,
+        )
+        write_jsonl(corpus / "library.jsonl", result.outputs)
+        assert (corpus / "out.jsonl").read_bytes() == (corpus / "library.jsonl").read_bytes()
+
+    def test_no_warning_with_aux_embeddings(self, corpus, capsys):
+        src = HashSource(dim=24, seed=11)
+        write_embedding_file(
+            corpus / "images.nese",
+            {key: embed_text(src, key) for key in ("a dog in the park", "a cat on a mat")},
+        )
+        assert self._inference(corpus, "--aux-embeddings", corpus / "images.nese") == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestEvalRetrieval:
     def test_entity_arrays(self, corpus, capsys):
         (corpus / "diag.jsonl").write_text(

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negsup.embedding import HashSource, embed_entity, l2_normalize, tokenize
+from negsup.embedding import FileSource, HashSource, embed_entity, l2_normalize, tokenize
 from negsup.entities import (
+    EntityIndex,
     EntityVocabulary,
     classify_image_entities,
     extract_entities,
@@ -12,7 +13,7 @@ from negsup.entities import (
     filter_training,
     load_vocabulary,
 )
-from negsup.errors import DimMismatch, EmptyInput, FormatError
+from negsup.errors import DimMismatch, EmptyInput, FormatError, UnknownKey
 
 
 class TestVocabulary:
@@ -113,6 +114,137 @@ class TestClassify:
         src = HashSource(dim=8, seed=0)
         with pytest.raises(ValueError):
             classify_image_entities(np.ones(8), EntityVocabulary(["dog"]), src, top_m=0)
+
+
+def _ranking_oracle(image, terms, source):
+    """Per-term scoring, one embedding and one dot per term, sorted by
+    (-score, term)."""
+    img = l2_normalize(image)
+    return sorted(terms, key=lambda t: (-float(np.dot(embed_entity(source, t), img)), t))
+
+
+class CountingSource:
+    """Wraps a source and counts embed calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+class TestEntityIndex:
+    def test_hash_collisions_match_oracle(self):
+        # dim 4 puts 40 single-token terms into 4 signed buckets, so many
+        # terms share a description vector and tie exactly
+        src = HashSource(dim=4, seed=1)
+        terms = [f"w{i}" for i in range(40)]
+        vocab = EntityVocabulary(terms)
+        distinct = {embed_entity(src, t).tobytes() for t in terms}
+        assert len(distinct) < len(terms) // 2
+        index = EntityIndex(src, vocab)
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            image = rng.normal(size=4)
+            oracle = _ranking_oracle(image, terms, src)
+            for top_m in (1, 3, 17, 40):
+                assert classify_image_entities(image, vocab, src, top_m, index) == oracle[:top_m]
+
+    def test_shared_file_vectors_match_oracle(self):
+        rng = np.random.default_rng(12)
+        shared, other = rng.normal(size=6), rng.normal(size=6)
+        terms = ["zebra", "ant", "moth", "bee", "cow", "owl"]
+        vectors = {f"A photo of {t}": shared for t in terms[:4]}
+        vectors.update({f"A photo of {t}": other for t in terms[4:]})
+        src = FileSource(vectors)
+        vocab = EntityVocabulary(terms)
+        index = EntityIndex(src, vocab)
+        for image in (shared, other, -shared, rng.normal(size=6)):
+            oracle = _ranking_oracle(image, terms, src)
+            assert classify_image_entities(image, vocab, src, 6, index) == oracle
+            assert classify_image_entities(image, vocab, src, 2, index) == oracle[:2]
+        # the four terms sharing the image's vector tie and come in term order
+        assert classify_image_entities(shared, vocab, src, 4, index) == [
+            "ant", "bee", "moth", "zebra"
+        ]
+
+    def test_dense_shared_vectors_match_oracle(self):
+        # dense vectors, each stored under three terms: a matrix-vector
+        # product rounds some rows differently and splits these ties
+        rng = np.random.default_rng(15)
+        base = [rng.normal(size=24) for _ in range(10)]
+        terms = [f"w{i:02d}" for i in range(30)]
+        src = FileSource({f"A photo of {t}": base[i % 10] for i, t in enumerate(terms)})
+        vocab = EntityVocabulary(terms)
+        index = EntityIndex(src, vocab)
+        for _ in range(40):
+            image = rng.normal(size=24)
+            assert classify_image_entities(image, vocab, src, 30, index) == (
+                _ranking_oracle(image, terms, src)
+            )
+
+    def test_each_term_embedded_once(self):
+        src = CountingSource(HashSource(dim=16, seed=3))
+        terms = [f"thing{i}" for i in range(12)]
+        vocab = EntityVocabulary(terms)
+        index = EntityIndex(src, vocab)
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            image = rng.normal(size=16)
+            classify_image_entities(image, vocab, src, 3, index)
+            filter_inference({"thing0"}, {"thing1", "thing2", "other"}, image, src, 0.1, index)
+        assert src.calls == len(terms) + 1  # "other" is not in the vocabulary
+
+    def test_filter_inference_matches_throwaway_index(self):
+        src = HashSource(dim=8, seed=5)
+        index = EntityIndex(src)
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            image = rng.normal(size=8)
+            key, candidates = {"dog"}, {"dog", "kite", "ball", "cat"}
+            for tau in (-0.5, 0.0, 0.3):
+                assert filter_inference(key, candidates, image, src, tau, index) == (
+                    filter_inference(key, candidates, image, src, tau)
+                )
+
+    def test_vectors_are_read_only(self):
+        index = EntityIndex(HashSource(dim=8, seed=0))
+        vec = index.vector("dog")
+        assert vec is index.vector("dog")
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+
+    def test_lazy_embedding_tolerates_missing_vectors(self):
+        src = FileSource({"A photo of dog": np.ones(4)})
+        vocab = EntityVocabulary(["dog", "unicorn"])
+        index = EntityIndex(src, vocab)
+        assert index.vector("dog").shape == (4,)
+        with pytest.raises(UnknownKey):
+            classify_image_entities(np.ones(4), vocab, src, 1, index)
+
+    def test_dim_mismatch_with_filled_index(self):
+        src = HashSource(dim=8, seed=0)
+        vocab = EntityVocabulary(["dog", "cat"])
+        index = EntityIndex(src, vocab)
+        classify_image_entities(np.ones(8), vocab, src, 1, index)
+        with pytest.raises(DimMismatch):
+            classify_image_entities(np.ones(4), vocab, src, 1, index)
+        with pytest.raises(DimMismatch):
+            filter_inference(set(), {"dog"}, np.ones(4), src, 0.0, index)
+
+    def test_index_for_another_source_or_vocab_rejected(self):
+        src = HashSource(dim=8, seed=0)
+        vocab = EntityVocabulary(["dog"])
+        index = EntityIndex(src, vocab)
+        with pytest.raises(ValueError):
+            classify_image_entities(np.ones(8), EntityVocabulary(["dog"]), src, 1, index)
+        with pytest.raises(ValueError):
+            classify_image_entities(np.ones(8), vocab, HashSource(dim=8, seed=0), 1, index)
+        with pytest.raises(ValueError):
+            filter_inference(set(), {"dog"}, np.ones(8), HashSource(dim=8, seed=0), 0.0, index)
 
 
 class TestFilterTraining:

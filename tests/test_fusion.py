@@ -313,6 +313,11 @@ class TestXavier:
         assert np.array_equal(a.q_proj, b.q_proj)
         assert np.array_equal(a.map_proj, b.map_proj)
 
+    def test_oversized_mapping_rejected_before_allocation(self):
+        # (L*d)^2 float64 would be ~1.3 PB: a MemoryError if ever attempted
+        with pytest.raises(ValueError, match="MiB limit"):
+            xavier_weights(dim=128, prefix_len=100000)
+
 
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):

@@ -5,12 +5,14 @@ import pytest
 
 import negsup.pipeline as pipeline_mod
 from negsup.datastore import Hit, RetrievalResult, build_datastore, retrieve
-from negsup.embedding import HashSource, embed_text, l2_normalize
-from negsup.entities import EntitySets, EntityVocabulary, extract_entities
+from negsup.embedding import FileSource, HashSource, embed_entity, embed_text, l2_normalize
+from negsup.entities import EntityIndex, EntitySets, EntityVocabulary, extract_entities
 from negsup.errors import (
+    DimMismatch,
     EmptyRetrieval,
     FormatError,
     InvariantError,
+    UnknownKey,
 )
 from negsup.fusion import FusionConfig, as_prefix, fuse_retrieval, map_to_prefix, xavier_weights
 from negsup.pipeline import (
@@ -491,6 +493,136 @@ class TestRunBatch:
         assert first.outputs[1]["references"] == ["a cat resting"]
         ctx = out["context"]
         assert set(ctx) == {"prefix", "prompt", "entities", "retrieval", "suppression"}
+
+
+def _per_instance_outputs(instances, store, vocab, sources, config):
+    """The batch outputs rebuilt one instance at a time, each run with its own
+    throwaway entity index."""
+    outputs = []
+    for obj in instances:
+        if config.mode == "training":
+            caption = obj["caption"]
+            ctx = run_training_instance(
+                caption, embed_text(sources.text, caption), store, vocab, sources, config
+            )
+        else:
+            image = embed_text(sources.text, obj["image_key"])
+            ctx = run_inference_instance(image, store, vocab, sources, config)
+        outputs.append(
+            {
+                "id": obj["id"],
+                "generated": standin_decode(ctx, store, vocab),
+                "retrieved": ctx.retrieval.captions(),
+                "context": ctx.to_json_dict(),
+            }
+        )
+        if config.mode == "training":
+            outputs[-1]["references"] = [obj["caption"]]
+    return outputs
+
+
+class TestBatchEntityIndex:
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_batch_equals_per_instance_path(self, store, vocab, source, mode):
+        if mode == "training":
+            instances = [{"id": rid, "caption": cap} for rid, cap in CAPTIONS.items()]
+        else:
+            instances = [{"id": rid, "image_key": cap} for rid, cap in CAPTIONS.items()]
+        config = _config(mode=mode, tau_sim=0.1, top_m=3)
+        bundle = source_bundle(source)
+        batch = run_batch(instances, store, vocab, bundle, config)
+        expected = _per_instance_outputs(instances, store, vocab, bundle, config)
+        assert json.dumps(batch.outputs, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert any(o["context"]["entities"]["negative"] for o in batch.outputs)
+
+    def test_batch_embeds_each_term_once(self, store, vocab, source, monkeypatch):
+        import negsup.entities as entities_mod
+
+        embedded = []
+
+        def counting_embed_entity(src, term):
+            embedded.append(term)
+            return embed_entity(src, term)
+
+        monkeypatch.setattr(entities_mod, "embed_entity", counting_embed_entity)
+        instances = [{"id": rid, "image_key": cap} for rid, cap in CAPTIONS.items()]
+        run_batch(
+            instances, store, vocab, source_bundle(source), _config(mode="inference", top_m=3)
+        )
+        assert sorted(embedded) == sorted(vocab.canonical)
+
+    def test_training_with_partial_entity_file_source(self, store, vocab, source):
+        # the entity source lacks the vectors of vocabulary terms that never
+        # become negatives; only negatives are embedded in training
+        extended = EntityVocabulary(VOCAB_TERMS + ["zebra", "violin"])
+        vectors = {
+            f"A photo of {t}": embed_entity(source, t) for t in VOCAB_TERMS + ["zebra", "violin"]
+        }
+        full = FileSource(vectors)
+        partial = FileSource({k: v for k, v in vectors.items() if "zebra" not in k and "violin" not in k})
+        instances = [{"id": rid, "caption": cap} for rid, cap in CAPTIONS.items()]
+        config = _config()
+        with_partial = run_batch(
+            instances, store, extended, SourceBundle(source, entity=partial), config
+        )
+        with_full = run_batch(instances, store, extended, SourceBundle(source, entity=full), config)
+        assert with_partial.outputs == with_full.outputs
+        assert any(o["context"]["entities"]["negative"] for o in with_partial.outputs)
+        with pytest.raises(UnknownKey):
+            run_batch(
+                [{"id": "q", "image_key": CAPTIONS["c01"]}], store, extended,
+                SourceBundle(source, entity=partial), _config(mode="inference"),
+            )
+
+    def test_mismatched_image_dim_raises(self, store, vocab, source):
+        config = _config(mode="inference")
+        with pytest.raises(DimMismatch):
+            run_inference_instance(np.ones(DIM + 1), store, vocab, source_bundle(source), config)
+
+    def test_index_for_another_vocabulary_rejected(self, store, vocab, source):
+        index = EntityIndex(source, EntityVocabulary(["dog"]))
+        with pytest.raises(ValueError):
+            run_inference_instance(
+                embed_text(source, CAPTIONS["c01"]), store, vocab, source_bundle(source),
+                _config(mode="inference"), index=index,
+            )
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"seed": 1.0},
+            {"prefix_length": "4"},
+            {"tau_sim": float("inf")},
+            {"tau_sim": None},
+            {"enable_sif": 1},
+            {"suppression": "top-k"},
+            {"suppression": {"strategy": "top-k", "lambda": True}},
+            {"suppression": {"strategy": "top-k", "lamda": 0.3}},
+            {"fusion": {"strategy": "fixed", "alpha": float("nan")}},
+            {"fusion": {"tau_quality": "0.6"}},
+        ],
+    )
+    def test_rejected(self, data):
+        data = {"mode": "training", "suppression": {"strategy": "top-k"}, **data}
+        with pytest.raises((ValueError, FormatError)):
+            PipelineConfig.from_json_dict(data)
+
+    def test_integral_floats_and_json_ints_accepted(self):
+        config = PipelineConfig.from_json_dict(
+            {
+                "mode": "training",
+                "tau_sim": 0,
+                "fusion": {"tau_quality": 1},
+                "suppression": {"strategy": "fixed-threshold", "tau_neg": 1, "lambda": 0},
+            }
+        )
+        assert config.tau_sim == 0 and config.suppression.lam == 0
+
+    def test_sub_config_objects_required(self):
+        with pytest.raises(ValueError):
+            PipelineConfig(mode="training", enable_as=False, fusion={"strategy": "fixed"})
 
 
 class TestConfig:

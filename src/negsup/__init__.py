@@ -15,6 +15,7 @@ from .datastore import (
     ingest_datastore,
     load_datastore,
     retrieve,
+    retrieve_many,
     save_datastore,
 )
 from .embedding import (

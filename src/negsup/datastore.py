@@ -1,9 +1,13 @@
 """Immutable caption datastore with exact top-k cosine retrieval.
 
 Records are held row-sorted by id so that score ties resolve to ascending
-id regardless of insertion order. Retrieval is an exact full scan (scores
-via the kernel backend, partial top-k selection in numpy); brute_force_topk
-is the independent oracle (per-record dots, full stable sort).
+id regardless of insertion order. Retrieval is an exact full scan, batched:
+retrieve_many scores QUERY_BLOCK queries against the whole matrix with one
+matrix product, takes each query's k-th best score with one partition, and
+re-scores the rows within a rounding margin of it with one dot product per
+row, so a hit's score depends only on its row and the query, never on the
+batch. retrieve is the one-query case. brute_force_topk is the independent
+oracle (per-record dots, full stable sort).
 """
 
 from __future__ import annotations
@@ -122,33 +126,67 @@ def build_datastore(records: Sequence[tuple[str, str, np.ndarray]]) -> Datastore
     return Datastore([r[0] for r in rows], [r[1] for r in rows], matrix)
 
 
-def _topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best scores, ordered by (score desc, index asc)."""
-    n = scores.shape[0]
+QUERY_BLOCK = 32
+
+# Scores of unit vectors from the block product and from a per-row dot
+# differ by at most 2*d*u (u = eps/2); twice that bound of slack keeps every
+# row of the exact top k among the candidates.
+_MARGIN_PER_DIM = 4 * float(np.finfo(np.float64).eps)
+
+
+def _rank_block(store: Datastore, scores: np.ndarray, vecs, k: int) -> list[RetrievalResult]:
+    """Top k per query of a (B, N) block of approximate scores, re-scored
+    exactly and ordered by (score desc, row index asc)."""
+    n = len(store)
     if k < n:
-        part = np.argpartition(-scores, k - 1)[:k]
-        threshold = scores[part].min()
-        cand = np.flatnonzero(scores >= threshold)
+        cutoffs = np.partition(scores, n - k, axis=1)[:, n - k]
+        cutoffs = cutoffs - _MARGIN_PER_DIM * store.dim
     else:
-        cand = np.arange(n)
-    order = cand[np.lexsort((cand, -scores[cand]))]
-    return order[: min(k, n)]
+        cutoffs = np.full(len(vecs), -np.inf)
+    matrix = store.matrix
+    results = []
+    for row_scores, cutoff, vec in zip(scores, cutoffs, vecs):
+        scored = sorted(
+            (-float(np.dot(matrix[i], vec)), i)
+            for i in np.flatnonzero(row_scores >= cutoff).tolist()
+        )
+        results.append(
+            RetrievalResult(
+                tuple(
+                    Hit(store.ids[i], store.captions[i], -neg)
+                    for neg, i in scored[:k]
+                )
+            )
+        )
+    return results
+
+
+def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[RetrievalResult]:
+    """Exact top-k records by cosine similarity for each query, in order.
+
+    Every query is normalized and dimension-checked before the scan. The
+    store is then read once per QUERY_BLOCK queries; each result equals
+    retrieve(store, query, k) bit for bit, whatever the batch.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    vecs = []
+    for query in queries:
+        vec = l2_normalize(query)
+        if vec.shape[0] != store.dim:
+            raise DimMismatch(f"query dim {vec.shape[0]} != store dim {store.dim}")
+        vecs.append(vec)
+    results: list[RetrievalResult] = []
+    for start in range(0, len(vecs), QUERY_BLOCK):
+        block = vecs[start : start + QUERY_BLOCK]
+        scores = kernels.dot_scores(store.matrix, np.stack(block))
+        results.extend(_rank_block(store, scores, block, k))
+    return results
 
 
 def retrieve(store: Datastore, query, k: int = DEFAULT_K) -> RetrievalResult:
     """Exact top-k records by cosine similarity to `query`."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    vec = l2_normalize(query)
-    if vec.shape[0] != store.dim:
-        raise DimMismatch(f"query dim {vec.shape[0]} != store dim {store.dim}")
-    scores = kernels.dot_scores(store.matrix, np.ascontiguousarray(vec))
-    rows = _topk_rows(scores, k)
-    return RetrievalResult(
-        tuple(
-            Hit(store.ids[i], store.captions[i], float(scores[i])) for i in rows
-        )
-    )
+    return retrieve_many(store, [query], k)[0]
 
 
 def brute_force_topk(

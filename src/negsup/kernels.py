@@ -1,12 +1,9 @@
-"""Numeric hot kernels: numba-jitted loops with a pure-numpy fallback.
+"""Numeric hot kernels, in numpy.
 
-The jitted path is the default. Set NEGSUP_PURE_NUMPY=1 (or run without
-numba installed) to select the numpy implementations instead. The two
-backends agree to ~1e-12 per element; each backend is individually
-deterministic for fixed inputs.
-
-Kernels operate on contiguous float64 arrays:
-  dot_scores        -- per-row dot products of a matrix against one query
+Kernels operate on contiguous float64 arrays and are deterministic for
+fixed inputs:
+  dot_scores        -- dot products of a matrix's rows against one query
+                       or a block of queries
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 """
@@ -14,31 +11,17 @@ Kernels operate on contiguous float64 arrays:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-PURE_NUMPY = (not HAVE_NUMBA) or os.environ.get(
-    "NEGSUP_PURE_NUMPY", ""
-).strip().lower() in ("1", "true", "yes")
+def dot_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Score of every row of `matrix` against `queries` (plain dot products):
+    shape (N,) for one (d,) query, (B, N) for a (B, d) block."""
+    return queries @ matrix.T
 
 
-# --- numpy implementations -------------------------------------------------
-
-
-def dot_scores_numpy(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Score of every row of `matrix` against `query` (plain dot products)."""
-    return matrix @ query
-
-
-def attention_core_numpy(queries, keys, values):
+def attention_core(queries, keys, values):
     """Scaled dot-product attention.
 
     Returns (output, weights): output[i] = sum_j w[i, j] * values[j] with
@@ -52,7 +35,7 @@ def attention_core_numpy(queries, keys, values):
     return weights @ values, weights
 
 
-def negative_scores_numpy(prefix, negatives):
+def negative_scores(prefix, negatives):
     """Per-token score: max over negative queries of softmax-over-tokens weight.
 
     Each negative vector attends over the prefix tokens (softmax across
@@ -69,88 +52,12 @@ def negative_scores_numpy(prefix, negatives):
     return weights.max(axis=0)
 
 
-# --- numba implementations -------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def dot_scores_numba(matrix, query):
-        n, d = matrix.shape
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(d):
-                acc += matrix[i, j] * query[j]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def attention_core_numba(queries, keys, values):
-        n_q, d = queries.shape
-        n_k = keys.shape[0]
-        scale = 1.0 / math.sqrt(d)
-        weights = np.empty((n_q, n_k))
-        out = np.zeros((n_q, values.shape[1]))
-        for i in range(n_q):
-            row_max = -np.inf
-            for j in range(n_k):
-                acc = 0.0
-                for c in range(d):
-                    acc += queries[i, c] * keys[j, c]
-                weights[i, j] = acc * scale
-                if weights[i, j] > row_max:
-                    row_max = weights[i, j]
-            total = 0.0
-            for j in range(n_k):
-                weights[i, j] = math.exp(weights[i, j] - row_max)
-                total += weights[i, j]
-            for j in range(n_k):
-                weights[i, j] /= total
-                for c in range(values.shape[1]):
-                    out[i, c] += weights[i, j] * values[j, c]
-        return out, weights
-
-    @njit(cache=True)
-    def negative_scores_numba(prefix, negatives):
-        n_tokens, d = prefix.shape
-        n_neg = negatives.shape[0]
-        scores = np.zeros(n_tokens)
-        if n_neg == 0:
-            return scores
-        scale = 1.0 / math.sqrt(d)
-        logits = np.empty(n_tokens)
-        for q in range(n_neg):
-            row_max = -np.inf
-            for i in range(n_tokens):
-                acc = 0.0
-                for c in range(d):
-                    acc += negatives[q, c] * prefix[i, c]
-                logits[i] = acc * scale
-                if logits[i] > row_max:
-                    row_max = logits[i]
-            total = 0.0
-            for i in range(n_tokens):
-                logits[i] = math.exp(logits[i] - row_max)
-                total += logits[i]
-            for i in range(n_tokens):
-                w = logits[i] / total
-                if w > scores[i]:
-                    scores[i] = w
-        return scores
-
-
-# --- backend selection -----------------------------------------------------
-
-if PURE_NUMPY:
-    dot_scores = dot_scores_numpy
-    attention_core = attention_core_numpy
-    negative_scores = negative_scores_numpy
-else:
-    dot_scores = dot_scores_numba
-    attention_core = attention_core_numba
-    negative_scores = negative_scores_numba
+# the names of the numpy backend, which is the only one
+dot_scores_numpy = dot_scores
+attention_core_numpy = attention_core
+negative_scores_numpy = negative_scores
 
 
 def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numpy" if PURE_NUMPY else "numba"
+    """Name of the kernel backend: always "numpy"."""
+    return "numpy"

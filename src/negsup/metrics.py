@@ -251,6 +251,8 @@ def load_instances(path, vocab: EntityVocabulary | None = None) -> list[EvalInst
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"line {lineno}: expected a JSON object")
         try:
             instances.append(instance_from_json(obj, vocab))
         except FormatError as exc:

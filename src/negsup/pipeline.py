@@ -13,13 +13,16 @@ metrics are computable without a neural decoder.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve
+from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve, retrieve_many
 from .embedding import (
     EmbeddingSource,
     embed_text,
@@ -340,21 +343,69 @@ def _finish_instance(
 
 
 def _training_query(
-    text_emb: np.ndarray,
-    synthetic_emb: np.ndarray,
-    fused: np.ndarray,
-    config: PipelineConfig,
-) -> np.ndarray:
+    text_emb: np.ndarray, synthetic_emb, config: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Query stage of a training instance: (retrieval query, fused features)."""
+    synthetic = l2_normalize(synthetic_emb)
+    fused = fuse_sif(synthetic, text_emb, config.fusion) if config.enable_sif else text_emb
     choice = config.training_query
     if choice == QUERY_AUTO:
         if not config.enable_sir:
-            return text_emb
-        return fused if config.enable_sif else synthetic_emb
-    if choice == QUERY_TEXT:
-        return text_emb
-    if choice == QUERY_SYNTHETIC:
-        return synthetic_emb
-    return fused
+            choice = QUERY_TEXT
+        else:
+            choice = QUERY_FUSED if config.enable_sif else QUERY_SYNTHETIC
+    query = {QUERY_TEXT: text_emb, QUERY_SYNTHETIC: synthetic, QUERY_FUSED: fused}[choice]
+    return query, fused
+
+
+def _finish_training(
+    caption: str,
+    fused: np.ndarray,
+    retrieval: RetrievalResult,
+    store: Datastore,
+    vocab: EntityVocabulary,
+    config: PipelineConfig,
+    weights: AttentionWeights,
+    index: EntityIndex,
+) -> GenerationContext:
+    """Post-retrieval stage of a training instance."""
+    key = frozenset(extract_entities(caption, vocab))
+    candidates = _candidate_entities(retrieval, vocab)
+    if config.enable_nef:
+        entity_sets = filter_training(key, candidates)
+    else:
+        entity_sets = _nef_bypass(key, candidates)
+
+    return _finish_instance(
+        as_prefix(fused), retrieval, entity_sets, store, config, weights, index
+    )
+
+
+def _finish_inference(
+    image: np.ndarray,
+    retrieval: RetrievalResult,
+    store: Datastore,
+    vocab: EntityVocabulary,
+    sources: SourceBundle,
+    config: PipelineConfig,
+    weights: AttentionWeights,
+    index: EntityIndex,
+) -> GenerationContext:
+    """Post-retrieval stage of an inference instance (`image` normalized)."""
+    key = frozenset(
+        classify_image_entities(image, vocab, sources.entity, config.top_m, index)
+    )
+    candidates = _candidate_entities(retrieval, vocab)
+    if config.enable_nef:
+        entity_sets = filter_inference(
+            key, candidates, image, sources.entity, config.tau_sim, index
+        )
+    else:
+        entity_sets = _nef_bypass(key, candidates)
+
+    return _finish_instance(
+        as_prefix(image), retrieval, entity_sets, store, config, weights, index
+    )
 
 
 def run_training_instance(
@@ -377,23 +428,9 @@ def run_training_instance(
     if weights is None:
         weights = default_weights(store, config)
     index = index_for(sources.entity, vocab, index)
-    text_emb = embed_text(sources.text, caption)
-    synthetic = l2_normalize(synthetic_emb)
-    fused = fuse_sif(synthetic, text_emb, config.fusion) if config.enable_sif else text_emb
-
-    query = _training_query(text_emb, synthetic, fused, config)
+    query, fused = _training_query(embed_text(sources.text, caption), synthetic_emb, config)
     retrieval = retrieve(store, query, config.retrieval_k)
-
-    key = frozenset(extract_entities(caption, vocab))
-    candidates = _candidate_entities(retrieval, vocab)
-    if config.enable_nef:
-        entity_sets = filter_training(key, candidates)
-    else:
-        entity_sets = _nef_bypass(key, candidates)
-
-    return _finish_instance(
-        as_prefix(fused), retrieval, entity_sets, store, config, weights, index
-    )
+    return _finish_training(caption, fused, retrieval, store, vocab, config, weights, index)
 
 
 def run_inference_instance(
@@ -414,21 +451,7 @@ def run_inference_instance(
     index = index_for(sources.entity, vocab, index)
     image = l2_normalize(image_emb)
     retrieval = retrieve(store, image, config.retrieval_k)
-
-    key = frozenset(
-        classify_image_entities(image, vocab, sources.entity, config.top_m, index)
-    )
-    candidates = _candidate_entities(retrieval, vocab)
-    if config.enable_nef:
-        entity_sets = filter_inference(
-            key, candidates, image, sources.entity, config.tau_sim, index
-        )
-    else:
-        entity_sets = _nef_bypass(key, candidates)
-
-    return _finish_instance(
-        as_prefix(image), retrieval, entity_sets, store, config, weights, index
-    )
+    return _finish_inference(image, retrieval, store, vocab, sources, config, weights, index)
 
 
 # --- stand-in decoder ---------------------------------------------------------
@@ -535,13 +558,15 @@ def run_batch(
 ) -> BatchResult:
     """Process parsed JSON instances ({"id", "caption"?, "image_key"?,
     "synthetic_key"?}); training instances whose synthetic embedding fails
-    the quality gate are skipped and reported. Each vocabulary term is
+    the quality gate are skipped and reported. All queries are built first
+    and retrieved together (see retrieve_many); each vocabulary term is
     embedded at most once per call (see EntityIndex)."""
     if weights is None:
         weights = default_weights(store, config)
     index = EntityIndex(sources.entity, vocab)
-    outputs: list[dict] = []
     skipped: list[dict] = []
+    # (instance, retrieval query, features the post-retrieval stage needs)
+    pending: list[tuple[dict, np.ndarray, np.ndarray]] = []
     for obj in instances:
         if not isinstance(obj, dict) or "id" not in obj:
             raise FormatError('instance object needs an "id"')
@@ -558,15 +583,25 @@ def run_batch(
                 if score < config.fusion.tau_quality:
                     skipped.append({"id": obj["id"], "clip_score": score})
                     continue
-            context = run_training_instance(
-                caption, synthetic, store, vocab, sources, config, weights, index
-            )
+            query, fused = _training_query(text_emb, synthetic, config)
+            pending.append((obj, query, fused))
         else:
             image = _instance_embedding(obj, "image_key", keys, sources)
             if image is None:
                 raise FormatError(f'inference instance {obj["id"]!r} needs an "image_key"')
-            context = run_inference_instance(
-                image, store, vocab, sources, config, weights, index
+            image = l2_normalize(image)
+            pending.append((obj, image, image))
+
+    retrievals = retrieve_many(store, [query for _, query, _ in pending], config.retrieval_k)
+    outputs: list[dict] = []
+    for (obj, _, features), retrieval in zip(pending, retrievals):
+        if config.mode == MODE_TRAINING:
+            context = _finish_training(
+                obj["caption"], features, retrieval, store, vocab, config, weights, index
+            )
+        else:
+            context = _finish_inference(
+                features, retrieval, store, vocab, sources, config, weights, index
             )
         out = {
             "id": obj["id"],
@@ -582,12 +617,32 @@ def run_batch(
     return BatchResult(outputs=outputs, skipped=skipped)
 
 
+def _write_lines(path, mode: str, objects: Iterable[dict]) -> None:
+    with open(path, mode, encoding="utf-8", newline="\n") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
+
+
 def write_jsonl(path, objects: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line. The lines go to a temporary
+    file beside `path` that replaces it only once all are written, so a
+    failure leaves an existing file as it was and no partial one behind.
+    A symlink, pipe or device (such as /dev/stdout) is written through."""
+    path = os.fspath(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for obj in objects:
-                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+        if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+            _write_lines(path, "w", objects)
+            return
+        directory, name = os.path.split(path)
+        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+        try:
+            _write_lines(tmp, "x", objects)
+            os.replace(tmp, path)
+        finally:
+            # still there only when a write or the replace failed
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
@@ -603,7 +658,10 @@ def read_jsonl(path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            objects.append(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"line {lineno}: expected a JSON object")
+        objects.append(obj)
     return objects

@@ -365,6 +365,25 @@ class TestEvalRetrieval:
         ) == 2
 
 
+class TestNonObjectLines:
+    def test_eval_retrieval_exits_2(self, corpus, capsys):
+        (corpus / "diag.jsonl").write_text("5\n")
+        assert _run(
+            ["eval", "retrieval", "--instances", corpus / "diag.jsonl", "--json"]
+        ) == 2
+        assert "line 1: expected a JSON object" in capsys.readouterr().err
+
+    def test_eval_chair_exits_2(self, corpus, capsys):
+        (corpus / "pred.jsonl").write_text(
+            json.dumps({"generated": "a dog", "references": ["a dog"]}) + "\n5\n"
+        )
+        assert _run(
+            ["eval", "chair", "--pred", corpus / "pred.jsonl",
+             "--vocab", corpus / "vocab.txt", "--json"]
+        ) == 2
+        assert "line 2: expected a JSON object" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_invariant_violation_maps_to_3(self, corpus, monkeypatch):
         def boom(args):

@@ -7,6 +7,7 @@ from negsup.datastore import (
     ingest_datastore,
     load_datastore,
     retrieve,
+    retrieve_many,
     save_datastore,
 )
 from negsup.embedding import HashSource, embed_text, l2_normalize, write_embedding_file
@@ -15,6 +16,7 @@ from negsup.errors import (
     DuplicateId,
     EmptyInput,
     FormatError,
+    ZeroVector,
 )
 
 
@@ -160,6 +162,103 @@ class TestRetrieve:
         got = retrieve(store, query, k=25)
         want = brute_force_topk(records, query, k=25)
         assert got.ids() == want.ids()
+
+
+TIE_TOL = 1e-12
+
+
+def _bits(result):
+    return [(h.id, h.caption, h.score.hex()) for h in result.hits]
+
+
+def _assert_matches_oracle(result, ranked, k):
+    """`result` is the top k of brute_force_topk's full ranking `ranked`, where
+    scores within TIE_TOL count as tied (the oracle renormalizes rows, which
+    can move mathematically equal scores an ulp apart)."""
+    score_of = {h.id: h.score for h in ranked.hits}
+    assert len(result) == min(k, len(ranked))
+    assert len(set(result.ids())) == len(result)
+    for hit, want in zip(result.hits, ranked.hits):
+        assert abs(hit.score - score_of[hit.id]) <= TIE_TOL
+        assert abs(hit.score - want.score) <= TIE_TOL
+
+
+@pytest.fixture(scope="module")
+def planted():
+    """A seeded store with planted bit-identical duplicate rows, rows that
+    tie only mathematically, and queries aimed at both."""
+    rng = np.random.default_rng(21)
+    records = _random_records(rng, 400, 16)
+    groups = [list(range(10, 16)), [50, 51], list(range(200, 204))]
+    for group in groups:
+        vec = records[group[0]][2]
+        for i in group[1:]:
+            records[i] = (records[i][0], records[i][1], vec.copy())
+    # scaled copies normalize to rows an ulp apart: mathematical ties only
+    base = records[300][2]
+    for i, scale in enumerate((3.0, 7.0, 0.1, 1e3)):
+        records.append((f"s{i}", f"scaled {i}", base * scale))
+    queries = []
+    for group in groups:
+        vec = records[group[0]][2]
+        queries.append(vec)
+        queries += [vec + rng.normal(scale=0.05, size=16) for _ in range(8)]
+    queries += [base, base + rng.normal(scale=0.05, size=16)]
+    queries += [rng.normal(size=16) for _ in range(100 - len(queries))]
+    queries = [queries[i] for i in rng.permutation(len(queries))]
+    ranked = [brute_force_topk(records, q, len(records)) for q in queries]
+    return records, build_datastore(records), queries, ranked
+
+
+class TestRetrieveMany:
+    @pytest.mark.parametrize("batch", [1, 2, 31, 32, 33, 67])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_batch_equals_single_queries(self, planted, batch, k):
+        _, store, queries, ranked = planted
+        for offset in (0, 5, len(queries) - batch):
+            got = retrieve_many(store, queries[offset : offset + batch], k)
+            assert len(got) == batch
+            for i, result in enumerate(got, start=offset):
+                assert _bits(result) == _bits(retrieve(store, queries[i], k))
+                _assert_matches_oracle(result, ranked[i], k)
+
+    def test_duplicates_keep_id_order_at_the_cut(self, planted):
+        records, store, _, _ = planted
+        ids = [records[i][0] for i in range(10, 16)]
+        query = records[10][2]
+        for k in range(1, 8):
+            results = retrieve_many(store, [query] * 40, k)
+            assert all(_bits(r) == _bits(results[0]) for r in results)
+            assert results[0].ids()[: min(k, 6)] == ids[: min(k, 6)]
+
+    def test_store_smaller_than_k(self):
+        rng = np.random.default_rng(22)
+        records = _random_records(rng, 5, 8)
+        records[3] = (records[3][0], records[3][1], records[1][2].copy())
+        store = build_datastore(records)
+        queries = [rng.normal(size=8) for _ in range(40)]
+        for k in (5, 9, 50):
+            for result, query in zip(retrieve_many(store, queries, k), queries):
+                assert _bits(result) == _bits(retrieve(store, query, k))
+                _assert_matches_oracle(result, brute_force_topk(records, query, 5), k)
+
+    def test_empty_query_list(self, planted):
+        _, store, _, _ = planted
+        assert retrieve_many(store, [], 9) == []
+
+    def test_bad_queries_raise(self, planted):
+        _, store, queries, _ = planted
+        good = queries[:40]
+        with pytest.raises(DimMismatch):
+            retrieve_many(store, good + [np.ones(17)], 3)
+        with pytest.raises(ZeroVector):
+            retrieve_many(store, good + [np.zeros(16)], 3)
+        with pytest.raises(FormatError):
+            retrieve_many(store, good + [np.full(16, np.nan)], 3)
+        with pytest.raises(ValueError):
+            retrieve_many(store, good, 0)
+        with pytest.raises(ValueError):
+            retrieve_many(store, [], 0)
 
 
 class TestBruteForce:

@@ -12,6 +12,7 @@ from negsup.errors import (
     EmptyRetrieval,
     FormatError,
     InvariantError,
+    IoError,
     UnknownKey,
 )
 from negsup.fusion import FusionConfig, as_prefix, fuse_retrieval, map_to_prefix, xavier_weights
@@ -24,6 +25,7 @@ from negsup.pipeline import (
     run_inference_instance,
     run_training_instance,
     standin_decode,
+    write_jsonl,
 )
 from negsup.suppression import SuppressionConfig, SuppressionReport, suppress
 
@@ -586,6 +588,88 @@ class TestBatchEntityIndex:
                 embed_text(source, CAPTIONS["c01"]), store, vocab, source_bundle(source),
                 _config(mode="inference"), index=index,
             )
+
+
+def _seventy_instances(mode):
+    rng = np.random.default_rng(31)
+    captions = list(CAPTIONS.values())
+    instances = []
+    for i in range(70):
+        caption = captions[i % len(captions)]
+        if i % 3:
+            words = caption.split()
+            caption = " ".join(words[: int(rng.integers(3, len(words) + 1))])
+        if mode == "training":
+            obj = {"id": f"t{i:02d}", "caption": caption}
+            if i % 4 == 1:
+                obj["synthetic_key"] = captions[(i * 7) % len(captions)]
+        else:
+            obj = {"id": f"i{i:02d}", "image_key": caption}
+        instances.append(obj)
+    return instances
+
+
+class TestBatchedRetrieval:
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_leading_slice_writes_same_bytes(self, store, vocab, source, mode, tmp_path):
+        instances = _seventy_instances(mode)
+        config = _config(mode=mode, tau_sim=0.1, top_m=3, fusion=FusionConfig(tau_quality=0.3))
+        bundle = source_bundle(source)
+        whole = run_batch(instances, store, vocab, bundle, config)
+        head = run_batch(instances[:8], store, vocab, bundle, config)
+        write_jsonl(tmp_path / "whole.jsonl", whole.outputs)
+        write_jsonl(tmp_path / "head.jsonl", head.outputs)
+        head_ids = {obj["id"] for obj in instances[:8]}
+        whole_lines = (tmp_path / "whole.jsonl").read_bytes().splitlines(keepends=True)
+        expected = b"".join(
+            line for obj, line in zip(whole.outputs, whole_lines) if obj["id"] in head_ids
+        )
+        assert (tmp_path / "head.jsonl").read_bytes() == expected
+        assert len(head.outputs) >= 6
+        assert len(whole.outputs) > 2 * 32
+        if mode == "training":
+            assert whole.skipped and head.skipped == [
+                s for s in whole.skipped if s["id"] in head_ids
+            ]
+
+    def test_per_instance_path_retrieves_as_the_batch(self, store, vocab, source):
+        instances = _seventy_instances("inference")
+        config = _config(mode="inference", top_m=3)
+        bundle = source_bundle(source)
+        batch = run_batch(instances, store, vocab, bundle, config)
+        expected = _per_instance_outputs(instances, store, vocab, bundle, config)
+        assert json.dumps(batch.outputs, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+class TestWriteJsonl:
+    def test_failed_write_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b'{"old": true}\n')
+        with pytest.raises(TypeError):
+            write_jsonl(path, [{"id": "a"}, {"id": "b", "bad": object()}])
+        assert path.read_bytes() == b'{"old": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b"stale line\n" * 10)
+        write_jsonl(path, [{"b": 1, "a": "\u00e9"}])
+        assert path.read_bytes() == '{"a": "\u00e9", "b": 1}\n'.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "real.jsonl"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "out.jsonl"
+        link.symlink_to(target)
+        write_jsonl(link, [{"id": "a"}])
+        assert link.is_symlink()
+        assert target.read_bytes() == b'{"id": "a"}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "real.jsonl"]
+
+    def test_missing_directory_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            write_jsonl(tmp_path / "nowhere" / "out.jsonl", [{"id": "a"}])
 
 
 class TestConfigTypes:

@@ -20,9 +20,9 @@ from .datastore import (
     retrieve,
     save_datastore,
 )
-from .embedding import HashSource, as_vector, load_embedding_file
+from .embedding import HashSource, load_embedding_file, vector_from_json
 from .entities import load_vocabulary
-from .errors import FormatError, InvariantError, IoError, NegsupError
+from .errors import FormatError, InvariantError, NegsupError
 from .fusion import load_weights_file
 from .metrics import (
     entity_set_from_json,
@@ -34,13 +34,32 @@ from .pipeline import (
     MODE_TRAINING,
     PipelineConfig,
     SourceBundle,
-    sub_config,
     read_jsonl,
     run_batch,
     write_jsonl,
 )
+from .validation import check_path, json_lines, read_json
 
-CONFIG_EXTRA_KEYS = ("vocab", "synonyms", "weights", "aux_embeddings")
+# Config keys naming input files; the flag of the same name overrides each.
+CONFIG_PATH_KEYS = ("vocab", "synonyms", "weights", "aux_embeddings")
+
+# `negsup run` flag dest -> (sub-config or None, config JSON key).
+RUN_FLAG_KEYS = {
+    "mode": (None, "mode"),
+    "enable_sir": (None, "enable_sir"),
+    "enable_sif": (None, "enable_sif"),
+    "enable_nef": (None, "enable_nef"),
+    "enable_as": (None, "enable_as"),
+    "tau_sim": (None, "tau_sim"),
+    "top_m": (None, "top_m"),
+    "seed": (None, "seed"),
+    "tau_quality": ("fusion", "tau_quality"),
+    "fusion_strategy": ("fusion", "strategy"),
+    "alpha": ("fusion", "alpha"),
+    "tau_neg": ("suppression", "tau_neg"),
+    "lam": ("suppression", "lambda"),
+    "suppression_strategy": ("suppression", "strategy"),
+}
 
 
 def _emit(obj: dict, compact: bool) -> None:
@@ -58,18 +77,12 @@ def cmd_ingest(args) -> int:
 
 
 def _load_query_vector(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"query vector file is not valid JSON: {exc}") from exc
+    data = read_json(path, "query vector file")
     if isinstance(data, dict):
         data = data.get("vector")
     if not isinstance(data, list):
         raise FormatError('query vector file must hold an array or {"vector": [...]}')
-    return as_vector(data)
+    return vector_from_json(data)
 
 
 def cmd_retrieve(args) -> int:
@@ -90,81 +103,48 @@ def cmd_retrieve(args) -> int:
 
 
 def _build_config(args, file_data: dict) -> PipelineConfig:
+    """The file's config JSON with each given flag written over its key."""
     data = dict(file_data)
-    if args.mode is not None:
-        data["mode"] = args.mode
-    for flag, key in (
-        ("no_sir", "enable_sir"),
-        ("no_sif", "enable_sif"),
-        ("no_nef", "enable_nef"),
-        ("no_as", "enable_as"),
-    ):
-        if getattr(args, flag):
-            data[key] = False
-    for attr, key in (
-        ("tau_sim", "tau_sim"),
-        ("top_m", "top_m"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
+    for dest, (section, key) in RUN_FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if section is None:
             data[key] = value
-    fusion = dict(sub_config(data, "fusion") or {})
-    if args.tau_quality is not None:
-        fusion["tau_quality"] = args.tau_quality
-    if args.fusion_strategy is not None:
-        fusion["strategy"] = args.fusion_strategy
-    if args.alpha is not None:
-        fusion["alpha"] = args.alpha
-    if fusion:
-        data["fusion"] = fusion
-    suppression = dict(sub_config(data, "suppression") or {})
-    if args.tau_neg is not None:
-        suppression["tau_neg"] = args.tau_neg
-    if getattr(args, "lam") is not None:
-        suppression["lambda"] = args.lam
-    if args.suppression_strategy is not None:
-        suppression["strategy"] = args.suppression_strategy
-    if suppression:
-        data["suppression"] = suppression
+        elif isinstance(data.get(section), (dict, type(None))):
+            # any other sub-config value is left for from_json_dict to reject
+            data[section] = {**(data.get(section) or {}), key: value}
     return PipelineConfig.from_json_dict(data)
 
 
 def cmd_run(args) -> int:
     file_data: dict = {}
-    extras: dict = {}
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_data = json.load(fh)
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file is not valid JSON: {exc}") from exc
+        file_data = read_json(args.config, "config file")
         if not isinstance(file_data, dict):
             raise FormatError("config file must hold a JSON object")
-        for key in CONFIG_EXTRA_KEYS:
-            if key in file_data:
-                extras[key] = file_data.pop(key)
+    paths = {}
+    for key in CONFIG_PATH_KEYS:
+        value = file_data.pop(key, None)
+        if value is not None:
+            check_path(f"config key {key!r}", value)
+        paths[key] = getattr(args, key) or value
     config = _build_config(args, file_data)
 
-    vocab_path = args.vocab or extras.get("vocab")
-    if vocab_path is None:
+    if paths["vocab"] is None:
         raise FormatError("run needs a vocabulary (--vocab or config key 'vocab')")
-    vocab = load_vocabulary(vocab_path, args.synonyms or extras.get("synonyms"))
+    vocab = load_vocabulary(paths["vocab"], paths["synonyms"])
 
     store = load_datastore(args.store)
     sources = SourceBundle(HashSource(dim=store.dim, seed=config.seed))
 
     weights = None
-    weights_path = args.weights or extras.get("weights")
-    if weights_path is not None:
-        weights = load_weights_file(weights_path)
+    if paths["weights"] is not None:
+        weights = load_weights_file(paths["weights"])
 
     keys = None
-    aux_path = args.aux_embeddings or extras.get("aux_embeddings")
-    if aux_path is not None:
-        keys = load_embedding_file(aux_path)
+    if paths["aux_embeddings"] is not None:
+        keys = load_embedding_file(paths["aux_embeddings"])
 
     instances = read_jsonl(args.input)
     if keys is None:
@@ -211,7 +191,7 @@ def cmd_eval_retrieval(args) -> int:
     if args.vocab is not None:
         vocab = load_vocabulary(args.vocab, args.synonyms)
     pairs = []
-    for lineno, obj in enumerate(read_jsonl(args.instances), start=1):
+    for lineno, obj in json_lines(args.instances):
         retrieved = obj.get("retrieved", obj.get("retrieved_entities"))
         truth = obj.get("references", obj.get("ground_truth_entities"))
         if retrieved is None or truth is None:
@@ -234,10 +214,10 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-sir", action="store_true", help="text-query retrieval instead of the synthetic-image query")
-    parser.add_argument("--no-sif", action="store_true", help="disable synthetic/text embedding fusion")
-    parser.add_argument("--no-nef", action="store_true", help="disable negative-entity filtering")
-    parser.add_argument("--no-as", action="store_true", help="disable attention-level suppression")
+    parser.add_argument("--no-sir", dest="enable_sir", action="store_false", default=None, help="text-query retrieval instead of the synthetic-image query")
+    parser.add_argument("--no-sif", dest="enable_sif", action="store_false", default=None, help="disable synthetic/text embedding fusion")
+    parser.add_argument("--no-nef", dest="enable_nef", action="store_false", default=None, help="disable negative-entity filtering")
+    parser.add_argument("--no-as", dest="enable_as", action="store_false", default=None, help="disable attention-level suppression")
     parser.add_argument("--tau-sim", type=float, default=None)
     parser.add_argument("--tau-quality", type=float, default=None)
     parser.add_argument("--tau-neg", type=float, default=None)

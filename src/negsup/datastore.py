@@ -32,6 +32,7 @@ from .errors import (
     FormatError,
     IoError,
 )
+from .validation import read_lines
 
 DEFAULT_K = 9
 
@@ -236,15 +237,8 @@ def save_datastore(store: Datastore, directory) -> None:
 
 def read_caption_file(path) -> dict[str, str]:
     """Read an id<TAB>caption file into an id -> caption mapping."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     captions: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         if "\t" not in line:
             raise FormatError(f"line {lineno}: expected 'id<TAB>caption'")
         rid, caption = line.split("\t", 1)

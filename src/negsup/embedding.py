@@ -26,8 +26,7 @@ from .errors import (
     UnknownKey,
     ZeroVector,
 )
-
-NORM_TOL = 1e-6
+from .validation import json_lines
 
 ENTITY_TEMPLATE = "A photo of {}"
 
@@ -55,6 +54,18 @@ def as_vector(values) -> np.ndarray:
     return vec
 
 
+def vector_from_json(values) -> np.ndarray:
+    """as_vector for a parsed JSON value: only a flat array of numbers is a
+    vector; strings, bools, nested values and numbers beyond the float range
+    are a FormatError."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise FormatError("vector must be an array of numbers")
+    try:
+        return as_vector(values)
+    except OverflowError as exc:
+        raise FormatError(f"vector value out of range: {exc}") from None
+
+
 def l2_normalize(values) -> np.ndarray:
     """Return `values` scaled to unit Euclidean norm; zero vectors raise."""
     vec = as_vector(values)
@@ -73,10 +84,6 @@ def normalize_total(values) -> np.ndarray:
         out[0] = 1.0
         return out
     return vec / norm
-
-
-def is_normalized(vec: np.ndarray, tol: float = NORM_TOL) -> bool:
-    return abs(float(np.linalg.norm(vec)) - 1.0) <= tol
 
 
 # --- deterministic 64-bit token hashing -------------------------------------
@@ -321,27 +328,16 @@ def _write_binary(path, pairs, dim: int) -> None:
 
 
 def _read_jsonl(path) -> tuple[dict[str, np.ndarray], int | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "key" not in obj or "vector" not in obj:
+    for lineno, obj in json_lines(path):
+        if "key" not in obj or "vector" not in obj:
             raise FormatError(f'line {lineno}: expected {{"key", "vector"}} object')
         key = obj["key"]
         if not isinstance(key, str):
             raise FormatError(f"line {lineno}: key must be a string")
         try:
-            vec = as_vector(obj["vector"])
+            vec = vector_from_json(obj["vector"])
         except (DimMismatch, FormatError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         if dim is None:

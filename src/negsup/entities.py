@@ -16,7 +16,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .embedding import EmbeddingSource, embed_entity, l2_normalize, tokenize
-from .errors import DimMismatch, EmptyInput, FormatError, InvariantError, IoError
+from .errors import DimMismatch, EmptyInput, FormatError, InvariantError
+from .validation import read_lines
 
 
 class EntityVocabulary:
@@ -250,12 +251,8 @@ def filter_inference(
 
 
 def _content_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    return [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    lines = (line.strip() for _, line in read_lines(path))
+    return [line for line in lines if not line.startswith("#")]
 
 
 def load_vocabulary(vocab_path, synonyms_path=None) -> EntityVocabulary:

@@ -9,12 +9,12 @@ one ground-truth entity somewhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 from .entities import EntityVocabulary, extract_entities
-from .errors import EmptyInput, FormatError, InvariantError, IoError, NoGroundTruth
+from .errors import EmptyInput, FormatError, InvariantError, NoGroundTruth
+from .validation import json_lines
 
 
 @dataclass(frozen=True)
@@ -238,21 +238,8 @@ def instance_from_json(obj: dict, vocab: EntityVocabulary | None) -> EvalInstanc
 
 
 def load_instances(path, vocab: EntityVocabulary | None = None) -> list[EvalInstance]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     instances = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise FormatError(f"line {lineno}: expected a JSON object")
+    for lineno, obj in json_lines(path):
         try:
             instances.append(instance_from_json(obj, vocab))
         except FormatError as exc:

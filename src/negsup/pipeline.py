@@ -52,15 +52,20 @@ from .fusion import (
     xavier_weights,
 )
 from .suppression import (
-    DEFAULT_LAMBDA,
-    STRATEGY_FIXED_THRESHOLD,
     SuppressionConfig,
     SuppressionReport,
     score_negative_attention,
     select_tokens,
     suppress,
 )
-from .validation import check_bool, check_float, check_int
+from .validation import (
+    check_bool,
+    check_float,
+    check_int,
+    config_from_json,
+    config_to_json,
+    json_lines,
+)
 
 MODE_TRAINING = "training"
 MODE_INFERENCE = "inference"
@@ -88,27 +93,6 @@ class SourceBundle:
         self.entity = entity if entity is not None else text
 
 
-SUB_CONFIG_KEYS = {
-    "fusion": ("strategy", "alpha", "tau_quality"),
-    "suppression": ("strategy", "tau_neg", "lambda", "proportion"),
-}
-
-
-def sub_config(data: dict, name: str) -> dict | None:
-    """The sub-config `name` ("fusion" or "suppression") of a config JSON
-    object; None when it is absent or null. Anything but an object with
-    known keys is a FormatError."""
-    value = data.get(name)
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise FormatError(f"config key {name!r} must be a JSON object, got {value!r}")
-    unknown = sorted(set(value) - set(SUB_CONFIG_KEYS[name]))
-    if unknown:
-        raise FormatError(f"unknown {name} config keys: {unknown}")
-    return value
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = MODE_INFERENCE
@@ -121,8 +105,12 @@ class PipelineConfig:
     enable_sif: bool = True
     enable_nef: bool = True
     enable_as: bool = True
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    suppression: SuppressionConfig | None = None
+    fusion: FusionConfig = field(
+        default_factory=FusionConfig, metadata={"config": FusionConfig}
+    )
+    suppression: SuppressionConfig | None = field(
+        default=None, metadata={"config": SuppressionConfig}
+    )
     training_query: str = QUERY_AUTO
 
     def __post_init__(self):
@@ -155,74 +143,11 @@ class PipelineConfig:
             raise ValueError("enable_as requires a suppression config")
 
     def to_json_dict(self) -> dict:
-        data = {
-            "mode": self.mode,
-            "retrieval_k": self.retrieval_k,
-            "tau_sim": self.tau_sim,
-            "top_m": self.top_m,
-            "prefix_length": self.prefix_length,
-            "seed": self.seed,
-            "enable_sir": self.enable_sir,
-            "enable_sif": self.enable_sif,
-            "enable_nef": self.enable_nef,
-            "enable_as": self.enable_as,
-            "training_query": self.training_query,
-            "fusion": {
-                "strategy": self.fusion.strategy,
-                "alpha": self.fusion.alpha,
-                "tau_quality": self.fusion.tau_quality,
-            },
-        }
-        if self.suppression is not None:
-            data["suppression"] = {
-                "strategy": self.suppression.strategy,
-                "tau_neg": self.suppression.tau_neg,
-                "lambda": self.suppression.lam,
-                "proportion": self.suppression.proportion,
-            }
-        else:
-            data["suppression"] = None
-        return data
+        return config_to_json(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(data)
-        kwargs = {}
-        fusion_data = sub_config(data, "fusion")
-        data.pop("fusion", None)
-        if fusion_data is not None:
-            kwargs["fusion"] = FusionConfig(
-                strategy=fusion_data.get("strategy", FusionConfig().strategy),
-                alpha=fusion_data.get("alpha"),
-                tau_quality=fusion_data.get("tau_quality", FusionConfig().tau_quality),
-            )
-        suppression_data = sub_config(data, "suppression")
-        data.pop("suppression", None)
-        if suppression_data is not None:
-            kwargs["suppression"] = SuppressionConfig(
-                strategy=suppression_data.get("strategy", STRATEGY_FIXED_THRESHOLD),
-                tau_neg=suppression_data.get("tau_neg"),
-                lam=suppression_data.get("lambda", DEFAULT_LAMBDA),
-                proportion=suppression_data.get("proportion"),
-            )
-        for name in (
-            "mode",
-            "retrieval_k",
-            "tau_sim",
-            "top_m",
-            "prefix_length",
-            "seed",
-            "enable_sir",
-            "enable_sif",
-            "enable_nef",
-            "enable_as",
-            "training_query",
-        ):
-            if name in data:
-                kwargs[name] = data.pop(name)
-        if data:
-            raise FormatError(f"unknown config keys: {sorted(data)}")
-        return cls(**kwargs)
+        return config_from_json(cls, data, "config")
 
 
 @dataclass(frozen=True)
@@ -532,13 +457,20 @@ class BatchResult:
     skipped: list[dict]
 
 
+def _instance_text(obj: dict, name: str) -> str | None:
+    value = obj.get(name)
+    if value is not None and not isinstance(value, str):
+        raise FormatError(f'instance {obj["id"]!r}: "{name}" must be a string, got {value!r}')
+    return value
+
+
 def _instance_embedding(
     obj: dict,
     key_field: str,
     keys: EmbeddingSource | None,
     sources: SourceBundle,
 ) -> np.ndarray | None:
-    key = obj.get(key_field)
+    key = _instance_text(obj, key_field)
     if key is None:
         return None
     if keys is not None:
@@ -571,7 +503,7 @@ def run_batch(
         if not isinstance(obj, dict) or "id" not in obj:
             raise FormatError('instance object needs an "id"')
         if config.mode == MODE_TRAINING:
-            caption = obj.get("caption")
+            caption = _instance_text(obj, "caption")
             if not caption:
                 raise FormatError(f'training instance {obj["id"]!r} needs a "caption"')
             text_emb = embed_text(sources.text, caption)
@@ -648,20 +580,4 @@ def write_jsonl(path, objects: Iterable[dict]) -> None:
 
 
 def read_jsonl(path) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    objects = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise FormatError(f"line {lineno}: expected a JSON object")
-        objects.append(obj)
-    return objects
+    return [obj for _, obj in json_lines(path)]

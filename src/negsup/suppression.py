@@ -8,7 +8,7 @@ are scaled by the suppression strength lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -37,7 +37,7 @@ DEFAULT_LAMBDA = 0.3
 class SuppressionConfig:
     strategy: str = STRATEGY_FIXED_THRESHOLD
     tau_neg: float | None = None
-    lam: float = DEFAULT_LAMBDA
+    lam: float = field(default=DEFAULT_LAMBDA, metadata={"key": "lambda"})
     proportion: float | None = None
 
     def __post_init__(self):

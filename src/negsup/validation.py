@@ -1,15 +1,27 @@
-"""Type checks for config values.
+"""The input contract: config values, config JSON, and text input files.
 
 JSON gives ints, floats, bools and strings alike, and a Python bool is an
 int, so the config dataclasses check each field's type before its range.
 A wrong type raises ValueError (exit 2 at the CLI) instead of a TypeError
 deep in the pipeline or a truthy string silently enabling a stage.
+
+A config dataclass's JSON object is derived from its fields: the key is the
+field name unless the field's metadata names another ("key"), and a field
+whose metadata holds a dataclass ("config") is that sub-config's object.
+
+Every line-oriented input file is read through read_lines: UTF-8, blank
+lines skipped, lines numbered as in the file, OSError raised as IoError.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import numbers
+from typing import Iterator
+
+from .errors import FormatError, IoError
 
 
 def check_int(name: str, value) -> None:
@@ -30,3 +42,88 @@ def check_float(name: str, value, optional: bool = False) -> None:
 def check_bool(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def check_path(name: str, value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty path string, got {value!r}")
+
+
+# --- config JSON ----------------------------------------------------------------
+
+
+def _json_key(f: dataclasses.Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def config_from_json(cls, data, name: str):
+    """Build the config dataclass `cls` from its JSON object `data` (`name`
+    labels it in errors). Unknown keys and non-object sub-configs are a
+    FormatError; a null or absent sub-config is the field's default. Defaults
+    and value checks are the dataclass's own."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{name} must be a JSON object, got {data!r}")
+    fields = {_json_key(f): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise FormatError(f"unknown {name} keys: {unknown}")
+    kwargs = {}
+    for key, value in data.items():
+        f = fields[key]
+        sub = f.metadata.get("config")
+        if sub is not None:
+            if value is None:
+                continue
+            value = config_from_json(sub, value, f"{key} config")
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def config_to_json(config) -> dict:
+    """The JSON object of a config dataclass; the inverse of config_from_json."""
+    data = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if "config" in f.metadata and value is not None:
+            value = config_to_json(value)
+        data[_json_key(f)] = value
+    return data
+
+
+# --- input files ------------------------------------------------------------------
+
+
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield lineno, line
+
+
+def json_lines(path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file; a
+    line that is not a JSON object is a FormatError naming it."""
+    for lineno, line in read_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"line {lineno}: expected a JSON object")
+        yield lineno, obj
+
+
+def read_json(path, what: str):
+    """The JSON value held by a whole file (`what` names the file in errors)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc

@@ -247,6 +247,12 @@ BAD_CONFIGS = {
     "tau_neg_nan": {"suppression": {"strategy": "fixed-threshold", "tau_neg": float("nan")}},
     "enable_nef_string": {"enable_nef": "no"},
     "prefix_length_huge": {"prefix_length": 100000},
+    # file-path keys: checked even where a flag (here --vocab) overrides them
+    "weights_float": {"weights": 1.5},
+    "vocab_list": {"vocab": ["vocab.txt"]},
+    "vocab_int": {"vocab": 0},
+    "synonyms_bool": {"synonyms": True},
+    "aux_embeddings_empty": {"aux_embeddings": ""},
 }
 
 
@@ -274,6 +280,140 @@ class TestRunConfigTypes:
             ["run", "--store", store, "--config", corpus / "config.json",
              "--input", corpus / "input.jsonl", "--out", corpus / "o.jsonl",
              "--vocab", corpus / "vocab.txt"]
+        ) == 0
+
+
+# Each `negsup run` flag: (argv, config file lines it overrides, JSON path
+# of its config key, value the flag must leave there).
+RUN_FLAG_CASES = {
+    "--mode": (["--mode", "inference"], {"mode": "training"}, ("mode",), "inference"),
+    "--no-sir": (["--no-sir"], {"enable_sir": True}, ("enable_sir",), False),
+    "--no-sif": (["--no-sif"], {"enable_sif": True}, ("enable_sif",), False),
+    "--no-nef": (["--no-nef"], {"enable_nef": True}, ("enable_nef",), False),
+    "--no-as": (["--no-as"], {"enable_as": True}, ("enable_as",), False),
+    "--tau-sim": (["--tau-sim", "0.7"], {"tau_sim": 0.1}, ("tau_sim",), 0.7),
+    "--top-m": (["--top-m", "3"], {"top_m": 6}, ("top_m",), 3),
+    "--seed": (["--seed", "4"], {"seed": 8}, ("seed",), 4),
+    "--tau-quality": (
+        ["--tau-quality", "0.25"], {"fusion": {"tau_quality": 0.5}},
+        ("fusion", "tau_quality"), 0.25,
+    ),
+    "--fusion-strategy": (
+        ["--fusion-strategy", "clipscore-forward"],
+        {"fusion": {"strategy": "clipscore-reverse"}},
+        ("fusion", "strategy"), "clipscore-forward",
+    ),
+    "--alpha": (
+        ["--alpha", "0.25"], {"fusion": {"strategy": "fixed", "alpha": 0.5}},
+        ("fusion", "alpha"), 0.25,
+    ),
+    "--tau-neg": (
+        ["--tau-neg", "0.25"],
+        {"suppression": {"strategy": "fixed-threshold", "tau_neg": 0.5}},
+        ("suppression", "tau_neg"), 0.25,
+    ),
+    "--lambda": (
+        ["--lambda", "0.25"], {"suppression": {"strategy": "top-k", "lambda": 0.5}},
+        ("suppression", "lambda"), 0.25,
+    ),
+    "--suppression-strategy": (
+        ["--suppression-strategy", "top-k"], {"suppression": {"strategy": "top-k-minus-1"}},
+        ("suppression", "strategy"), "top-k",
+    ),
+}
+
+
+class TestRunFlagKeys:
+    @pytest.mark.parametrize("flag", sorted(RUN_FLAG_CASES))
+    def test_flag_overrides_its_config_key(self, corpus, monkeypatch, flag):
+        from negsup.pipeline import BatchResult
+
+        argv, file_values, path, expected = RUN_FLAG_CASES[flag]
+        config = {"mode": "training", "suppression": {"strategy": "top-k"}}
+        config.update(file_values)
+        (corpus / "config.json").write_text(json.dumps(config))
+        seen = []
+
+        def fake_run_batch(instances, store, vocab, sources, config, *rest):
+            seen.append(config)
+            return BatchResult(outputs=[], skipped=[])
+
+        monkeypatch.setattr(cli, "run_batch", fake_run_batch)
+        assert _run(
+            ["run", "--store", _store(corpus), "--config", corpus / "config.json",
+             "--input", corpus / "input.jsonl", "--out", corpus / "o.jsonl",
+             "--vocab", corpus / "vocab.txt", *argv]
+        ) == 0
+        value = seen[0].to_json_dict()
+        for key in path:
+            value = value[key]
+        assert value == expected
+
+    def test_cases_cover_every_flag(self):
+        parser = cli.build_parser()
+        covered = set()
+        for argv, _, _, _ in RUN_FLAG_CASES.values():
+            args = parser.parse_args(
+                ["run", "--store", "s", "--input", "i", "--out", "o", *argv]
+            )
+            covered |= {dest for dest in cli.RUN_FLAG_KEYS if getattr(args, dest) is not None}
+        assert covered == set(cli.RUN_FLAG_KEYS)
+
+
+class TestNonStringInstanceFields:
+    @pytest.mark.parametrize(
+        "mode,field,value",
+        [
+            ("training", "caption", 5),
+            ("training", "caption", ["a"]),
+            ("training", "synthetic_key", 5),
+            ("training", "synthetic_key", ["a"]),
+            ("inference", "image_key", 5),
+            ("inference", "image_key", ["a"]),
+        ],
+    )
+    def test_exits_2_naming_the_instance(self, corpus, capsys, mode, field, value):
+        instance = {"id": "bad1", "caption": "a dog in the park", field: value}
+        (corpus / "bad.jsonl").write_text(json.dumps(instance) + "\n")
+        store = _store(corpus)
+        capsys.readouterr()
+        assert _run(
+            ["run", "--mode", mode, "--store", store,
+             "--input", corpus / "bad.jsonl", "--out", corpus / "o.jsonl",
+             "--vocab", corpus / "vocab.txt", "--tau-neg", "0.5"]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: ") and "'bad1'" in err and field in err
+
+
+class TestQueryVectorFile:
+    # the corpus store has dimension 24, so each of these would be a query
+    # of the right width if it were read as numbers
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            {"a": 1},
+            [10**400] + [1] * 23,
+            ["1"] * 24,
+            [True] * 24,
+            [1] * 23 + [True],
+            [[1] * 24],
+        ],
+    )
+    def test_non_number_vector_exits_2(self, corpus, capsys, vector):
+        store = _store(corpus)
+        (corpus / "q.json").write_text(json.dumps({"vector": vector}))
+        capsys.readouterr()
+        assert _run(
+            ["retrieve", "--store", store, "--query-vec", corpus / "q.json"]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_json_ints_are_numbers(self, corpus):
+        store = _store(corpus)
+        (corpus / "q.json").write_text(json.dumps([1] + [0] * 23))
+        assert _run(
+            ["retrieve", "--store", store, "--query-vec", corpus / "q.json"]
         ) == 0
 
 
@@ -363,6 +503,14 @@ class TestEvalRetrieval:
         assert _run(
             ["eval", "retrieval", "--instances", corpus / "diag.jsonl", "--json"]
         ) == 2
+
+
+    def test_error_names_the_file_line(self, corpus, capsys):
+        (corpus / "diag.jsonl").write_text('\n{"retrieved": []}\n')
+        assert _run(
+            ["eval", "retrieval", "--instances", corpus / "diag.jsonl", "--json"]
+        ) == 2
+        assert "line 2: need 'retrieved'" in capsys.readouterr().err
 
 
 class TestNonObjectLines:

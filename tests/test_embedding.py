@@ -237,6 +237,16 @@ class TestEmbeddingFiles:
                 tmp_path / "bad.nese", {"a": [np.nan, 1.0]}, format=FORMAT_BINARY
             )
 
+    @pytest.mark.parametrize(
+        "vector",
+        ['{"a": 1}', "[1" + "0" * 400 + ", 1]", '["1", "2"]', "[true, false]", "[1, true]", "7"],
+    )
+    def test_jsonl_non_number_vector_rejected(self, tmp_path, vector):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('\n{"key": "a", "vector": ' + vector + "}\n")
+        with pytest.raises(FormatError, match="line 2"):
+            load_embedding_file(path, format=FORMAT_JSONL)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nese"
         path.write_bytes(b"XXXX" + b"\x00" * 12)

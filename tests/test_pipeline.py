@@ -477,6 +477,16 @@ class TestRunBatch:
                 _config(mode="inference"),
             )
 
+    @pytest.mark.parametrize(
+        "mode,field",
+        [("training", "caption"), ("training", "synthetic_key"), ("inference", "image_key")],
+    )
+    @pytest.mark.parametrize("value", [5, ["a"]])
+    def test_non_string_field_names_the_instance(self, store, vocab, source, mode, field, value):
+        instance = {"id": "x7", "caption": CAPTIONS["c01"], "image_key": "a dog", field: value}
+        with pytest.raises(FormatError, match=f"'x7'.*{field}"):
+            run_batch([instance], store, vocab, source_bundle(source), _config(mode=mode))
+
     def test_output_shape_and_determinism(self, store, vocab, source):
         instances = [
             {"id": "t1", "caption": CAPTIONS["c01"]},
@@ -684,6 +694,7 @@ class TestConfigTypes:
             {"suppression": "top-k"},
             {"suppression": {"strategy": "top-k", "lambda": True}},
             {"suppression": {"strategy": "top-k", "lamda": 0.3}},
+            {"suppression": {"strategy": "top-k", "lam": 0.3}},
             {"fusion": {"strategy": "fixed", "alpha": float("nan")}},
             {"fusion": {"tau_quality": "0.6"}},
         ],
@@ -718,6 +729,34 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError):
             PipelineConfig.from_json_dict({"mystery": 1})
+
+    @pytest.mark.parametrize(
+        "suppression",
+        [
+            SuppressionConfig(strategy="fixed-threshold", tau_neg=0.4, lam=0.1),
+            SuppressionConfig(strategy="top-k"),
+            SuppressionConfig(strategy="top-k-minus-1", lam=1),
+            SuppressionConfig(strategy="proportional", proportion=0.5),
+        ],
+    )
+    def test_json_round_trip_per_suppression_strategy(self, suppression):
+        config = _config(
+            suppression=suppression,
+            fusion=FusionConfig(strategy="fixed", alpha=0.25, tau_quality=0.5),
+            training_query="text",
+        )
+        data = json.loads(json.dumps(config.to_json_dict()))
+        assert data["suppression"]["lambda"] == suppression.lam
+        assert "lam" not in data["suppression"]
+        assert PipelineConfig.from_json_dict(data) == config
+
+    def test_null_sub_configs_mean_defaults(self):
+        config = PipelineConfig.from_json_dict(
+            {"enable_as": False, "fusion": None, "suppression": None}
+        )
+        assert config == PipelineConfig(enable_as=False)
+        assert config.to_json_dict()["suppression"] is None
+        assert PipelineConfig.from_json_dict(config.to_json_dict()) == config
 
     def test_enable_as_requires_suppression(self):
         with pytest.raises(ValueError):

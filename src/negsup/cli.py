@@ -149,7 +149,7 @@ def cmd_run(args) -> int:
     instances = read_jsonl(args.input)
     if keys is None:
         key_field = "synthetic_key" if config.mode == MODE_TRAINING else "image_key"
-        hashed = sum(obj.get(key_field) is not None for obj in instances)
+        hashed = sum(isinstance(obj.get(key_field), str) for obj in instances)
         if hashed:
             print(
                 f"warning: no --aux-embeddings given; {hashed} instances use the "

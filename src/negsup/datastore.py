@@ -23,6 +23,7 @@ from .embedding import (
     FORMAT_BINARY,
     l2_normalize,
     load_embedding_file,
+    unit_rows,
     write_embedding_file,
 )
 from .errors import (
@@ -110,21 +111,11 @@ def build_datastore(records: Sequence[tuple[str, str, np.ndarray]]) -> Datastore
     rows = sorted(records, key=lambda rec: rec[0])
     if not rows:
         raise EmptyInput("cannot build a datastore from zero records")
-    dim = None
-    seen = set()
-    vectors = []
-    for rid, _, values in rows:
-        if rid in seen:
+    ids = [r[0] for r in rows]
+    for rid, after in zip(ids, ids[1:]):
+        if rid == after:
             raise DuplicateId(f"duplicate record id {rid!r}")
-        seen.add(rid)
-        vec = l2_normalize(values)
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise DimMismatch(f"record {rid!r} has dim {vec.shape[0]}, expected {dim}")
-        vectors.append(vec)
-    matrix = np.ascontiguousarray(np.stack(vectors))
-    return Datastore([r[0] for r in rows], [r[1] for r in rows], matrix)
+    return Datastore(ids, [r[1] for r in rows], unit_rows(ids, [r[2] for r in rows]))
 
 
 QUERY_BLOCK = 32
@@ -139,14 +130,11 @@ def _rank_block(store: Datastore, scores: np.ndarray, vecs, k: int) -> list[Retr
     """Top k per query of a (B, N) block of approximate scores, re-scored
     exactly and ordered by (score desc, row index asc)."""
     n = len(store)
-    if k < n:
-        cutoffs = np.partition(scores, n - k, axis=1)[:, n - k]
-        cutoffs = cutoffs - _MARGIN_PER_DIM * store.dim
-    else:
-        cutoffs = np.full(len(vecs), -np.inf)
+    margin = _MARGIN_PER_DIM * store.dim
     matrix = store.matrix
     results = []
-    for row_scores, cutoff, vec in zip(scores, cutoffs, vecs):
+    for row_scores, vec in zip(scores, vecs):
+        cutoff = np.partition(row_scores, n - k)[n - k] - margin if k < n else -np.inf
         scored = sorted(
             (-float(np.dot(matrix[i], vec)), i)
             for i in np.flatnonzero(row_scores >= cutoff).tolist()

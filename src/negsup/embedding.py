@@ -144,48 +144,66 @@ class HashSource:
         return f"HashSource(dim={self.dim}, seed={self.seed})"
 
 
+def unit_rows(keys, vectors, dim: int | None = None) -> np.ndarray:
+    """Stack keyed vectors into one read-only float64 matrix of unit rows.
+
+    Each vector must be 1-D with `dim` values (by default the first one's);
+    a wrong shape, a non-finite row or a zero row raises, naming its key.
+    Each norm is sqrt(row.dot(row)), as l2_normalize computes it, so every
+    row equals l2_normalize(vector) bit for bit.
+    """
+    keys = list(keys)
+    rows = [np.asarray(values) for values in vectors]
+    for key, row in zip(keys, rows):
+        if row.ndim != 1 or row.shape[0] < 1:
+            raise DimMismatch(f"{key!r}: expected a 1-D vector, got shape {row.shape}")
+        if dim is None:
+            dim = row.shape[0]
+        elif row.shape[0] != dim:
+            raise DimMismatch(f"{key!r} has dim {row.shape[0]}, expected {dim}")
+    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim or 0))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"non-finite value in vector for {keys[np.argmin(finite)]!r}")
+    norms = np.sqrt([row.dot(row) for row in matrix])
+    if not norms.all():
+        raise ZeroVector(f"cannot normalize the zero vector for {keys[np.argmin(norms)]!r}")
+    matrix /= norms[:, None]
+    matrix.flags.writeable = False
+    return matrix
+
+
 class FileSource:
-    """Store of precomputed vectors keyed by text; vectors held normalized."""
+    """Store of precomputed vectors keyed by text: one read-only matrix of
+    unit rows (see unit_rows) and the row of each key."""
 
     kind = "file"
 
     def __init__(self, vectors: Mapping[str, np.ndarray], dim: int | None = None):
-        normalized: dict[str, np.ndarray] = {}
-        for key, values in vectors.items():
-            vec = l2_normalize(values)
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DimMismatch(
-                    f"key {key!r} has dim {vec.shape[0]}, expected {dim}"
-                )
-            vec.flags.writeable = False
-            normalized[key] = vec
-        if dim is None:
-            dim = 0  # empty source: holds no vectors, produces no embeddings
-        self.dim = int(dim)
-        self._vectors = normalized
+        self.matrix = unit_rows(vectors.keys(), vectors.values(), dim)
+        self.dim = self.matrix.shape[1]  # 0 for an empty source without dim
+        self._row_of = {key: i for i, key in enumerate(vectors)}
 
     def keys(self):
-        return self._vectors.keys()
+        return self._row_of.keys()
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._row_of)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._vectors
+        return key in self._row_of
 
     def embed(self, text: str) -> np.ndarray:
         try:
-            return self._vectors[text]
+            return self.matrix[self._row_of[text]]
         except KeyError:
             raise UnknownKey(f"no stored embedding for key {text!r}") from None
 
     def items(self):
-        return self._vectors.items()
+        return ((key, self.matrix[i]) for key, i in self._row_of.items())
 
     def __repr__(self) -> str:
-        return f"FileSource(dim={self.dim}, entries={len(self._vectors)})"
+        return f"FileSource(dim={self.dim}, entries={len(self)})"
 
 
 EmbeddingSource = Union[HashSource, FileSource]
@@ -297,15 +315,10 @@ def _read_binary(path) -> tuple[dict[str, np.ndarray], int]:
         end = offset + 4 * dim
         if end > len(data):
             raise FormatError(f"truncated vector for key {key!r}")
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(
-            np.float64
-        )
-        offset = end
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(f"non-finite value in vector for key {key!r}")
         if key in entries:
             raise FormatError(f"duplicate key {key!r}")
-        entries[key] = vec
+        entries[key] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
+        offset = end
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after records")
     return entries, int(dim)

@@ -52,12 +52,6 @@ def negative_scores(prefix, negatives):
     return weights.max(axis=0)
 
 
-# the names of the numpy backend, which is the only one
-dot_scores_numpy = dot_scores
-attention_core_numpy = attention_core
-negative_scores_numpy = negative_scores
-
-
 def backend() -> str:
     """Name of the kernel backend: always "numpy"."""
     return "numpy"

@@ -462,6 +462,17 @@ class TestHashedKeyWarning:
         write_jsonl(corpus / "library.jsonl", result.outputs)
         assert (corpus / "out.jsonl").read_bytes() == (corpus / "library.jsonl").read_bytes()
 
+    def test_rejected_non_string_key_is_not_counted(self, corpus, capsys):
+        (corpus / "bad.jsonl").write_text(json.dumps({"id": "q1", "image_key": ["a"]}) + "\n")
+        assert _run(
+            ["run", "--mode", "inference", "--store", _store(corpus),
+             "--input", corpus / "bad.jsonl", "--out", corpus / "out.jsonl",
+             "--vocab", corpus / "vocab.txt", "--tau-neg", "0.5"]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert not [line for line in err if line.startswith("warning:")]
+        assert err[-1].startswith("error: ")
+
     def test_no_warning_with_aux_embeddings(self, corpus, capsys):
         src = HashSource(dim=24, seed=11)
         write_embedding_file(

@@ -51,6 +51,18 @@ class TestBuild:
         with pytest.raises(EmptyInput):
             build_datastore([])
 
+    def test_zero_record_names_its_id(self):
+        with pytest.raises(ZeroVector, match="'b'"):
+            build_datastore([("a", "x", np.ones(4)), ("b", "y", np.zeros(4))])
+
+    def test_nan_record(self):
+        with pytest.raises(FormatError):
+            build_datastore([("a", "x", np.ones(4)), ("b", "y", [1.0, np.nan, 0.0, 0.0])])
+
+    def test_two_dimensional_record(self):
+        with pytest.raises(DimMismatch):
+            build_datastore([("a", "x", np.ones(4)), ("b", "y", np.ones((1, 4)))])
+
     def test_matrix_immutable(self):
         store = build_datastore([("a", "x", np.ones(4))])
         with pytest.raises(ValueError):
@@ -309,6 +321,24 @@ class TestPersistence:
         (tmp_path / "caps.tsv").write_text("a\tone\nb\ttwo\n")
         with pytest.raises(FormatError):
             ingest_datastore(tmp_path / "caps.tsv", tmp_path / "v.nese")
+
+    def test_load_equals_per_record_oracle(self, tmp_path):
+        # the file's rows are normalized on load, then again by the store
+        rng = np.random.default_rng(17)
+        rows = rng.normal(size=(80, 16)).astype(np.float32)
+        ids = [f"r{i:03d}" for i in rng.permutation(len(rows))]
+        once = [l2_normalize(row) for row in rows]
+        twice = [l2_normalize(vec) for vec in once]
+        assert any(not np.array_equal(a, b) for a, b in zip(once, twice))
+        directory = tmp_path / "store"
+        directory.mkdir()
+        write_embedding_file(directory / "embeddings.nese", zip(ids, rows))
+        (directory / "captions.tsv").write_text("".join(f"{rid}\tc {rid}\n" for rid in ids))
+        store = load_datastore(directory)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        assert store.ids == tuple(ids[i] for i in order)
+        assert store.matrix.dtype == np.float64
+        assert np.array_equal(store.matrix, np.stack([twice[i] for i in order]))
 
     def test_ingest_jsonl_embeddings(self, tmp_path):
         write_embedding_file(

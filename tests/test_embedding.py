@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from negsup import cli
 from negsup.embedding import (
     FORMAT_BINARY,
     FORMAT_JSONL,
@@ -146,6 +149,10 @@ class TestFileSource:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimMismatch):
             FileSource({"a": np.ones(3), "b": np.ones(4)})
+
+    def test_zero_vector_names_its_key(self):
+        with pytest.raises(ZeroVector, match="'b'"):
+            FileSource({"a": np.ones(3), "b": np.zeros(3)})
 
     def test_vectors_read_only(self):
         src = FileSource({"a": np.ones(3)})
@@ -300,3 +307,67 @@ class TestEmbeddingFiles:
         path = tmp_path / "v.nese"
         write_embedding_file(path, entries, format=FORMAT_BINARY)
         assert "clé: café ☕" in load_embedding_file(path)
+
+
+def _nese_bytes(records, dim):
+    """A binary embedding file holding (key bytes, values) records as written,
+    with none of write_embedding_file's checks."""
+    chunks = [struct.pack("<4sIII", b"NESE", 1, len(records), dim)]
+    for key, values in records:
+        chunks.append(struct.pack("<H", len(key)) + key)
+        chunks.append(np.asarray(values, dtype="<f4").tobytes())
+    return b"".join(chunks)
+
+
+# name -> (records, what the error must name)
+BAD_BINARY_FILES = {
+    "nan": ([(b"a", [1.0, 0.0]), (b"bad", [np.nan, 1.0])], "'bad'"),
+    "inf": ([(b"a", [1.0, 0.0]), (b"bad", [1.0, -np.inf])], "'bad'"),
+    "zero": ([(b"a", [1.0, 0.0]), (b"bad", [0.0, 0.0])], "'bad'"),
+    "duplicate": ([(b"dup", [1.0, 0.0]), (b"dup", [0.0, 1.0])], "'dup'"),
+    "non_utf8": ([(b"a", [1.0, 0.0]), (b"\xff\xfe", [0.0, 1.0])], "UTF-8"),
+}
+
+
+class TestBadBinaryFiles:
+    @pytest.mark.parametrize("case", sorted(BAD_BINARY_FILES))
+    def test_load_raises_format_error(self, tmp_path, case):
+        records, named = BAD_BINARY_FILES[case]
+        path = tmp_path / "bad.nese"
+        path.write_bytes(_nese_bytes(records, 2))
+        with pytest.raises(FormatError, match=named):
+            load_embedding_file(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_BINARY_FILES))
+    def test_ingest_exits_2(self, tmp_path, capsys, case):
+        records, _ = BAD_BINARY_FILES[case]
+        (tmp_path / "bad.nese").write_bytes(_nese_bytes(records, 2))
+        (tmp_path / "caps.tsv").write_text("a\tone\n")
+        assert cli.main(
+            ["ingest", "--captions", str(tmp_path / "caps.tsv"),
+             "--embeddings", str(tmp_path / "bad.nese"), "--out", str(tmp_path / "s")]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _rows_moved_by_renormalizing(rng, count, dim):
+    """float32 rows, some of whose unit vectors move when normalized again."""
+    rows = rng.normal(size=(count, dim)).astype(np.float32)
+    moved = [
+        not np.array_equal(l2_normalize(l2_normalize(row)), l2_normalize(row))
+        for row in rows
+    ]
+    assert any(moved) and not all(moved)
+    return rows
+
+
+class TestLoadOracle:
+    def test_file_source_rows_equal_l2_normalize(self, tmp_path):
+        rows = _rows_moved_by_renormalizing(np.random.default_rng(31), 60, 16)
+        keys = [f"k{i}" for i in range(len(rows))]
+        write_embedding_file(tmp_path / "v.nese", zip(keys, rows))
+        source = load_embedding_file(tmp_path / "v.nese")
+        for key, row in zip(keys, rows):
+            vec = source.embed(key)
+            assert vec.dtype == np.float64
+            assert np.array_equal(vec, l2_normalize(row))

@@ -18,26 +18,26 @@ class TestNumpyBackend:
         query = rng.normal(size=8)
         expected = np.array([float(np.dot(row, query)) for row in matrix])
         np.testing.assert_allclose(
-            kernels.dot_scores_numpy(matrix, query), expected, rtol=1e-12
+            kernels.dot_scores(matrix, query), expected, rtol=1e-12
         )
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         q, k, v = _random_case(rng)
-        _, weights = kernels.attention_core_numpy(q, k, v)
+        _, weights = kernels.attention_core(q, k, v)
         np.testing.assert_allclose(weights.sum(axis=1), np.ones(4), atol=1e-12)
         assert np.all(weights >= 0)
 
     def test_negative_scores_empty(self):
         prefix = np.random.default_rng(2).normal(size=(5, 6))
-        scores = kernels.negative_scores_numpy(prefix, np.zeros((0, 6)))
+        scores = kernels.negative_scores(prefix, np.zeros((0, 6)))
         assert np.array_equal(scores, np.zeros(5))
 
     def test_negative_scores_single_query_sums_to_one(self):
         rng = np.random.default_rng(3)
         prefix = rng.normal(size=(6, 4))
         negatives = rng.normal(size=(1, 4))
-        scores = kernels.negative_scores_numpy(prefix, negatives)
+        scores = kernels.negative_scores(prefix, negatives)
         # one query: per-token max equals that query's softmax weights
         assert abs(scores.sum() - 1.0) <= 1e-12
 
@@ -56,4 +56,3 @@ def test_dot_scores_block_rows_match_single_queries():
 
 def test_backend_name_matches_flag():
     assert kernels.backend() == "numpy"
-    assert kernels.dot_scores is kernels.dot_scores_numpy

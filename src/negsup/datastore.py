@@ -2,12 +2,10 @@
 
 Records are held row-sorted by id so that score ties resolve to ascending
 id regardless of insertion order. Retrieval is an exact full scan, batched:
-retrieve_many scores QUERY_BLOCK queries against the whole matrix with one
-matrix product, takes each query's k-th best score with one partition, and
-re-scores the rows within a rounding margin of it with one dot product per
-row, so a hit's score depends only on its row and the query, never on the
-batch. retrieve is the one-query case. brute_force_topk is the independent
-oracle (per-record dots, full stable sort).
+retrieve_many ranks QUERY_BLOCK queries at a time against the whole matrix
+with kernels.exact_top, so a hit's score depends only on its row and the
+query, never on the batch. retrieve is the one-query case. brute_force_topk
+is the independent oracle (per-record dots, full stable sort).
 """
 
 from __future__ import annotations
@@ -120,35 +118,6 @@ def build_datastore(records: Sequence[tuple[str, str, np.ndarray]]) -> Datastore
 
 QUERY_BLOCK = 32
 
-# Scores of unit vectors from the block product and from a per-row dot
-# differ by at most 2*d*u (u = eps/2); twice that bound of slack keeps every
-# row of the exact top k among the candidates.
-_MARGIN_PER_DIM = 4 * float(np.finfo(np.float64).eps)
-
-
-def _rank_block(store: Datastore, scores: np.ndarray, vecs, k: int) -> list[RetrievalResult]:
-    """Top k per query of a (B, N) block of approximate scores, re-scored
-    exactly and ordered by (score desc, row index asc)."""
-    n = len(store)
-    margin = _MARGIN_PER_DIM * store.dim
-    matrix = store.matrix
-    results = []
-    for row_scores, vec in zip(scores, vecs):
-        cutoff = np.partition(row_scores, n - k)[n - k] - margin if k < n else -np.inf
-        scored = sorted(
-            (-float(np.dot(matrix[i], vec)), i)
-            for i in np.flatnonzero(row_scores >= cutoff).tolist()
-        )
-        results.append(
-            RetrievalResult(
-                tuple(
-                    Hit(store.ids[i], store.captions[i], -neg)
-                    for neg, i in scored[:k]
-                )
-            )
-        )
-    return results
-
 
 def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[RetrievalResult]:
     """Exact top-k records by cosine similarity for each query, in order.
@@ -167,9 +136,12 @@ def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[Retriev
         vecs.append(vec)
     results: list[RetrievalResult] = []
     for start in range(0, len(vecs), QUERY_BLOCK):
-        block = vecs[start : start + QUERY_BLOCK]
-        scores = kernels.dot_scores(store.matrix, np.stack(block))
-        results.extend(_rank_block(store, scores, block, k))
+        for top in kernels.exact_top(store.matrix, vecs[start : start + QUERY_BLOCK], k):
+            results.append(
+                RetrievalResult(
+                    tuple(Hit(store.ids[i], store.captions[i], score) for score, i in top)
+                )
+            )
     return results
 
 

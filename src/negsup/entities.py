@@ -15,6 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import kernels
 from .embedding import EmbeddingSource, embed_entity, l2_normalize, tokenize
 from .errors import DimMismatch, EmptyInput, FormatError, InvariantError
 from .validation import read_lines
@@ -121,8 +122,8 @@ class EntityIndex:
     A run embeds each term's templated description ("A photo of {term}")
     once: the first request embeds it, later ones reuse the read-only
     vector. Embedding is lazy, so a source may lack the vectors of terms a
-    run never scores. Without a vocabulary the index only memoizes
-    vectors and ranks nothing.
+    run never scores; only classification stacks all of them, on first use.
+    Without a vocabulary the index only memoizes vectors and ranks nothing.
     """
 
     def __init__(self, source: EmbeddingSource, vocab: EntityVocabulary | None = None):
@@ -130,7 +131,7 @@ class EntityIndex:
         self.vocab = vocab
         self.terms = tuple(sorted(vocab.canonical)) if vocab is not None else ()
         self._vectors: dict[str, np.ndarray] = {}
-        self._rows: tuple[np.ndarray, ...] | None = None
+        self._rows: np.ndarray | None = None
 
     def vector(self, term: str) -> np.ndarray:
         vec = self._vectors.get(term)
@@ -140,10 +141,12 @@ class EntityIndex:
             self._vectors[term] = vec
         return vec
 
-    def rows(self) -> tuple[np.ndarray, ...]:
-        """The vectors of all vocabulary terms, aligned with `terms`."""
+    def rows(self) -> np.ndarray:
+        """The vectors of all vocabulary terms as one read-only (|V|, d)
+        matrix; row i is the vector of terms[i]."""
         if self._rows is None:
-            self._rows = tuple(self.vector(term) for term in self.terms)
+            self._rows = np.stack([self.vector(term) for term in self.terms])
+            self._rows.flags.writeable = False
         return self._rows
 
 
@@ -176,8 +179,9 @@ def classify_image_entities(
 ) -> list[str]:
     """Vocabulary terms ranked by cosine to the image embedding, best first.
 
-    Each term scores via its templated description embedding; ties break
-    by ascending term. Returns the top min(top_m, |vocab|) terms.
+    Each term scores via its templated description embedding, ranked by
+    kernels.exact_top over the index's term matrix; terms are sorted, so
+    ties break by ascending term. Returns the top min(top_m, |vocab|) terms.
     `index` reuses the description embeddings across calls.
     """
     if top_m < 1:
@@ -188,12 +192,7 @@ def classify_image_entities(
     img = l2_normalize(image_emb)
     rows = index.rows()
     _check_width(rows[0], img)
-    # One dot per row, as for a lone term: a matrix-vector product may round
-    # differently and reorder terms whose vectors coincide.
-    neg_scores = [-float(np.dot(vec, img)) for vec in rows]
-    # terms are sorted and the sort is stable, so this is the (-score, term) order
-    order = sorted(range(len(rows)), key=neg_scores.__getitem__)
-    return [index.terms[i] for i in order[:top_m]]
+    return [index.terms[i] for _, i in kernels.exact_top(rows, [img], top_m)[0]]
 
 
 def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets:

@@ -170,7 +170,7 @@ class GenerationContext:
 
     def to_json_dict(self) -> dict:
         return {
-            "prefix": [[float(x) for x in row] for row in self.suppressed_prefix],
+            "prefix": self.suppressed_prefix.tolist(),
             "prompt": self.positive_prompt,
             "entities": self.entity_sets.to_json_dict(),
             "retrieval": self.retrieval.to_json_dict(),
@@ -388,19 +388,13 @@ def _negative_runs(negative: frozenset[str], vocab: EntityVocabulary | None) -> 
         surfaces |= {
             surface for surface, target in vocab.synonyms.items() if target in negative
         }
-    return {tuple(tokenize(surface)) for surface in surfaces if surface.strip()}
+    # a surface with no word tokens (such as "-") names no run
+    return {run for surface in surfaces if (run := tuple(tokenize(surface)))}
 
 
-def _mentions_negative(caption: str, runs: set[tuple[str, ...]]) -> bool:
-    tokens = tokenize(caption)
-    for run in runs:
-        span = len(run)
-        if any(tuple(tokens[i : i + span]) == run for i in range(len(tokens) - span + 1)):
-            return True
-    return False
-
-
-def _delete_negative_tokens(caption: str, runs: set[tuple[str, ...]]) -> str:
+def _delete_negative_tokens(caption: str, runs: set[tuple[str, ...]]) -> tuple[str, bool]:
+    """`caption`'s tokens with the negative runs deleted (left to right,
+    longest run first) joined by spaces, and whether any run occurred."""
     tokens = tokenize(caption)
     lengths = sorted({len(run) for run in runs}, reverse=True)
     kept: list[str] = []
@@ -415,7 +409,7 @@ def _delete_negative_tokens(caption: str, runs: set[tuple[str, ...]]) -> str:
         if not matched:
             kept.append(tokens[i])
             i += 1
-    return " ".join(kept)
+    return " ".join(kept), len(kept) < len(tokens)
 
 
 def standin_decode(
@@ -442,10 +436,10 @@ def standin_decode(
         scored.append((-score, hit.id, hit.caption))
     scored.sort()
 
-    clean = [item for item in scored if not _mentions_negative(item[2], runs)]
-    if clean:
-        return clean[0][2]
-    return _delete_negative_tokens(scored[0][2], runs)
+    for _, _, caption in scored:
+        if not _delete_negative_tokens(caption, runs)[1]:
+            return caption
+    return _delete_negative_tokens(scored[0][2], runs)[0]
 
 
 # --- batch runner ---------------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import negsup
 from negsup import cli
 from negsup.embedding import HashSource, embed_text, write_embedding_file
 from negsup.errors import InvariantError
@@ -566,3 +570,48 @@ class TestExitCodes:
             ["ingest", "--captions", tmp_path / "caps.tsv",
              "--embeddings", tmp_path / "bad.nese", "--out", tmp_path / "s"]
         ) == 2
+
+
+class TestSymbolSynonym:
+    """A synonym with no word tokens (such as "-") names nothing to delete."""
+
+    def _child_run(self, tmp_path, synonyms: str) -> bytes:
+        src = HashSource(dim=16, seed=3)
+        captions = {
+            "c1": "a dog runs on the grass",
+            "c2": "a dog sits by a tree",
+            "c3": "a brown dog on a bench",
+        }
+        (tmp_path / "captions.tsv").write_text(
+            "".join(f"{k}\t{v}\n" for k, v in captions.items())
+        )
+        write_embedding_file(
+            tmp_path / "embeddings.nese",
+            {k: embed_text(src, v) for k, v in captions.items()},
+        )
+        (tmp_path / "vocab.txt").write_text("dog\ncat\ngrass\ntree\nbench\n")
+        (tmp_path / "synonyms.tsv").write_text(synonyms)
+        (tmp_path / "input.jsonl").write_text(
+            json.dumps({"id": "t1", "caption": "a cat on the grass"}) + "\n"
+        )
+        store = _store(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(negsup.__file__)))
+        subprocess.run(
+            [sys.executable, "-m", "negsup.cli", "run", "--mode", "training",
+             "--store", store, "--input", tmp_path / "input.jsonl",
+             "--out", tmp_path / "out.jsonl", "--vocab", tmp_path / "vocab.txt",
+             "--synonyms", tmp_path / "synonyms.tsv", "--tau-neg", "0.5"],
+            env=env, timeout=60, check=True, capture_output=True,
+        )
+        return (tmp_path / "out.jsonl").read_bytes()
+
+    def test_dash_synonym_changes_nothing(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        with_dash = self._child_run(tmp_path / "a", "dog\tdoggy,-\n")
+        assert with_dash == self._child_run(tmp_path / "b", "dog\tdoggy\n")
+        # every retrieved caption names the negative "dog", so the decoder
+        # falls back to deleting the negative runs from the best one
+        out = json.loads(with_dash)
+        assert out["generated"] not in out["retrieved"]
+        assert "dog" not in out["generated"].split()

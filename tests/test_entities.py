@@ -182,9 +182,13 @@ class TestEntityIndex:
         index = EntityIndex(src, vocab)
         for _ in range(40):
             image = rng.normal(size=24)
-            assert classify_image_entities(image, vocab, src, 30, index) == (
-                _ranking_oracle(image, terms, src)
-            )
+            oracle = _ranking_oracle(image, terms, src)
+            assert classify_image_entities(image, vocab, src, 30, index) == oracle
+            # below |V| a partition cuts the ranking, often inside a tie
+            for top_m in range(1, 31):
+                assert classify_image_entities(image, vocab, src, top_m, index) == (
+                    oracle[:top_m]
+                )
 
     def test_each_term_embedded_once(self):
         src = CountingSource(HashSource(dim=16, seed=3))

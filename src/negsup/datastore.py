@@ -1,11 +1,17 @@
 """Immutable caption datastore with exact top-k cosine retrieval.
 
 Records are held row-sorted by id so that score ties resolve to ascending
-id regardless of insertion order. Retrieval is an exact full scan, batched:
-retrieve_many ranks QUERY_BLOCK queries at a time against the whole matrix
-with kernels.exact_top, so a hit's score depends only on its row and the
-query, never on the batch. retrieve is the one-query case. brute_force_topk
-is the independent oracle (per-record dots, full stable sort).
+id regardless of insertion order, as one float64 matrix of unit rows plus a
+float32 copy of it for scanning. Retrieval is an exact full scan, batched:
+retrieve_many ranks QUERY_BLOCK queries at a time with kernels.exact_top,
+which scans the float32 copy for candidates and re-scores them in float64,
+so a hit's score depends only on its row and the query, never on the batch.
+retrieve is the one-query case. brute_force_topk is the independent oracle
+(per-record dots, full stable sort).
+
+ingest_datastore (and load_datastore) gathers an embedding file's records in
+id order straight into the one float64 matrix; the file's bytes are dropped
+before the matrix is normalized and the float32 copy is made.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from . import kernels
 from .embedding import (
     FORMAT_BINARY,
     l2_normalize,
-    load_embedding_file,
+    normalize_rows,
+    read_vector_file,
     unit_rows,
     write_embedding_file,
 )
@@ -30,6 +37,7 @@ from .errors import (
     EmptyInput,
     FormatError,
     IoError,
+    ZeroVector,
 )
 from .validation import read_lines
 
@@ -74,13 +82,19 @@ class RetrievalResult:
 
 
 class Datastore:
-    """Immutable (id, caption, normalized embedding) collection."""
+    """Immutable (id, caption, normalized embedding) collection.
+
+    `matrix` holds the float64 unit rows that scores come from; `scan` is
+    its read-only float32 copy, which retrieval scans for candidates.
+    """
 
     def __init__(self, ids, captions, matrix):
         self.ids = tuple(ids)
         self.captions = tuple(captions)
         self.matrix = matrix
         self.matrix.flags.writeable = False
+        self.scan = matrix.astype(np.float32)
+        self.scan.flags.writeable = False
         self._row_of = {rid: i for i, rid in enumerate(self.ids)}
 
     @property
@@ -136,7 +150,9 @@ def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[Retriev
         vecs.append(vec)
     results: list[RetrievalResult] = []
     for start in range(0, len(vecs), QUERY_BLOCK):
-        for top in kernels.exact_top(store.matrix, vecs[start : start + QUERY_BLOCK], k):
+        for top in kernels.exact_top(
+            store.matrix, store.scan, vecs[start : start + QUERY_BLOCK], k
+        ):
             results.append(
                 RetrievalResult(
                     tuple(Hit(store.ids[i], store.captions[i], score) for score, i in top)
@@ -176,9 +192,10 @@ def save_datastore(store: Datastore, directory) -> None:
     """Persist a datastore as an embeddings file plus an id<TAB>caption file."""
     os.makedirs(directory, exist_ok=True)
     for rid, caption in zip(store.ids, store.captions):
-        if "\t" in caption or "\n" in caption or "\t" in rid or "\n" in rid:
+        if any(c in text for text in (rid, caption) for c in "\t\n\r"):
             raise FormatError(
-                f"record {rid!r}: ids and captions must not contain tabs or newlines"
+                f"record {rid!r}: ids and captions must not contain tabs,"
+                " newlines or carriage returns"
             )
     write_embedding_file(
         os.path.join(directory, EMBEDDINGS_FILENAME),
@@ -209,18 +226,37 @@ def read_caption_file(path) -> dict[str, str]:
 
 
 def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
-    """Build a datastore from a caption file and a parallel embedding file."""
+    """Build a datastore from a caption file and a parallel embedding file.
+
+    The file's records are gathered in id order straight into the store's
+    one float64 matrix, and the file's bytes are dropped before anything
+    else is allocated. The matrix is then normalized twice in place: once
+    as load_embedding_file normalizes a file's rows, once as build_datastore
+    normalizes a store's (the second pass moves about a quarter of the rows
+    by an ulp). The store therefore equals
+    build_datastore(load_embedding_file(...).items()) bit for bit.
+    """
     captions = read_caption_file(captions_path)
-    source = load_embedding_file(embeddings_path, format=format)
-    missing = sorted(set(captions) - set(source.keys()))
-    extra = sorted(set(source.keys()) - set(captions))
+    table = read_vector_file(embeddings_path, format=format)
+    keys = table.keys
+    missing = sorted(set(captions) - set(keys))
+    extra = sorted(set(keys) - set(captions))
     if missing:
         raise FormatError(f"ids with captions but no embedding: {missing[:5]}")
     if extra:
         raise FormatError(f"ids with embeddings but no caption: {extra[:5]}")
-    return build_datastore(
-        [(rid, captions[rid], vec) for rid, vec in source.items()]
-    )
+    if not keys:
+        raise EmptyInput("cannot build a datastore from zero records")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ids = [keys[i] for i in order]
+    matrix = table.gather(order)
+    del table, keys  # the file's bytes
+    try:
+        for _ in range(2):  # the file's pass, then the store's
+            normalize_rows(matrix, ids)
+    except ZeroVector as exc:
+        raise FormatError(str(exc)) from exc
+    return Datastore(ids, [captions[rid] for rid in ids], matrix)
 
 
 def load_datastore(directory) -> Datastore:

@@ -5,6 +5,12 @@ shared space: HashSource (seeded feature hashing, fully deterministic and
 self-contained) and FileSource (precomputed vectors loaded from disk in
 either a binary or a JSON-lines format).
 
+read_vector_file reads an embedding file in either format into a
+VectorTable: the keys and where each one's vector lies, with no record
+copied. Its gather builds one float64 matrix of chosen records, which
+normalize_rows turns into unit rows in place; FileSource and
+datastore.ingest_datastore both load files this way.
+
 All downstream cosine computations assume normalized vectors, so cosine
 similarity reduces to a dot product.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -144,13 +150,33 @@ class HashSource:
         return f"HashSource(dim={self.dim}, seed={self.seed})"
 
 
+def normalize_rows(matrix: np.ndarray, keys) -> np.ndarray:
+    """Divide each row of the float64 `matrix` by its norm, in place, and
+    return it; keys[i] names row i in errors.
+
+    A non-finite row raises FormatError and a zero row ZeroVector. Each norm
+    is sqrt(row.dot(row)), as l2_normalize computes it, taken for all rows at
+    once as a stack of (1, d) @ (d, 1) products, which run the same per-row
+    BLAS dot; so every row equals l2_normalize(row) bit for bit. A norm that
+    sums the rows another way (einsum, (m*m).sum(1), norm(axis=1)) rounds
+    many rows differently.
+    """
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"non-finite value in vector for {keys[np.argmin(finite)]!r}")
+    norms = np.sqrt((matrix[:, None, :] @ matrix[:, :, None])[:, 0, 0])
+    if not norms.all():
+        raise ZeroVector(f"cannot normalize the zero vector for {keys[np.argmin(norms)]!r}")
+    matrix /= norms[:, None]
+    return matrix
+
+
 def unit_rows(keys, vectors, dim: int | None = None) -> np.ndarray:
     """Stack keyed vectors into one read-only float64 matrix of unit rows.
 
     Each vector must be 1-D with `dim` values (by default the first one's);
-    a wrong shape, a non-finite row or a zero row raises, naming its key.
-    Each norm is sqrt(row.dot(row)), as l2_normalize computes it, so every
-    row equals l2_normalize(vector) bit for bit.
+    a wrong shape raises DimMismatch, naming its key. The rows are then
+    normalized by normalize_rows.
     """
     keys = list(keys)
     rows = [np.asarray(values) for values in vectors]
@@ -162,27 +188,61 @@ def unit_rows(keys, vectors, dim: int | None = None) -> np.ndarray:
         elif row.shape[0] != dim:
             raise DimMismatch(f"{key!r} has dim {row.shape[0]}, expected {dim}")
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim or 0))
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"non-finite value in vector for {keys[np.argmin(finite)]!r}")
-    norms = np.sqrt([row.dot(row) for row in matrix])
-    if not norms.all():
-        raise ZeroVector(f"cannot normalize the zero vector for {keys[np.argmin(norms)]!r}")
-    matrix /= norms[:, None]
+    normalize_rows(matrix, keys)
     matrix.flags.writeable = False
     return matrix
 
 
+GATHER_ROWS = 1024
+
+
+class VectorTable(NamedTuple):
+    """Keyed vectors as an embedding file holds them: the vector of keys[i]
+    is rows[where[i]].
+
+    For a binary file, `rows` is a read-only view of the file's bytes with
+    one float32 row starting at every byte, so reading the file copies no
+    record; for a JSON-lines file it is the file's stacked float64 vectors.
+    """
+
+    keys: list[str]
+    rows: np.ndarray
+    where: np.ndarray
+
+    def gather(self, order=None) -> np.ndarray:
+        """A new float64 matrix of the vectors of keys[order] (by default all
+        keys, in file order), copied GATHER_ROWS rows at a time, so that no
+        temporary as large as the table is made."""
+        where = self.where if order is None else self.where[order]
+        matrix = np.empty((len(where), self.rows.shape[1]))
+        for start in range(0, len(where), GATHER_ROWS):
+            stop = start + GATHER_ROWS
+            matrix[start:stop] = self.rows[where[start:stop]]
+        return matrix
+
+
 class FileSource:
     """Store of precomputed vectors keyed by text: one read-only matrix of
-    unit rows (see unit_rows) and the row of each key."""
+    unit rows (see normalize_rows) and the row of each key.
+
+    `vectors` is a key -> vector mapping (checked by unit_rows) or a table
+    read by read_vector_file.
+    """
 
     kind = "file"
 
-    def __init__(self, vectors: Mapping[str, np.ndarray], dim: int | None = None):
-        self.matrix = unit_rows(vectors.keys(), vectors.values(), dim)
+    def __init__(
+        self, vectors: Mapping[str, np.ndarray] | VectorTable, dim: int | None = None
+    ):
+        if isinstance(vectors, VectorTable):
+            self.matrix = normalize_rows(vectors.gather(), vectors.keys)
+            self.matrix.flags.writeable = False
+            keys = vectors.keys
+        else:
+            self.matrix = unit_rows(vectors.keys(), vectors.values(), dim)
+            keys = vectors
         self.dim = self.matrix.shape[1]  # 0 for an empty source without dim
-        self._row_of = {key: i for i, key in enumerate(vectors)}
+        self._row_of = {key: i for i, key in enumerate(keys)}
 
     def keys(self):
         return self._row_of.keys()
@@ -240,19 +300,25 @@ def _detect_format(path) -> str:
     return FORMAT_BINARY if head == BINARY_MAGIC else FORMAT_JSONL
 
 
-def load_embedding_file(path, format: str | None = None) -> FileSource:
-    """Load a vector file into a FileSource (vectors renormalized on load)."""
+def read_vector_file(path, format: str | None = None) -> VectorTable:
+    """The keys and vectors of an embedding file in either layout (by
+    default the one its first bytes show), checked for structure: header,
+    truncation, key encoding, duplicate keys, widths, trailing bytes."""
     if format is None:
         format = _detect_format(path)
     if format == FORMAT_BINARY:
-        entries, dim = _read_binary(path)
-    elif format == FORMAT_JSONL:
-        entries, dim = _read_jsonl(path)
-    else:
-        raise ValueError(f"unknown embedding file format {format!r}")
+        return _read_binary(path)
+    if format == FORMAT_JSONL:
+        return _read_jsonl(path)
+    raise ValueError(f"unknown embedding file format {format!r}")
+
+
+def load_embedding_file(path, format: str | None = None) -> FileSource:
+    """Load a vector file into a FileSource (vectors renormalized on load)."""
+    table = read_vector_file(path, format)
     try:
-        return FileSource(entries, dim=dim)
-    except (DimMismatch, ZeroVector) as exc:
+        return FileSource(table)
+    except ZeroVector as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -284,7 +350,7 @@ def write_embedding_file(
         raise ValueError(f"unknown embedding file format {format!r}")
 
 
-def _read_binary(path) -> tuple[dict[str, np.ndarray], int]:
+def _read_binary(path) -> VectorTable:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -297,31 +363,36 @@ def _read_binary(path) -> tuple[dict[str, np.ndarray], int]:
         raise FormatError(f"bad magic {magic!r}")
     if version != BINARY_VERSION:
         raise FormatError(f"unsupported version {version}")
+    if dim == 0 and count:
+        raise FormatError("binary embedding file has dimension 0")
+    size = 4 * dim
+    vector_at: dict[str, int] = {}  # key -> byte offset of its vector
     offset = 16
-    entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         if offset + 2 > len(data):
             raise FormatError("truncated record header")
-        (key_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        end = offset + key_len
+        start = offset + 2
+        end = start + (data[offset] | data[offset + 1] << 8)
         if end > len(data):
             raise FormatError("truncated record key")
         try:
-            key = data[offset:end].decode("utf-8")
+            key = data[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"record key is not valid UTF-8: {exc}") from exc
-        offset = end
-        end = offset + 4 * dim
-        if end > len(data):
+        offset = end + size
+        if offset > len(data):
             raise FormatError(f"truncated vector for key {key!r}")
-        if key in entries:
+        if key in vector_at:
             raise FormatError(f"duplicate key {key!r}")
-        entries[key] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        offset = end
+        vector_at[key] = end
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after records")
-    return entries, int(dim)
+    # row j holds the dim float32 values that start at byte j
+    rows = np.ndarray(
+        (max(len(data) - size + 1, 0), dim), dtype="<f4", buffer=data, strides=(1, 4)
+    )
+    where = np.fromiter(vector_at.values(), dtype=np.int64, count=len(vector_at))
+    return VectorTable(list(vector_at), rows, where)
 
 
 def _write_binary(path, pairs, dim: int) -> None:
@@ -340,7 +411,7 @@ def _write_binary(path, pairs, dim: int) -> None:
         raise IoError(str(exc)) from exc
 
 
-def _read_jsonl(path) -> tuple[dict[str, np.ndarray], int | None]:
+def _read_jsonl(path) -> VectorTable:
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, obj in json_lines(path):
@@ -362,7 +433,8 @@ def _read_jsonl(path) -> tuple[dict[str, np.ndarray], int | None]:
         if key in entries:
             raise FormatError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = vec
-    return entries, dim
+    rows = np.array(list(entries.values())) if entries else np.empty((0, 0))
+    return VectorTable(list(entries), rows, np.arange(len(entries)))
 
 
 def _write_jsonl(path, pairs) -> None:

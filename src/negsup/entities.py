@@ -180,8 +180,9 @@ def classify_image_entities(
     """Vocabulary terms ranked by cosine to the image embedding, best first.
 
     Each term scores via its templated description embedding, ranked by
-    kernels.exact_top over the index's term matrix; terms are sorted, so
-    ties break by ascending term. Returns the top min(top_m, |vocab|) terms.
+    kernels.exact_top over the index's float64 term matrix, which is also
+    the scan copy; terms are sorted, so ties break by ascending term.
+    Returns the top min(top_m, |vocab|) terms.
     `index` reuses the description embeddings across calls.
     """
     if top_m < 1:
@@ -192,7 +193,7 @@ def classify_image_entities(
     img = l2_normalize(image_emb)
     rows = index.rows()
     _check_width(rows[0], img)
-    return [index.terms[i] for _, i in kernels.exact_top(rows, [img], top_m)[0]]
+    return [index.terms[i] for _, i in kernels.exact_top(rows, rows, [img], top_m)[0]]
 
 
 def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets:

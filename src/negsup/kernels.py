@@ -1,13 +1,14 @@
 """Numeric hot kernels, in numpy.
 
-Kernels operate on contiguous float64 arrays and are deterministic for
-fixed inputs:
+Kernels are deterministic for fixed inputs:
   dot_scores        -- dot products of a matrix's rows against one query
                        or a block of queries
   exact_top         -- the top k rows of a matrix for each query of a
-                       block, scored exactly and ordered (score desc,
-                       row asc); the one ranking rule of both retrieval
-                       and entity classification
+                       block, found in a scan copy of the matrix (float32
+                       for retrieval), scored exactly in the matrix's
+                       float64 and ordered (score desc, row asc); the one
+                       ranking rule of both retrieval and entity
+                       classification
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 """
@@ -18,11 +19,6 @@ import math
 
 import numpy as np
 
-# Scores of unit vectors from the block product and from a per-row dot
-# differ by at most 2*d*u (u = eps/2); twice that bound of slack keeps every
-# row of the exact top k among the candidates.
-_MARGIN_PER_DIM = 4 * float(np.finfo(np.float64).eps)
-
 
 def dot_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Score of every row of `matrix` against `queries` (plain dot products):
@@ -30,20 +26,33 @@ def dot_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return queries @ matrix.T
 
 
-def exact_top(matrix: np.ndarray, queries, k: int) -> list[list[tuple[float, int]]]:
+def exact_top(
+    matrix: np.ndarray, scan: np.ndarray, queries, k: int
+) -> list[list[tuple[float, int]]]:
     """The min(k, N) best rows of the (N, d) unit-row `matrix` for each unit
     query of a block, as (score, row) pairs in (score desc, row asc) order.
 
-    One product scores the block and one partition per query finds its
-    k-th score; the rows within a rounding margin of it are re-scored with
-    one dot product each. A pair's score is therefore that per-row dot,
-    whatever the block, and rows with equal vectors tie exactly.
+    `scan` is `matrix` or a copy of it in a narrower float dtype. One
+    product of `scan` with the block scores every row approximately, and
+    one partition per query finds its k-th approximate score. The rows
+    within a rounding margin of it are re-scored with one float64 dot
+    product of `matrix` each, and that dot is the score returned: it does
+    not depend on the block or the scan, and rows with equal vectors tie
+    exactly.
+
+    The margin: for unit vectors, a dot product in a precision with unit
+    roundoff u = eps/2 is off by at most (d+2)*u (d*u from the sum, 2*u
+    from rounding the operands to that precision), so a scan score and the
+    re-score differ by at most e = 2*(d+2)*u of the scan's precision. The
+    k-th scan score is off by e too, so each row of the exact top k scans
+    within 2*e of it; the margin is twice that, 4*(d+2)*eps.
     """
     n, d = matrix.shape
-    margin = _MARGIN_PER_DIM * d
+    margin = 4 * (d + 2) * float(np.finfo(scan.dtype).eps)
+    block = np.array(queries, dtype=scan.dtype)
     results = []
-    for row_scores, query in zip(dot_scores(matrix, np.stack(queries)), queries):
-        cutoff = np.partition(row_scores, n - k)[n - k] - margin if k < n else -np.inf
+    for row_scores, query in zip(dot_scores(scan, block), queries):
+        cutoff = float(np.partition(row_scores, n - k)[n - k]) - margin if k < n else -np.inf
         scored = sorted(
             (-float(np.dot(matrix[i], query)), i)
             for i in np.flatnonzero(row_scores >= cutoff).tolist()

@@ -9,8 +9,9 @@ A config dataclass's JSON object is derived from its fields: the key is the
 field name unless the field's metadata names another ("key"), and a field
 whose metadata holds a dataclass ("config") is that sub-config's object.
 
-Every line-oriented input file is read through read_lines: UTF-8, blank
-lines skipped, lines numbered as in the file, OSError raised as IoError.
+Every line-oriented input file is read through read_lines: UTF-8, lines
+ended by "\n" or "\r\n" only, blank lines skipped, lines numbered as in
+the file, OSError raised as IoError.
 """
 
 from __future__ import annotations
@@ -94,13 +95,19 @@ def config_to_json(config) -> dict:
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-blank line of a UTF-8 text file."""
+    """(line number, line) for each non-blank line of a UTF-8 text file.
+
+    Lines end at "\n" or "\r\n" only; any other line or paragraph
+    separator (a lone "\r", "\x0c", "\x85", U+2028, ...) is part of the line.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
         if line.strip():
             yield lineno, line
 

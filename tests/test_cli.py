@@ -615,3 +615,39 @@ class TestSymbolSynonym:
         out = json.loads(with_dash)
         assert out["generated"] not in out["retrieved"]
         assert "dog" not in out["generated"].split()
+
+
+class TestLineSeparators:
+    def test_run_then_eval_chair_with_u2028_reference(self, corpus, capsys):
+        store = _store(corpus)
+        (corpus / "sep.jsonl").write_text(
+            json.dumps(
+                {"id": "t1", "caption": "a dog catches a frisbee in the park",
+                 "references": ["a dog\u2028on grass"]},
+                ensure_ascii=False,
+            ) + "\n",
+            encoding="utf-8",
+        )
+        assert _run(
+            ["run", "--mode", "training", "--store", store,
+             "--input", corpus / "sep.jsonl", "--out", corpus / "out.jsonl",
+             "--vocab", corpus / "vocab.txt", "--tau-neg", "0.5"]
+        ) == 0
+        text = (corpus / "out.jsonl").read_text(encoding="utf-8")
+        assert "a dog\u2028on grass" in text
+        capsys.readouterr()
+        assert _run(
+            ["eval", "chair", "--pred", corpus / "out.jsonl",
+             "--vocab", corpus / "vocab.txt", "--json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["recall"] is not None
+
+    def test_ingest_caption_with_carriage_return_exits_2(self, corpus, capsys):
+        (corpus / "cr.tsv").write_bytes(
+            (corpus / "captions.tsv").read_bytes().replace(b"a cat", b"a\rcat")
+        )
+        assert _run(
+            ["ingest", "--captions", corpus / "cr.tsv",
+             "--embeddings", corpus / "embeddings.nese", "--out", corpus / "s"]
+        ) == 2
+        assert "carriage returns" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,13 @@ from negsup.datastore import (
     retrieve_many,
     save_datastore,
 )
-from negsup.embedding import HashSource, embed_text, l2_normalize, write_embedding_file
+from negsup.embedding import (
+    HashSource,
+    embed_text,
+    l2_normalize,
+    load_embedding_file,
+    write_embedding_file,
+)
 from negsup.errors import (
     DimMismatch,
     DuplicateId,
@@ -347,3 +355,93 @@ class TestPersistence:
         (tmp_path / "caps.tsv").write_text("a\tthe caption\n")
         store = ingest_datastore(tmp_path / "caps.tsv", tmp_path / "v.jsonl")
         assert store.caption_of("a") == "the caption"
+
+
+# characters str.splitlines() splits on, other than "\n" and "\r"
+LINE_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestCaptionFileLines:
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS)
+    def test_separator_round_trips(self, tmp_path, sep):
+        store = build_datastore(
+            [
+                ("a", f"line{sep}sep", np.array([1.0, 0.0, 0.0])),
+                (f"b{sep}id", f"{sep}leading", np.array([0.0, 1.0, 0.0])),
+                ("c", f"trailing{sep}", np.array([0.0, 0.0, 1.0])),
+            ]
+        )
+        save_datastore(store, tmp_path / "s")
+        loaded = load_datastore(tmp_path / "s")
+        assert loaded.ids == store.ids
+        assert loaded.captions == store.captions
+
+    @pytest.mark.parametrize(
+        "rid,caption", [("a", "cr\rinside"), ("a", "trailing\r"), ("a\rb", "caption")]
+    )
+    def test_carriage_return_rejected(self, tmp_path, rid, caption):
+        store = build_datastore([(rid, caption, np.ones(4))])
+        with pytest.raises(FormatError, match="carriage returns"):
+            save_datastore(store, tmp_path / "s")
+
+    def test_crlf_caption_file(self, tmp_path):
+        write_embedding_file(tmp_path / "v.nese", {"a": np.ones(2), "b": np.arange(2.0)})
+        (tmp_path / "caps.tsv").write_bytes(b"a\tone\r\nb\ttwo\r\n")
+        store = ingest_datastore(tmp_path / "caps.tsv", tmp_path / "v.nese")
+        assert store.captions == ("one", "two")
+
+
+def _write_store(directory, ids, rows, format="binary"):
+    """A store directory (or, for JSON lines, its two files) holding `rows`
+    under `ids`; returns the caption and embedding paths."""
+    directory.mkdir()
+    captions = directory / "captions.tsv"
+    captions.write_text("".join(f"{rid}\tcaption {rid}\n" for rid in ids))
+    embeddings = directory / ("embeddings.nese" if format == "binary" else "v.jsonl")
+    write_embedding_file(embeddings, zip(ids, rows), format=format)
+    return captions, embeddings
+
+
+class TestLoadFullWidth:
+    @pytest.mark.parametrize("format", ["binary", "jsonl"])
+    def test_load_equals_file_source_oracle(self, tmp_path, format):
+        rng = np.random.default_rng(26)
+        rows = rng.normal(size=(400, 128)).astype(np.float32)
+        moved = [
+            not np.array_equal(l2_normalize(l2_normalize(row)), l2_normalize(row))
+            for row in rows
+        ]
+        assert any(moved) and not all(moved)
+        ids = [f"r{i:04d}" for i in rng.permutation(len(rows))]
+        captions, embeddings = _write_store(tmp_path / "s", ids, rows, format)
+        if format == "binary":
+            store = load_datastore(tmp_path / "s")
+        else:
+            store = ingest_datastore(captions, embeddings)
+        caption_of = dict(line.split("\t") for line in captions.read_text().splitlines())
+        oracle = build_datastore(
+            [(key, caption_of[key], vec) for key, vec in load_embedding_file(embeddings).items()]
+        )
+        assert store.ids == oracle.ids
+        assert store.captions == oracle.captions
+        assert store.matrix.dtype == np.float64
+        assert store.matrix.tobytes() == oracle.matrix.tobytes()
+        assert store.scan.dtype == np.float32
+        assert store.scan.tobytes() == oracle.matrix.astype(np.float32).tobytes()
+        assert not store.matrix.flags.writeable and not store.scan.flags.writeable
+
+    def test_peak_memory_of_load(self, tmp_path):
+        # the file's bytes, the float64 matrix and its float32 scan copy are
+        # never all held at once
+        count, dim = 20000, 128
+        rows = np.random.default_rng(27).normal(size=(count, dim)).astype(np.float32)
+        _write_store(tmp_path / "s", [f"r{i:05d}" for i in range(count)], rows)
+        del rows
+        tracemalloc.start()
+        try:
+            store = load_datastore(tmp_path / "s")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == count
+        assert peak <= 2.1 * count * dim * 8

@@ -371,3 +371,20 @@ class TestLoadOracle:
             vec = source.embed(key)
             assert vec.dtype == np.float64
             assert np.array_equal(vec, l2_normalize(row))
+
+
+class TestDimZeroHeader:
+    def test_load_raises_format_error(self, tmp_path):
+        path = tmp_path / "bad.nese"
+        path.write_bytes(_nese_bytes([(b"a", [])], 0))
+        with pytest.raises(FormatError, match="dimension 0"):
+            load_embedding_file(path)
+
+    def test_ingest_exits_2(self, tmp_path, capsys):
+        (tmp_path / "bad.nese").write_bytes(_nese_bytes([(b"a", [])], 0))
+        (tmp_path / "caps.tsv").write_text("a\tone\n")
+        assert cli.main(
+            ["ingest", "--captions", str(tmp_path / "caps.tsv"),
+             "--embeddings", str(tmp_path / "bad.nese"), "--out", str(tmp_path / "s")]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from negsup import kernels
+from negsup.datastore import brute_force_topk, build_datastore
+from negsup.embedding import l2_normalize
 
 
 def _random_case(rng, n_q=4, n_k=7, d=12):
@@ -56,3 +59,75 @@ def test_dot_scores_block_rows_match_single_queries():
 
 def test_backend_name_matches_flag():
     assert kernels.backend() == "numpy"
+
+
+def _planted_pairs(rng, dim=64, background=600, n_queries=40, levels=(0.95, 0.9, 0.85, 0.8)):
+    """Raw records and queries where each query has one pair of rows at each
+    cosine level: pairs sit at ranks (1, 2), (3, 4), ..., so every odd k
+    cuts through one. A pair's rows differ by several float32 ulps, almost
+    all of it orthogonal to the query, so their float64 scores differ by
+    more than 0 but by far less than float32 rounding, and a float32 scan
+    orders about half of the pairs wrongly. One bit-identical copy of the
+    first row of each query's second pair ties it exactly."""
+    records = [(f"b{i:04d}", "background", rng.normal(size=dim)) for i in range(background)]
+    queries, pairs = [], []
+    for j in range(n_queries):
+        query = l2_normalize(rng.normal(size=dim))
+        queries.append(query)
+        for p, level in enumerate(levels):
+            side = rng.normal(size=dim)
+            side = l2_normalize(side - side.dot(query) * query)
+            row = level * query + np.sqrt(1 - level**2) * side
+            away = rng.normal(size=dim)
+            away = l2_normalize(away - away.dot(query) * query - away.dot(side) * side)
+            twin = row + 3e-7 * (away + 1e-4 * query)
+            ids = (f"q{j:02d}p{p}a", f"q{j:02d}p{p}b")
+            records += [(ids[0], "pair", row), (ids[1], "pair", twin)]
+            pairs.append((j, ids))
+        records.append((f"q{j:02d}p1c", "copy", records[-6][2].copy()))
+    return records, queries, pairs
+
+
+def _in_blocks(matrix, scan, queries, k, size):
+    out = []
+    for start in range(0, len(queries), size):
+        out += kernels.exact_top(matrix, scan, queries[start : start + size], k)
+    return out
+
+
+class TestFloat32Scan:
+    """exact_top over a float32 scan copy equals the float64-only scan and
+    the brute-force oracle bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        records, queries, pairs = _planted_pairs(np.random.default_rng(41))
+        store = build_datastore(records)
+        ranked = [brute_force_topk(records, q, len(records)) for q in queries]
+        # the unit queries brute_force_topk scores with
+        return records, store, [l2_normalize(q) for q in queries], pairs, ranked
+
+    def test_pairs_are_closer_than_float32_rounding(self, planted):
+        _, store, queries, pairs, _ = planted
+        row = {rid: i for i, rid in enumerate(store.ids)}
+        scan_scores = kernels.dot_scores(store.scan, np.stack(queries).astype(np.float32))
+        misordered = 0
+        for j, (a, b) in pairs:
+            gap = float(np.dot(store.matrix[row[a]], queries[j])) - float(
+                np.dot(store.matrix[row[b]], queries[j])
+            )
+            assert 0 < abs(gap) < np.finfo(np.float32).eps
+            scan_gap = float(scan_scores[j, row[a]]) - float(scan_scores[j, row[b]])
+            misordered += scan_gap * gap < 0
+        assert misordered >= 10
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("size", [1, 7, 32, 40])
+    def test_equals_float64_scan_and_oracle(self, planted, k, size):
+        _, store, queries, _, ranked = planted
+        assert store.scan.dtype == np.float32
+        row = {rid: i for i, rid in enumerate(store.ids)}
+        got = _in_blocks(store.matrix, store.scan, queries, k, size)
+        assert got == _in_blocks(store.matrix, store.matrix, queries, k, size)
+        for top, oracle in zip(got, ranked):
+            assert top == [(hit.score, row[hit.id]) for hit in oracle.hits[:k]]

@@ -10,6 +10,17 @@ class TestReadLines:
         path.write_text("\n  \nalpha\n\t\nbeta  \r\ngamma", encoding="utf-8")
         assert list(read_lines(path)) == [(3, "alpha"), (5, "beta  "), (6, "gamma")]
 
+    def test_lines_end_at_lf_or_crlf_only(self, tmp_path):
+        path = tmp_path / "f.txt"
+        text = "a\u2028b\r\nc\rd\ne\x85f\x0cg\x0bh\x1ci\u2029j\r\n\r\nk\r"
+        path.write_bytes(text.encode("utf-8"))
+        assert list(read_lines(path)) == [
+            (1, "a\u2028b"),
+            (2, "c\rd"),
+            (3, "e\x85f\x0cg\x0bh\x1ci\u2029j"),
+            (5, "k"),
+        ]
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             list(read_lines(tmp_path / "nope.txt"))

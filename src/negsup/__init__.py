@@ -34,6 +34,7 @@ from .entities import (
     EntitySets,
     EntityVocabulary,
     classify_image_entities,
+    classify_many,
     extract_entities,
     filter_inference,
     filter_training,

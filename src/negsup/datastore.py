@@ -2,12 +2,14 @@
 
 Records are held row-sorted by id so that score ties resolve to ascending
 id regardless of insertion order, as one float64 matrix of unit rows plus a
-float32 copy of it for scanning. Retrieval is an exact full scan, batched:
-retrieve_many ranks QUERY_BLOCK queries at a time with kernels.exact_top,
-which scans the float32 copy for candidates and re-scores them in float64,
-so a hit's score depends only on its row and the query, never on the batch.
-retrieve is the one-query case. brute_force_topk is the independent oracle
-(per-record dots, full stable sort).
+float32 copy of it for scanning. Retrieval is exact and batched:
+retrieve_many ranks all its queries with kernels.exact_top, which scans the
+float32 copy in cache-sized chunks against blocks of queries, keeps only
+per-group maxima to bound each query's k-th score, and re-scores the rows
+near that bound in float64; so a hit's score depends only on its row and
+the query, never on the batch. retrieve is the one-query case.
+brute_force_topk is the independent oracle (per-record dots, full stable
+sort).
 
 ingest_datastore (and load_datastore) gathers an embedding file's records in
 id order straight into the one float64 matrix; the file's bytes are dropped
@@ -130,14 +132,11 @@ def build_datastore(records: Sequence[tuple[str, str, np.ndarray]]) -> Datastore
     return Datastore(ids, [r[1] for r in rows], unit_rows(ids, [r[2] for r in rows]))
 
 
-QUERY_BLOCK = 32
-
-
 def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[RetrievalResult]:
     """Exact top-k records by cosine similarity for each query, in order.
 
-    Every query is normalized and dimension-checked before the scan. The
-    store is then read once per QUERY_BLOCK queries; each result equals
+    Every query is normalized and dimension-checked before the scan, which
+    kernels.exact_top runs over blocks of queries; each result equals
     retrieve(store, query, k) bit for bit, whatever the batch.
     """
     if k < 1:
@@ -148,17 +147,12 @@ def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[Retriev
         if vec.shape[0] != store.dim:
             raise DimMismatch(f"query dim {vec.shape[0]} != store dim {store.dim}")
         vecs.append(vec)
-    results: list[RetrievalResult] = []
-    for start in range(0, len(vecs), QUERY_BLOCK):
-        for top in kernels.exact_top(
-            store.matrix, store.scan, vecs[start : start + QUERY_BLOCK], k
-        ):
-            results.append(
-                RetrievalResult(
-                    tuple(Hit(store.ids[i], store.captions[i], score) for score, i in top)
-                )
-            )
-    return results
+    return [
+        RetrievalResult(
+            tuple(Hit(store.ids[i], store.captions[i], score) for score, i in top)
+        )
+        for top in kernels.exact_top(store.matrix, store.scan, vecs, k)
+    ]
 
 
 def retrieve(store: Datastore, query, k: int = DEFAULT_K) -> RetrievalResult:

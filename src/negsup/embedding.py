@@ -18,6 +18,7 @@ similarity reduces to a dot product.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -72,24 +73,39 @@ def vector_from_json(values) -> np.ndarray:
         raise FormatError(f"vector value out of range: {exc}") from None
 
 
+def _unit(vec: np.ndarray) -> np.ndarray | None:
+    """`vec` divided by its norm sqrt(vec.dot(vec)); None for the zero vector.
+
+    When the square sum overflows to inf, or underflows to 0 while an entry
+    is nonzero, `vec` is first divided by its largest |entry|. Every other
+    vector is divided by its norm as it is.
+    """
+    with np.errstate(over="ignore"):
+        squares = float(vec.dot(vec))
+    if squares == math.inf or (squares == 0.0 and vec.any()):
+        vec = vec / np.abs(vec).max()
+        squares = float(vec.dot(vec))
+    if squares == 0.0:
+        return None
+    return vec / math.sqrt(squares)
+
+
 def l2_normalize(values) -> np.ndarray:
     """Return `values` scaled to unit Euclidean norm; zero vectors raise."""
-    vec = as_vector(values)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    unit = _unit(as_vector(values))
+    if unit is None:
         raise ZeroVector("cannot normalize a zero vector")
-    return vec / norm
+    return unit
 
 
 def normalize_total(values) -> np.ndarray:
     """Like l2_normalize, but maps the zero vector to the unit basis e1."""
     vec = as_vector(values)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        out = np.zeros(vec.shape[0])
-        out[0] = 1.0
-        return out
-    return vec / norm
+    unit = _unit(vec)
+    if unit is None:
+        unit = np.zeros(vec.shape[0])
+        unit[0] = 1.0
+    return unit
 
 
 # --- deterministic 64-bit token hashing -------------------------------------
@@ -150,6 +166,11 @@ class HashSource:
         return f"HashSource(dim={self.dim}, seed={self.seed})"
 
 
+def _square_sums(matrix: np.ndarray) -> np.ndarray:
+    """row.dot(row) of every row, as a stack of (1, d) @ (d, 1) products."""
+    return (matrix[:, None, :] @ matrix[:, :, None])[:, 0, 0]
+
+
 def normalize_rows(matrix: np.ndarray, keys) -> np.ndarray:
     """Divide each row of the float64 `matrix` by its norm, in place, and
     return it; keys[i] names row i in errors.
@@ -164,7 +185,17 @@ def normalize_rows(matrix: np.ndarray, keys) -> np.ndarray:
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise FormatError(f"non-finite value in vector for {keys[np.argmin(finite)]!r}")
-    norms = np.sqrt((matrix[:, None, :] @ matrix[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        squares = _square_sums(matrix)
+    # rows whose square sum overflows, or underflows while nonzero: as in
+    # l2_normalize, divided by their largest |entry| first
+    zero = squares == 0.0
+    odd = np.flatnonzero(zero | (squares == math.inf))
+    odd = odd[~zero[odd] | matrix[odd].any(axis=1)]
+    if odd.size:
+        matrix[odd] /= np.abs(matrix[odd]).max(axis=1)[:, None]
+        squares[odd] = _square_sums(matrix[odd])
+    norms = np.sqrt(squares)
     if not norms.all():
         raise ZeroVector(f"cannot normalize the zero vector for {keys[np.argmin(norms)]!r}")
     matrix /= norms[:, None]

@@ -2,9 +2,12 @@
 
 Extraction is vocabulary-driven whole-token matching: surface forms
 (canonical terms plus synonyms) match contiguous token runs, longest run
-first, and map to their canonical term. Filtering partitions candidate
-entities into positive/negative sets, either against ground-truth key
-entities (training) or by embedding similarity to the image (inference).
+first, and map to their canonical term. Zero-shot classification ranks
+the vocabulary for many images at once with kernels.exact_top
+(classify_many; classify_image_entities is its one-image case). Filtering
+partitions candidate entities into positive/negative sets, either against
+ground-truth key entities (training) or by embedding similarity to the
+image (inference).
 """
 
 from __future__ import annotations
@@ -170,6 +173,40 @@ def _check_width(vec: np.ndarray, img: np.ndarray) -> None:
         raise DimMismatch(f"entity dim {vec.shape[0]} != image dim {img.shape[0]}")
 
 
+def classify_many(
+    images,
+    vocab: EntityVocabulary,
+    source: EmbeddingSource,
+    top_m: int,
+    index: EntityIndex | None = None,
+) -> list[list[str]]:
+    """Vocabulary terms ranked by cosine to each image embedding, best first.
+
+    Each term scores via its templated description embedding, ranked by
+    kernels.exact_top over the index's float64 term matrix, which is also
+    the scan copy, in one call for all images; terms are sorted, so ties
+    break by ascending term. Returns the top min(top_m, |vocab|) terms
+    of each image, in order; no images, no result, whatever the vocabulary.
+    `index` reuses the description embeddings across calls.
+    """
+    if top_m < 1:
+        raise ValueError(f"top_m must be >= 1, got {top_m}")
+    images = list(images)
+    if not images:
+        return []
+    if not vocab.canonical:
+        raise EmptyInput("vocabulary is empty")
+    index = index_for(source, vocab, index)
+    imgs = [l2_normalize(image) for image in images]
+    rows = index.rows()
+    for img in imgs:
+        _check_width(rows[0], img)
+    return [
+        [index.terms[i] for _, i in top]
+        for top in kernels.exact_top(rows, rows, imgs, top_m)
+    ]
+
+
 def classify_image_entities(
     image_emb,
     vocab: EntityVocabulary,
@@ -177,23 +214,8 @@ def classify_image_entities(
     top_m: int,
     index: EntityIndex | None = None,
 ) -> list[str]:
-    """Vocabulary terms ranked by cosine to the image embedding, best first.
-
-    Each term scores via its templated description embedding, ranked by
-    kernels.exact_top over the index's float64 term matrix, which is also
-    the scan copy; terms are sorted, so ties break by ascending term.
-    Returns the top min(top_m, |vocab|) terms.
-    `index` reuses the description embeddings across calls.
-    """
-    if top_m < 1:
-        raise ValueError(f"top_m must be >= 1, got {top_m}")
-    if not vocab.canonical:
-        raise EmptyInput("vocabulary is empty")
-    index = index_for(source, vocab, index)
-    img = l2_normalize(image_emb)
-    rows = index.rows()
-    _check_width(rows[0], img)
-    return [index.terms[i] for _, i in kernels.exact_top(rows, rows, [img], top_m)[0]]
+    """The terms classify_many ranks for one image embedding."""
+    return classify_many([image_emb], vocab, source, top_m, index)[0]
 
 
 def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets:

@@ -3,12 +3,12 @@
 Kernels are deterministic for fixed inputs:
   dot_scores        -- dot products of a matrix's rows against one query
                        or a block of queries
-  exact_top         -- the top k rows of a matrix for each query of a
-                       block, found in a scan copy of the matrix (float32
-                       for retrieval), scored exactly in the matrix's
-                       float64 and ordered (score desc, row asc); the one
-                       ranking rule of both retrieval and entity
-                       classification
+  exact_top         -- the top k rows of a matrix for each of many queries,
+                       found in a scan copy of the matrix (float32 for
+                       retrieval) in cache-sized chunks against blocks of
+                       queries, scored exactly in the matrix's float64 and
+                       ordered (score desc, row asc); the one ranking rule
+                       of both retrieval and entity classification
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 """
@@ -26,38 +26,99 @@ def dot_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return queries @ matrix.T
 
 
+# Queries ranked per block, and store rows scored per chunk of a block: a
+# chunk's (QUERY_BLOCK, SCAN_ROWS) float32 scores take 1 MiB, so they stay in
+# a core's L2 cache. A chunk is reduced to per-query maxima over GROUP rows.
+QUERY_BLOCK = 256
+SCAN_ROWS = 1024
+GROUP = 64  # SCAN_ROWS must be a multiple of GROUP
+
+
+def _group_maxima(scan: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(B, ceil(N/GROUP)) maxima of the scan scores of every GROUP rows of
+    `scan` for each query of `block`, scored SCAN_ROWS rows at a time."""
+    n = scan.shape[0]
+    maxima = np.empty((block.shape[0], -(-n // GROUP)), dtype=scan.dtype)
+    for start in range(0, n, SCAN_ROWS):
+        rows = scan[start : start + SCAN_ROWS]
+        heads = np.arange(0, rows.shape[0], GROUP)
+        first = start // GROUP
+        np.maximum.reduceat(
+            dot_scores(rows, block), heads, axis=1,
+            out=maxima[:, first : first + heads.shape[0]],
+        )
+    return maxima
+
+
 def exact_top(
     matrix: np.ndarray, scan: np.ndarray, queries, k: int
 ) -> list[list[tuple[float, int]]]:
     """The min(k, N) best rows of the (N, d) unit-row `matrix` for each unit
-    query of a block, as (score, row) pairs in (score desc, row asc) order.
+    query, as (score, row) pairs in (score desc, row asc) order.
 
-    `scan` is `matrix` or a copy of it in a narrower float dtype. One
-    product of `scan` with the block scores every row approximately, and
-    one partition per query finds its k-th approximate score. The rows
-    within a rounding margin of it are re-scored with one float64 dot
-    product of `matrix` each, and that dot is the score returned: it does
-    not depend on the block or the scan, and rows with equal vectors tie
-    exactly.
+    `scan` is `matrix` or a copy of it in a narrower float dtype; every
+    approximate score below is a product with `scan`, and the score
+    returned is one float64 dot product of `matrix` per row, so it does not
+    depend on the block, the chunk or the scan, and rows with equal vectors
+    tie exactly. Queries are ranked QUERY_BLOCK at a time, in two passes:
+
+    1. `scan` is scored against the block SCAN_ROWS rows at a time, and each
+       chunk is kept only as its per-query maximum over every GROUP rows.
+    2. For each query, the rows of the groups whose maximum is within the
+       margin of the bound (below) are scored again from `scan`, SCAN_ROWS
+       rows at a time. Those within the margin of their k-th score are
+       re-scored in float64, sorted and cut to k.
 
     The margin: for unit vectors, a dot product in a precision with unit
     roundoff u = eps/2 is off by at most (d+2)*u (d*u from the sum, 2*u
-    from rounding the operands to that precision), so a scan score and the
-    re-score differ by at most e = 2*(d+2)*u of the scan's precision. The
-    k-th scan score is off by e too, so each row of the exact top k scans
-    within 2*e of it; the margin is twice that, 4*(d+2)*eps.
+    from rounding the operands to that precision), so any scan score of a
+    row and its float64 re-score differ by at most e = 2*(d+2)*u. The
+    margin is 4*(d+2)*eps, twice the 2*e the argument needs.
+
+    Why the result is exact: let b be a query's k-th largest group maximum.
+    Its k best groups hold k distinct rows that scan at >= b, so at least k
+    rows re-score at >= b - e, and so does every row of the exact top k.
+    Such a row scans at >= b - 2*e, so its group's maximum is within the
+    margin of b, and pass 2 sees it. The candidate groups hold at least k
+    rows; with c their k-th pass-2 score, the same argument puts every
+    row of the exact top k within 2*e of c. So the rows re-scored hold the
+    exact top k, and sorting them returns it. With k >= the number of
+    groups the bound is -inf: pass 1 is skipped and pass 2 scores all rows.
     """
     n, d = matrix.shape
     margin = 4 * (d + 2) * float(np.finfo(scan.dtype).eps)
-    block = np.array(queries, dtype=scan.dtype)
+    n_groups = -(-n // GROUP)
+    offsets = np.arange(GROUP)
     results = []
-    for row_scores, query in zip(dot_scores(scan, block), queries):
-        cutoff = float(np.partition(row_scores, n - k)[n - k]) - margin if k < n else -np.inf
-        scored = sorted(
-            (-float(np.dot(matrix[i], query)), i)
-            for i in np.flatnonzero(row_scores >= cutoff).tolist()
-        )
-        results.append([(-neg, i) for neg, i in scored[:k]])
+    for start in range(0, len(queries), QUERY_BLOCK):
+        batch = queries[start : start + QUERY_BLOCK]
+        block = np.array(batch, dtype=scan.dtype)
+        if k < n_groups:
+            maxima = _group_maxima(scan, block)
+            kth = n_groups - k
+            bounds = np.partition(maxima, kth, axis=1)[:, kth].astype(np.float64) - margin
+            near = maxima >= bounds[:, None]
+            del maxima  # before the next block's
+        for b, query in enumerate(batch):
+            if k < n_groups:
+                rows = (np.flatnonzero(near[b])[:, None] * GROUP + offsets).ravel()
+                if rows[-1] >= n:  # the last group is short
+                    rows = rows[rows < n]
+                # gathered SCAN_ROWS at a time: ties can make all groups candidates
+                scores = np.concatenate([
+                    dot_scores(scan[rows[i : i + SCAN_ROWS]], block[b])
+                    for i in range(0, rows.shape[0], SCAN_ROWS)
+                ])
+            else:
+                rows = np.arange(n)
+                scores = dot_scores(scan, block[b])
+            m = rows.shape[0]
+            cutoff = float(np.partition(scores, m - k)[m - k]) - margin if k < m else -np.inf
+            scored = sorted(
+                (-float(np.dot(matrix[i], query)), i)
+                for i in rows[scores >= cutoff].tolist()
+            )
+            results.append([(-neg, i) for neg, i in scored[:k]])
     return results
 
 

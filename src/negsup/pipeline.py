@@ -35,6 +35,7 @@ from .entities import (
     EntitySets,
     EntityVocabulary,
     classify_image_entities,
+    classify_many,
     extract_entities,
     filter_inference,
     filter_training,
@@ -308,6 +309,7 @@ def _finish_training(
 
 def _finish_inference(
     image: np.ndarray,
+    key: frozenset[str],
     retrieval: RetrievalResult,
     store: Datastore,
     vocab: EntityVocabulary,
@@ -316,10 +318,8 @@ def _finish_inference(
     weights: AttentionWeights,
     index: EntityIndex,
 ) -> GenerationContext:
-    """Post-retrieval stage of an inference instance (`image` normalized)."""
-    key = frozenset(
-        classify_image_entities(image, vocab, sources.entity, config.top_m, index)
-    )
+    """Post-retrieval stage of an inference instance (`image` normalized,
+    `key` its classified entities)."""
     candidates = _candidate_entities(retrieval, vocab)
     if config.enable_nef:
         entity_sets = filter_inference(
@@ -376,7 +376,12 @@ def run_inference_instance(
     index = index_for(sources.entity, vocab, index)
     image = l2_normalize(image_emb)
     retrieval = retrieve(store, image, config.retrieval_k)
-    return _finish_inference(image, retrieval, store, vocab, sources, config, weights, index)
+    key = frozenset(
+        classify_image_entities(image, vocab, sources.entity, config.top_m, index)
+    )
+    return _finish_inference(
+        image, key, retrieval, store, vocab, sources, config, weights, index
+    )
 
 
 # --- stand-in decoder ---------------------------------------------------------
@@ -485,7 +490,8 @@ def run_batch(
     """Process parsed JSON instances ({"id", "caption"?, "image_key"?,
     "synthetic_key"?}); training instances whose synthetic embedding fails
     the quality gate are skipped and reported. All queries are built first
-    and retrieved together (see retrieve_many); each vocabulary term is
+    and retrieved together (see retrieve_many), and all inference images are
+    classified together (see classify_many); each vocabulary term is
     embedded at most once per call (see EntityIndex)."""
     if weights is None:
         weights = default_weights(store, config)
@@ -519,15 +525,22 @@ def run_batch(
             pending.append((obj, image, image))
 
     retrievals = retrieve_many(store, [query for _, query, _ in pending], config.retrieval_k)
+    if config.mode == MODE_INFERENCE:
+        classified = classify_many(
+            [image for _, image, _ in pending], vocab, sources.entity, config.top_m, index
+        )
+    else:
+        classified = [[]] * len(pending)
     outputs: list[dict] = []
-    for (obj, _, features), retrieval in zip(pending, retrievals):
+    for (obj, _, features), retrieval, key in zip(pending, retrievals, classified):
         if config.mode == MODE_TRAINING:
             context = _finish_training(
                 obj["caption"], features, retrieval, store, vocab, config, weights, index
             )
         else:
             context = _finish_inference(
-                features, retrieval, store, vocab, sources, config, weights, index
+                features, frozenset(key), retrieval, store, vocab, sources, config,
+                weights, index,
             )
         out = {
             "id": obj["id"],

@@ -93,6 +93,24 @@ class TestIngestAndRetrieve:
         assert lines[0].startswith("c4\t")
 
 
+def test_retrieve_scores_an_overflowing_query_vector(tmp_path, capsys):
+    (tmp_path / "captions.tsv").write_text("a\tboth axes\nb\tfirst axis\n")
+    write_embedding_file(tmp_path / "e.nese", {"a": [1.0, 1.0, 0.0], "b": [1.0, 0.0, 0.0]})
+    assert _run(
+        ["ingest", "--captions", tmp_path / "captions.tsv",
+         "--embeddings", tmp_path / "e.nese", "--out", tmp_path / "store"]
+    ) == 0
+    (tmp_path / "q.json").write_text(json.dumps({"vector": [1e308, 1e308, 0]}))
+    capsys.readouterr()
+    assert _run(
+        ["retrieve", "--store", tmp_path / "store", "--query-vec", tmp_path / "q.json",
+         "-k", "2"]
+    ) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines() == ["a\t1.000000\tboth axes", "b\t0.707107\tfirst axis"]
+    assert out.err == ""
+
+
 def _store(corpus):
     _run(["ingest", "--captions", corpus / "captions.tsv",
           "--embeddings", corpus / "embeddings.nese", "--out", corpus / "store"])

@@ -445,3 +445,22 @@ class TestLoadFullWidth:
             tracemalloc.stop()
         assert len(store) == count
         assert peak <= 2.1 * count * dim * 8
+
+
+def test_peak_memory_of_retrieve_many():
+    # the scan keeps per-group maxima, never a (queries, rows) score block;
+    # a (32, 100k) float32 block alone would be 12.8 MB
+    rng = np.random.default_rng(28)
+    matrix = rng.normal(size=(100_000, 32))
+    store = build_datastore([(f"r{i:06d}", "c", row) for i, row in enumerate(matrix)])
+    del matrix
+    queries = [l2_normalize(q) for q in rng.normal(size=(256, 32))]
+    tracemalloc.start()
+    try:
+        results = retrieve_many(store, queries, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    for i in (0, 255):
+        assert _bits(results[i]) == _bits(retrieve(store, queries[i], 9))

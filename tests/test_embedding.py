@@ -1,4 +1,6 @@
+import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +178,49 @@ class TestNormalize:
     def test_scalar_rejected(self):
         with pytest.raises(DimMismatch):
             l2_normalize(np.float64(3.0))
+
+
+# (vector whose square sum overflows or underflows, a plain vector of the
+# same direction that scales to the same values)
+EXTREME = [
+    ([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+    ([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]),
+    ([3e-200, 4e-200], [3.0, 4.0]),
+    ([-5e-324, 0.0, 5e-324], [-1.0, 0.0, 1.0]),
+]
+
+
+class TestNormalizeExtremes:
+    @pytest.mark.parametrize("values,plain", EXTREME)
+    def test_scaled_first(self, values, plain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = l2_normalize(values)
+            assert np.array_equal(normalize_total(values), unit)
+        assert np.array_equal(unit, l2_normalize(plain))
+
+    def test_other_vectors_keep_their_bits(self):
+        rng = np.random.default_rng(32)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            for dim in (1, 3, 24, 128):
+                vec = rng.normal(size=dim) * scale
+                assert np.array_equal(l2_normalize(vec), vec / np.linalg.norm(vec))
+
+    def test_file_rows_scaled_first(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        rows = [values + [0.0] * (3 - len(values)) for values, _ in EXTREME]
+        rows.append([1.0, 2.0, 3.0])
+        path.write_text(
+            "".join(
+                json.dumps({"key": f"k{i}", "vector": row}) + "\n"
+                for i, row in enumerate(rows)
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            source = load_embedding_file(path, format=FORMAT_JSONL)
+        for i, row in enumerate(rows):
+            assert np.array_equal(source.embed(f"k{i}"), l2_normalize(row))
 
 
 def _random_entries(rng, count, dim):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negsup import kernels
 from negsup.embedding import FileSource, HashSource, embed_entity, l2_normalize, tokenize
 from negsup.entities import (
     EntityIndex,
     EntityVocabulary,
     classify_image_entities,
+    classify_many,
     extract_entities,
     filter_inference,
     filter_training,
@@ -249,6 +251,35 @@ class TestEntityIndex:
             classify_image_entities(np.ones(8), vocab, HashSource(dim=8, seed=0), 1, index)
         with pytest.raises(ValueError):
             filter_inference(set(), {"dog"}, np.ones(8), HashSource(dim=8, seed=0), 0.0, index)
+
+
+class TestClassifyMany:
+    def test_blocks_equal_per_image_calls_and_oracle(self, monkeypatch):
+        # 300 terms make 5 groups of 64 rows, so top_m below 5 bounds the
+        # k-th score from group maxima; each vector is shared by 3 terms
+        monkeypatch.setattr(kernels, "QUERY_BLOCK", 7)
+        rng = np.random.default_rng(16)
+        base = [rng.normal(size=24) for _ in range(100)]
+        terms = [f"w{i:03d}" for i in range(300)]
+        src = FileSource({f"A photo of {t}": base[i % 100] for i, t in enumerate(terms)})
+        vocab = EntityVocabulary(terms)
+        index = EntityIndex(src, vocab)
+        images = [rng.normal(size=24) for _ in range(20)] + [base[3], -base[7]]
+        oracles = [_ranking_oracle(image, terms, src) for image in images]
+        for top_m in (1, 3, 4, 5, 9, 300):
+            ranked = classify_many(images, vocab, src, top_m, index)
+            assert ranked == [
+                classify_image_entities(image, vocab, src, top_m, index) for image in images
+            ]
+            assert ranked == [oracle[:top_m] for oracle in oracles]
+
+    def test_no_images(self):
+        src = HashSource(dim=8, seed=0)
+        assert classify_many([], EntityVocabulary([]), src, 3) == []
+        with pytest.raises(ValueError):
+            classify_many([], EntityVocabulary(["dog"]), src, 0)
+        with pytest.raises(EmptyInput):
+            classify_many([np.ones(8)], EntityVocabulary([]), src, 3)
 
 
 class TestFilterTraining:

@@ -131,3 +131,56 @@ class TestFloat32Scan:
         assert got == _in_blocks(store.matrix, store.matrix, queries, k, size)
         for top, oracle in zip(got, ranked):
             assert top == [(hit.score, row[hit.id]) for hit in oracle.hits[:k]]
+
+
+def _tie_records(n, group, scan_rows, rng, dim=16):
+    """n raw records, row i of the store at index i (ids sort by index),
+    crowded with exact and near ties of three base vectors, plus planted
+    pairs that straddle the group and chunk boundaries: a bit-identical
+    pair at rows (group-1, group) and a pair one ulp apart at rows
+    (scan_rows-1, scan_rows), where the store has them."""
+    bases = [rng.normal(size=dim) for _ in range(3)]
+    vectors = []
+    for i in range(n):
+        base = bases[i % 3]
+        kind = rng.integers(4)
+        if kind == 0:
+            vectors.append(base.copy())
+        elif kind == 1:
+            # apart in float64 by far less than float32 rounding
+            vectors.append(base + 1e-9 * rng.normal(size=dim))
+        else:
+            vectors.append(rng.normal(size=dim))
+    if group < n:
+        vectors[group - 1] = bases[0].copy()
+        vectors[group] = bases[0].copy()
+    if scan_rows < n:
+        vectors[scan_rows - 1] = bases[1].copy()
+        vectors[scan_rows] = bases[1].copy()
+        vectors[scan_rows][0] = np.nextafter(bases[1][0], np.inf)
+    queries = bases + [bases[0] + 1e-3 * rng.normal(size=dim)]
+    queries += [rng.normal(size=dim) for _ in range(3)]
+    return [(f"r{i:05d}", "c", v) for i, v in enumerate(vectors)], queries
+
+
+@pytest.mark.parametrize("group,scan_rows", [(1, 1), (2, 6), (5, 35), (64, 64)])
+def test_chunked_scan_boundaries_and_ties(monkeypatch, group, scan_rows):
+    """exact_top over the float32 scan equals the float64 scan and the
+    brute-force oracle bit for bit, for stores a row short of, at, and a row
+    past a group, past two chunks, with k below, at and past the number of
+    groups and the number of rows, and queries in more than one block."""
+    monkeypatch.setattr(kernels, "GROUP", group)
+    monkeypatch.setattr(kernels, "SCAN_ROWS", scan_rows)
+    monkeypatch.setattr(kernels, "QUERY_BLOCK", 4)
+    rng = np.random.default_rng(group * 1000 + scan_rows)
+    for n in sorted({group - 1, group, group + 1, 2 * scan_rows + 1} - {0}):
+        records, raw = _tie_records(n, group, scan_rows, rng)
+        store = build_datastore(records)
+        queries = [l2_normalize(q) for q in raw]
+        oracle = [brute_force_topk(records, q, n) for q in raw]
+        n_groups = -(-n // group)
+        for k in sorted({1, 2, 3, 5, n_groups - 1, n_groups, n_groups + 1, n, n + 2} - {0}):
+            got = kernels.exact_top(store.matrix, store.scan, queries, k)
+            assert got == kernels.exact_top(store.matrix, store.matrix, queries, k)
+            for top, ranked in zip(got, oracle):
+                assert top == [(hit.score, int(hit.id[1:])) for hit in ranked.hits[:k]]

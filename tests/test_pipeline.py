@@ -466,6 +466,13 @@ class TestRunBatch:
         assert [o["id"] for o in result.outputs] == ["low"]
         assert result.skipped == []
 
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_no_instances_with_empty_vocabulary(self, store, source, mode):
+        result = run_batch(
+            [], store, EntityVocabulary([]), source_bundle(source), _config(mode=mode)
+        )
+        assert result.outputs == [] and result.skipped == []
+
     def test_training_requires_caption(self, store, vocab, source):
         with pytest.raises(FormatError):
             run_batch([{"id": "x"}], store, vocab, source_bundle(source), _config())

@@ -62,7 +62,6 @@ from .fusion import (
     fuse_sif,
     load_weights_file,
     map_to_prefix,
-    quality_gate,
     write_weights_file,
     xavier_weights,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,12 @@ from .validation import read_lines
 
 
 class EntityVocabulary:
-    """Canonical entity terms plus a surface-form -> canonical synonym map."""
+    """Canonical entity terms plus a surface-form -> canonical synonym map.
+
+    `runs` maps each surface form's token run to its canonical term; two
+    surface forms with one run (such as "t-shirt" and "t shirt") must map
+    to the same canonical, else FormatError names both.
+    """
 
     def __init__(self, canonical: Iterable[str], synonyms: Mapping[str, str] | None = None):
         self.canonical = frozenset(t.strip().lower() for t in canonical if t.strip())
@@ -41,13 +46,17 @@ class EntityVocabulary:
                 raise FormatError(f"surface form {surface!r} maps to two canonicals")
             table[surface] = target
         self.synonyms = table
-        # token-run lookup used by extract_entities; longest run first
-        self._runs: dict[tuple[str, ...], str] = {}
-        for surface, target in table.items():
+        # a surface with no word tokens (such as "-") names no run
+        first: dict[tuple[str, ...], str] = {}
+        for surface, target in sorted(table.items()):
             run = tuple(tokenize(surface))
-            if run:
-                self._runs[run] = target
-        self._max_run = max((len(r) for r in self._runs), default=0)
+            if run and table[first.setdefault(run, surface)] != target:
+                raise FormatError(
+                    f"surface forms {first[run]!r} and {surface!r} are the same "
+                    f"token run {' '.join(run)!r} but map to two canonicals"
+                )
+        self.runs = {run: table[surface] for run, surface in first.items()}
+        self.longest_run = max(map(len, self.runs), default=0)
 
     def __len__(self) -> int:
         return len(self.canonical)
@@ -93,30 +102,33 @@ class EntitySets:
         }
 
 
-def extract_entities(caption: str, vocab: EntityVocabulary) -> set[str]:
-    """Canonical terms whose surface forms occur in `caption` as whole tokens.
-
-    Multi-word surface forms match contiguous token runs; the scan is
-    greedy longest-match-first, so "hot dog" never fires for "dog".
-    """
-    if not vocab.canonical:
-        raise EmptyInput("vocabulary is empty")
-    tokens = tokenize(caption)
-    found: set[str] = set()
+def match_runs(
+    tokens: Sequence[str], runs: Mapping[tuple[str, ...], str], longest: int
+) -> Iterator[tuple[int, int, str]]:
+    """(start, stop, canonical) of each run of `runs` (none longer than
+    `longest` tokens) in `tokens`, scanned left to right with the longest
+    run first at each position, so "hot dog" hides the "dog" inside it."""
     i = 0
     n = len(tokens)
     while i < n:
-        matched = False
-        for run_len in range(min(vocab._max_run, n - i), 0, -1):
-            target = vocab._runs.get(tuple(tokens[i : i + run_len]))
+        for stop in range(min(i + longest, n), i, -1):
+            target = runs.get(tuple(tokens[i:stop]))
             if target is not None:
-                found.add(target)
-                i += run_len
-                matched = True
+                yield i, stop, target
+                i = stop
                 break
-        if not matched:
+        else:
             i += 1
-    return found
+
+
+def extract_entities(caption: str, vocab: EntityVocabulary) -> set[str]:
+    """Canonical terms whose surface forms occur in `caption` as whole
+    token runs (see match_runs)."""
+    if not vocab.canonical:
+        raise EmptyInput("vocabulary is empty")
+    return {
+        target for _, _, target in match_runs(tokenize(caption), vocab.runs, vocab.longest_run)
+    }
 
 
 class EntityIndex:

@@ -1,5 +1,6 @@
-"""Feature fusion: similarity scoring, quality gating, embedding mixing,
-cross-attention over retrieved captions, and the prefix mapping network.
+"""Feature fusion: similarity scoring (the quality gate's score), embedding
+mixing, cross-attention over retrieved captions, and the prefix mapping
+network.
 
 Prefix features are plain (L, d) float64 arrays. Projection matrices act
 on column vectors (token_out = M @ token_in), stored row-major.
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -78,13 +78,6 @@ def clip_score(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("clip_score is undefined for zero vectors")
     return float(np.dot(va, vb)) / (na * nb)
-
-
-def quality_gate(pairs: Sequence[tuple], tau_quality: float) -> list[int]:
-    """Indices of pairs whose similarity passes the gate (score >= threshold)."""
-    return [
-        i for i, (synth, text) in enumerate(pairs) if clip_score(synth, text) >= tau_quality
-    ]
 
 
 def fuse_sif(synthetic_emb, text_emb, config: FusionConfig) -> np.ndarray:

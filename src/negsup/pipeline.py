@@ -1,11 +1,15 @@
 """End-to-end orchestration of the two phase flows.
 
-Training phase: embed the caption, optionally gate/fuse its synthetic-image
-embedding, retrieve captions, partition entities against the caption's own
-entities, fuse retrieved features, map to prefix tokens, and suppress
-negative-entity-aligned tokens. Inference phase: the image embedding drives
-retrieval directly, key entities come from zero-shot classification, and
-the partition uses embedding similarity.
+Both phases run one flow (_contexts): retrieve with each instance's
+query, take the key entities, split the retrieved captions' entities into
+positives and negatives, fuse the features with the retrieved captions,
+map them to prefix tokens, and suppress the negative-aligned tokens.
+Training queries with the caption's (gated, optionally fused)
+synthetic-image embedding, takes the caption's own entities as the key and
+splits against them. Inference queries with the image embedding, takes
+the key from zero-shot classification and splits by embedding similarity.
+run_batch runs the flow for many instances at once; run_training_instance
+and run_inference_instance are its one-instance case, without the gate.
 
 A small extractive stand-in decoder closes the loop so hallucination
 metrics are computable without a neural decoder.
@@ -18,11 +22,11 @@ import json
 import os
 import secrets
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve, retrieve_many
+from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve_many
 from .embedding import (
     EmbeddingSource,
     embed_text,
@@ -34,12 +38,12 @@ from .entities import (
     EntityIndex,
     EntitySets,
     EntityVocabulary,
-    classify_image_entities,
     classify_many,
     extract_entities,
     filter_inference,
     filter_training,
     index_for,
+    match_runs,
 )
 from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError, IoError
 from .fusion import (
@@ -284,53 +288,51 @@ def _training_query(
     return query, fused
 
 
-def _finish_training(
-    caption: str,
-    fused: np.ndarray,
-    retrieval: RetrievalResult,
-    store: Datastore,
-    vocab: EntityVocabulary,
-    config: PipelineConfig,
-    weights: AttentionWeights,
-    index: EntityIndex,
-) -> GenerationContext:
-    """Post-retrieval stage of a training instance."""
-    key = frozenset(extract_entities(caption, vocab))
-    candidates = _candidate_entities(retrieval, vocab)
-    if config.enable_nef:
-        entity_sets = filter_training(key, candidates)
-    else:
-        entity_sets = _nef_bypass(key, candidates)
-
-    return _finish_instance(
-        as_prefix(fused), retrieval, entity_sets, store, config, weights, index
-    )
-
-
-def _finish_inference(
-    image: np.ndarray,
-    key: frozenset[str],
-    retrieval: RetrievalResult,
+def _contexts(
+    mode: str,
+    items: Sequence[tuple[str | None, np.ndarray, np.ndarray]],
     store: Datastore,
     vocab: EntityVocabulary,
     sources: SourceBundle,
     config: PipelineConfig,
-    weights: AttentionWeights,
-    index: EntityIndex,
-) -> GenerationContext:
-    """Post-retrieval stage of an inference instance (`image` normalized,
-    `key` its classified entities)."""
-    candidates = _candidate_entities(retrieval, vocab)
-    if config.enable_nef:
-        entity_sets = filter_inference(
-            key, candidates, image, sources.entity, config.tau_sim, index
+    weights: AttentionWeights | None,
+    index: EntityIndex | None,
+) -> Iterator[GenerationContext]:
+    """The flow of both phases for (caption | None, retrieval query,
+    features) items: one context per item, in order, each made when the
+    caller asks for it.
+
+    All queries are retrieved together (see retrieve_many). The key
+    entities are the caption's own in training and, in inference, the
+    features' zero-shot classes, ranked for all items together (see
+    classify_many). The entity split is filter_training, filter_inference
+    against tau_sim, or with NEF off no split at all; the features then
+    attend to the retrieved captions and the negatives are suppressed.
+    """
+    if weights is None:
+        weights = default_weights(store, config)
+    index = index_for(sources.entity, vocab, index)
+    retrievals = retrieve_many(store, [query for _, query, _ in items], config.retrieval_k)
+    if mode == MODE_INFERENCE:
+        key_terms = classify_many(
+            [features for _, _, features in items], vocab, sources.entity, config.top_m, index
         )
     else:
-        entity_sets = _nef_bypass(key, candidates)
-
-    return _finish_instance(
-        as_prefix(image), retrieval, entity_sets, store, config, weights, index
-    )
+        key_terms = [extract_entities(caption, vocab) for caption, _, _ in items]
+    for (_, _, features), retrieval, key in zip(items, retrievals, key_terms):
+        key = frozenset(key)
+        candidates = _candidate_entities(retrieval, vocab)
+        if not config.enable_nef:
+            entity_sets = _nef_bypass(key, candidates)
+        elif mode == MODE_TRAINING:
+            entity_sets = filter_training(key, candidates)
+        else:
+            entity_sets = filter_inference(
+                key, candidates, features, sources.entity, config.tau_sim, index
+            )
+        yield _finish_instance(
+            as_prefix(features), retrieval, entity_sets, store, config, weights, index
+        )
 
 
 def run_training_instance(
@@ -343,19 +345,16 @@ def run_training_instance(
     weights: AttentionWeights | None = None,
     index: EntityIndex | None = None,
 ) -> GenerationContext:
-    """Training-phase flow for one caption with its synthetic-image embedding.
-
-    The caller is responsible for quality-gating the synthetic embedding
-    (gated instances are skipped upstream, see run_batch). `index` is the
-    run's EntityIndex of (sources.entity, vocab); a throwaway one is built
-    when it is not given.
-    """
-    if weights is None:
-        weights = default_weights(store, config)
-    index = index_for(sources.entity, vocab, index)
+    """Training-phase flow for one caption with its synthetic-image
+    embedding: run_batch's flow for one instance, without its quality gate
+    (the caller gates the synthetic embedding). `index` is the run's
+    EntityIndex of (sources.entity, vocab); a throwaway one is built when
+    it is not given."""
     query, fused = _training_query(embed_text(sources.text, caption), synthetic_emb, config)
-    retrieval = retrieve(store, query, config.retrieval_k)
-    return _finish_training(caption, fused, retrieval, store, vocab, config, weights, index)
+    (context,) = _contexts(
+        MODE_TRAINING, [(caption, query, fused)], store, vocab, sources, config, weights, index
+    )
+    return context
 
 
 def run_inference_instance(
@@ -367,53 +366,44 @@ def run_inference_instance(
     weights: AttentionWeights | None = None,
     index: EntityIndex | None = None,
 ) -> GenerationContext:
-    """Inference-phase flow: the image embedding is the retrieval query, key
-    entities come from zero-shot classification, and the entity partition
-    uses embedding similarity against tau_sim. `index` is as in
+    """Inference-phase flow for one image embedding: run_batch's flow for
+    one instance. The normalized image is the retrieval query, key entities
+    come from zero-shot classification, and the entity partition uses
+    embedding similarity against tau_sim. `index` is as in
     run_training_instance."""
-    if weights is None:
-        weights = default_weights(store, config)
-    index = index_for(sources.entity, vocab, index)
     image = l2_normalize(image_emb)
-    retrieval = retrieve(store, image, config.retrieval_k)
-    key = frozenset(
-        classify_image_entities(image, vocab, sources.entity, config.top_m, index)
+    (context,) = _contexts(
+        MODE_INFERENCE, [(None, image, image)], store, vocab, sources, config, weights, index
     )
-    return _finish_inference(
-        image, key, retrieval, store, vocab, sources, config, weights, index
-    )
+    return context
 
 
 # --- stand-in decoder ---------------------------------------------------------
 
 
-def _negative_runs(negative: frozenset[str], vocab: EntityVocabulary | None) -> set[tuple[str, ...]]:
-    surfaces = set(negative)
+def _negative_runs(
+    negative: frozenset[str], vocab: EntityVocabulary | None
+) -> dict[tuple[str, ...], str]:
+    """The token runs that name a negative term: the negatives' own runs
+    and, given a vocabulary, its runs (synonyms too) of negative terms."""
+    runs = {run: term for term in negative if (run := tuple(tokenize(term)))}
     if vocab is not None:
-        surfaces |= {
-            surface for surface, target in vocab.synonyms.items() if target in negative
-        }
-    # a surface with no word tokens (such as "-") names no run
-    return {run for surface in surfaces if (run := tuple(tokenize(surface)))}
+        runs.update((run, term) for run, term in vocab.runs.items() if term in negative)
+    return runs
 
 
-def _delete_negative_tokens(caption: str, runs: set[tuple[str, ...]]) -> tuple[str, bool]:
-    """`caption`'s tokens with the negative runs deleted (left to right,
-    longest run first) joined by spaces, and whether any run occurred."""
+def _delete_negative_tokens(
+    caption: str, runs: dict[tuple[str, ...], str]
+) -> tuple[str, bool]:
+    """`caption`'s tokens with the negative runs deleted (see match_runs)
+    joined by spaces, and whether any run occurred."""
     tokens = tokenize(caption)
-    lengths = sorted({len(run) for run in runs}, reverse=True)
     kept: list[str] = []
     i = 0
-    while i < len(tokens):
-        matched = False
-        for span in lengths:
-            if tuple(tokens[i : i + span]) in runs:
-                i += span
-                matched = True
-                break
-        if not matched:
-            kept.append(tokens[i])
-            i += 1
+    for start, stop, _ in match_runs(tokens, runs, max(map(len, runs), default=0)):
+        kept += tokens[i:start]
+        i = stop
+    kept += tokens[i:]
     return " ".join(kept), len(kept) < len(tokens)
 
 
@@ -488,17 +478,15 @@ def run_batch(
     keys: EmbeddingSource | None = None,
 ) -> BatchResult:
     """Process parsed JSON instances ({"id", "caption"?, "image_key"?,
-    "synthetic_key"?}); training instances whose synthetic embedding fails
-    the quality gate are skipped and reported. All queries are built first
-    and retrieved together (see retrieve_many), and all inference images are
-    classified together (see classify_many); each vocabulary term is
+    "synthetic_key"?}). Training instances whose synthetic embedding scores
+    below the quality gate are skipped and reported; the gate applies only
+    here. The rest go through the flow of run_training_instance or
+    run_inference_instance all at once, so each vocabulary term is
     embedded at most once per call (see EntityIndex)."""
-    if weights is None:
-        weights = default_weights(store, config)
-    index = EntityIndex(sources.entity, vocab)
     skipped: list[dict] = []
-    # (instance, retrieval query, features the post-retrieval stage needs)
-    pending: list[tuple[dict, np.ndarray, np.ndarray]] = []
+    kept: list[dict] = []
+    # (caption | None, retrieval query, features) of each kept instance
+    items: list[tuple[str | None, np.ndarray, np.ndarray]] = []
     for obj in instances:
         if not isinstance(obj, dict) or "id" not in obj:
             raise FormatError('instance object needs an "id"')
@@ -516,32 +504,19 @@ def run_batch(
                     skipped.append({"id": obj["id"], "clip_score": score})
                     continue
             query, fused = _training_query(text_emb, synthetic, config)
-            pending.append((obj, query, fused))
+            items.append((caption, query, fused))
         else:
             image = _instance_embedding(obj, "image_key", keys, sources)
             if image is None:
                 raise FormatError(f'inference instance {obj["id"]!r} needs an "image_key"')
             image = l2_normalize(image)
-            pending.append((obj, image, image))
+            items.append((None, image, image))
+        kept.append(obj)
 
-    retrievals = retrieve_many(store, [query for _, query, _ in pending], config.retrieval_k)
-    if config.mode == MODE_INFERENCE:
-        classified = classify_many(
-            [image for _, image, _ in pending], vocab, sources.entity, config.top_m, index
-        )
-    else:
-        classified = [[]] * len(pending)
+    contexts = _contexts(config.mode, items, store, vocab, sources, config, weights, None)
     outputs: list[dict] = []
-    for (obj, _, features), retrieval, key in zip(pending, retrievals, classified):
-        if config.mode == MODE_TRAINING:
-            context = _finish_training(
-                obj["caption"], features, retrieval, store, vocab, config, weights, index
-            )
-        else:
-            context = _finish_inference(
-                features, frozenset(key), retrieval, store, vocab, sources, config,
-                weights, index,
-            )
+    # one context at a time: each is dropped once its output dict is made
+    for obj, context in zip(kept, contexts):
         out = {
             "id": obj["id"],
             "generated": standin_decode(context, store, vocab),

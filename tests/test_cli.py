@@ -117,6 +117,39 @@ def _store(corpus):
     return corpus / "store"
 
 
+def _child_run(
+    tmp_path, captions, vocab, synonyms, inputs, mode="training", hash_seed=None,
+    extra_args=(),
+) -> bytes:
+    """`negsup run` in a child process on a store of `captions` (id → text,
+    embedded with a HashSource), the `vocab` and `synonyms` file texts and
+    the `inputs` instance objects; the bytes of its out.jsonl."""
+    tmp_path.mkdir(exist_ok=True)
+    src = HashSource(dim=16, seed=3)
+    (tmp_path / "captions.tsv").write_text(
+        "".join(f"{k}\t{v}\n" for k, v in captions.items())
+    )
+    write_embedding_file(
+        tmp_path / "embeddings.nese",
+        {k: embed_text(src, v) for k, v in captions.items()},
+    )
+    (tmp_path / "vocab.txt").write_text(vocab)
+    (tmp_path / "synonyms.tsv").write_text(synonyms)
+    (tmp_path / "input.jsonl").write_text("".join(json.dumps(o) + "\n" for o in inputs))
+    store = _store(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(negsup.__file__)))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    subprocess.run(
+        [sys.executable, "-m", "negsup.cli", "run", "--mode", mode,
+         "--store", store, "--input", tmp_path / "input.jsonl",
+         "--out", tmp_path / "out.jsonl", "--vocab", tmp_path / "vocab.txt",
+         "--synonyms", tmp_path / "synonyms.tsv", *extra_args],
+        env=env, timeout=60, check=True, capture_output=True,
+    )
+    return (tmp_path / "out.jsonl").read_bytes()
+
+
 class TestRun:
     def test_training_run_and_eval(self, corpus, capsys):
         store = _store(corpus)
@@ -594,34 +627,15 @@ class TestSymbolSynonym:
     """A synonym with no word tokens (such as "-") names nothing to delete."""
 
     def _child_run(self, tmp_path, synonyms: str) -> bytes:
-        src = HashSource(dim=16, seed=3)
         captions = {
             "c1": "a dog runs on the grass",
             "c2": "a dog sits by a tree",
             "c3": "a brown dog on a bench",
         }
-        (tmp_path / "captions.tsv").write_text(
-            "".join(f"{k}\t{v}\n" for k, v in captions.items())
+        return _child_run(
+            tmp_path, captions, "dog\ncat\ngrass\ntree\nbench\n", synonyms,
+            [{"id": "t1", "caption": "a cat on the grass"}], extra_args=["--tau-neg", "0.5"],
         )
-        write_embedding_file(
-            tmp_path / "embeddings.nese",
-            {k: embed_text(src, v) for k, v in captions.items()},
-        )
-        (tmp_path / "vocab.txt").write_text("dog\ncat\ngrass\ntree\nbench\n")
-        (tmp_path / "synonyms.tsv").write_text(synonyms)
-        (tmp_path / "input.jsonl").write_text(
-            json.dumps({"id": "t1", "caption": "a cat on the grass"}) + "\n"
-        )
-        store = _store(tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(negsup.__file__)))
-        subprocess.run(
-            [sys.executable, "-m", "negsup.cli", "run", "--mode", "training",
-             "--store", store, "--input", tmp_path / "input.jsonl",
-             "--out", tmp_path / "out.jsonl", "--vocab", tmp_path / "vocab.txt",
-             "--synonyms", tmp_path / "synonyms.tsv", "--tau-neg", "0.5"],
-            env=env, timeout=60, check=True, capture_output=True,
-        )
-        return (tmp_path / "out.jsonl").read_bytes()
 
     def test_dash_synonym_changes_nothing(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -669,3 +683,54 @@ class TestLineSeparators:
              "--embeddings", corpus / "embeddings.nese", "--out", corpus / "s"]
         ) == 2
         assert "carriage returns" in capsys.readouterr().err
+
+
+class TestVocabularyTokenRuns:
+    def test_one_run_for_two_canonicals_exits_2(self, corpus, capsys):
+        store = _store(corpus)
+        (corpus / "shirts.txt").write_text("dog\nt-shirt\nt shirt\n")
+        capsys.readouterr()
+        assert _run(
+            ["run", "--mode", "training", "--store", store,
+             "--input", corpus / "input.jsonl", "--out", corpus / "o.jsonl",
+             "--vocab", corpus / "shirts.txt", "--tau-neg", "0.5"]
+        ) == 2
+        assert "'t shirt' and 't-shirt'" in capsys.readouterr().err
+        assert not (corpus / "o.jsonl").exists()
+
+
+class TestHashSeedIndependence:
+    """`negsup run` writes the same bytes under any string hash seed, with
+    multi-word terms and synonyms whose runs overlap."""
+
+    CAPTIONS = {
+        "c1": "a puppy eats a hot dog by the fire hydrant",
+        "c2": "a dog sleeps next to a teddy bear",
+        "c3": "a hot dog stand near a red hydrant",
+        "c4": "a child holds a teddy and a hot dog",
+        "c5": "a doggy runs past the fire hydrant on the street",
+        "c6": "a teddy bear sits on a bench in the park",
+    }
+    INPUTS = [
+        "a dog and a teddy bear in the park",
+        "a hot dog on a bench",
+        "a puppy near a fire hydrant",
+    ]
+
+    def _child_run(self, tmp_path, mode: str, hash_seed: str) -> bytes:
+        field = "caption" if mode == "training" else "image_key"
+        return _child_run(
+            tmp_path, self.CAPTIONS,
+            "dog\nhot dog\nfire hydrant\nteddy bear\nbear\nbench\npark\nstreet\n",
+            "dog\tpuppy,doggy\nfire hydrant\thydrant\nteddy bear\tteddy\nhot dog\thotdog\n",
+            [{"id": f"i{n}", field: text} for n, text in enumerate(self.INPUTS)],
+            mode, hash_seed, ["--top-m", "3", "--tau-neg", "0.1"],
+        )
+
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_same_bytes_under_two_hash_seeds(self, tmp_path, mode):
+        first = self._child_run(tmp_path / "h0", mode, "0")
+        assert first == self._child_run(tmp_path / "h1", mode, "1")
+        outputs = [json.loads(line) for line in first.splitlines()]
+        assert len(outputs) == len(self.INPUTS)
+        assert any(out["context"]["entities"]["negative"] for out in outputs)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from negsup.embedding import l2_normalize
+from negsup.datastore import build_datastore
+from negsup.embedding import FileSource, HashSource, l2_normalize
+from negsup.entities import EntityVocabulary
 from negsup.errors import (
     DimMismatch,
     EmptyRetrieval,
@@ -18,10 +20,10 @@ from negsup.fusion import (
     fuse_sif,
     load_weights_file,
     map_to_prefix,
-    quality_gate,
     write_weights_file,
     xavier_weights,
 )
+from negsup.pipeline import PipelineConfig, SourceBundle, run_batch
 
 
 class TestClipScore:
@@ -64,35 +66,87 @@ def _pair_with_cosine(target: float, dim: int = 6):
     return u, w
 
 
+GATE_DIM = 6
+GATE_CAPTION = "a dog on the grass"
+
+
+def _unit(i: int) -> np.ndarray:
+    e = np.zeros(GATE_DIM)
+    e[i] = 1.0
+    return e
+
+
+def _gated_ids(
+    synthetics, tau_quality: float, text=None
+) -> tuple[list[int], list[int]]:
+    """(kept, skipped) instance numbers of run_batch's quality gate, one
+    training instance per synthetic vector, all with the caption whose
+    text vector is `text` (default e0, the u of _pair_with_cosine); a None
+    vector leaves the instance without a key."""
+    if text is None:
+        text = _unit(0)
+    store = build_datastore(
+        [("s0", GATE_CAPTION, _unit(0)), ("s1", "a dog in a park", _unit(2))]
+    )
+    sources = SourceBundle(
+        FileSource({GATE_CAPTION: text}), entity=HashSource(dim=GATE_DIM, seed=0)
+    )
+    instances = [{"id": i, "caption": GATE_CAPTION} for i in range(len(synthetics))]
+    vectors = {}
+    for obj, vec in zip(instances, synthetics):
+        if vec is not None:
+            obj["synthetic_key"] = f"synthetic {obj['id']}"
+            vectors[obj["synthetic_key"]] = vec
+    config = PipelineConfig(
+        mode="training",
+        retrieval_k=2,
+        enable_as=False,
+        fusion=FusionConfig(tau_quality=tau_quality),
+    )
+    keys = FileSource(vectors, dim=GATE_DIM)
+    result = run_batch(
+        instances, store, EntityVocabulary(["dog"]), sources, config, None, keys
+    )
+    return [o["id"] for o in result.outputs], [s["id"] for s in result.skipped]
+
+
 class TestQualityGate:
     def test_zero_threshold_keeps_nonnegative_scores(self):
-        pairs = [_pair_with_cosine(c) for c in (0.1, 0.5, 0.9)]
-        assert quality_gate(pairs, 0.0) == [0, 1, 2]
+        synthetics = [_pair_with_cosine(c)[1] for c in (0.0, 0.1, 0.5, 0.9)]
+        assert _gated_ids(synthetics, 0.0) == ([0, 1, 2, 3], [])
 
     def test_one_keeps_only_exact_duplicates(self):
-        v = l2_normalize(np.array([1.0, 2.0]))
-        pairs = [(v, v), _pair_with_cosine(0.999, dim=2)]
-        assert quality_gate(pairs, 1.0) == [0]
+        # a non-axis text vector, whose cosine with itself rounds above 1
+        text = l2_normalize(np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
+        near = 0.999 * text + math.sqrt(1.0 - 0.999**2) * _unit(2)
+        # no synthetic key: the text vector stands in for it
+        assert _gated_ids([text, None, near], 1.0, text) == ([0, 1], [2])
 
     def test_crafted_059_pair_dropped_at_default_gate(self):
-        # default threshold 0.6; a 0.59-cosine pair must be discarded
-        pairs = [_pair_with_cosine(0.59)]
-        assert quality_gate(pairs, 0.6) == []
-        assert quality_gate(pairs, 0.59) == [0]
+        # default threshold 0.6; a 0.59-cosine synthetic vector is skipped,
+        # and a score equal to the threshold passes
+        vec = FileSource({"v": _pair_with_cosine(0.59)[1]}).embed("v")
+        score = clip_score(vec, _unit(0))
+        assert score == pytest.approx(0.59, abs=1e-12)
+        assert FusionConfig().tau_quality == 0.6
+        assert _gated_ids([vec], 0.6) == ([], [0])
+        assert _gated_ids([vec], score) == ([0], [])
+        assert _gated_ids([vec], math.nextafter(score, 1.0)) == ([], [0])
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
-        pairs = [(rng.normal(size=5), rng.normal(size=5)) for _ in range(30)]
+        synthetics = [rng.normal(size=GATE_DIM) for _ in range(30)]
         kept = None
         for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
-            now = set(quality_gate(pairs, tau))
+            now, skipped = _gated_ids(synthetics, tau)
+            assert sorted(now + skipped) == list(range(30))
             if kept is not None:
-                assert now <= kept
-            kept = now
+                assert set(now) <= kept
+            kept = set(now)
 
     def test_order_preserved(self):
-        pairs = [_pair_with_cosine(c) for c in (0.9, 0.1, 0.8)]
-        assert quality_gate(pairs, 0.5) == [0, 2]
+        synthetics = [_pair_with_cosine(c)[1] for c in (0.9, 0.1, 0.8)]
+        assert _gated_ids(synthetics, 0.5) == ([0, 2], [1])
 
 
 class TestFuseSif:

@@ -298,15 +298,15 @@ class TestInferenceFlow:
     def test_mode_asymmetry(self, store, vocab, source, monkeypatch):
         calls = {"classify": 0, "fuse_sif": 0}
 
-        def fake_classify(*args, **kwargs):
+        def fake_classify(images, *args, **kwargs):
             calls["classify"] += 1
-            return ["dog"]
+            return [["dog"] for _ in images]
 
         def fake_fuse_sif(*args, **kwargs):
             calls["fuse_sif"] += 1
             return embed_text(source, "a dog")
 
-        monkeypatch.setattr(pipeline_mod, "classify_image_entities", fake_classify)
+        monkeypatch.setattr(pipeline_mod, "classify_many", fake_classify)
         monkeypatch.setattr(pipeline_mod, "fuse_sif", fake_fuse_sif)
 
         caption = CAPTIONS["c01"]
@@ -418,6 +418,19 @@ class TestStandinDecode:
         # without the vocabulary the synonym leaks through
         assert standin_decode(ctx, store) == bad
 
+    def test_negative_outside_vocab_deleted_with_vocab(self, source):
+        vocab = EntityVocabulary(["dog"], {"puppy": "dog"})
+        caption = "a puppy chases a red kite"
+        store = build_datastore([("a", caption, embed_text(source, caption))])
+        ctx = _context_for_decode(
+            store,
+            [Hit("a", caption, 0.9)],
+            negative={"dog", "kite"},
+            prefix_vec=embed_text(source, caption),
+        )
+        assert standin_decode(ctx, store, vocab) == "a chases a red"
+        assert standin_decode(ctx, store) == "a puppy chases a red"
+
     def test_empty_retrieval_rejected(self, source):
         store = build_datastore([("a", "x", np.ones(DIM))])
         ctx = _context_for_decode(store, [], set(), np.ones(DIM))
@@ -514,18 +527,23 @@ class TestRunBatch:
         assert set(ctx) == {"prefix", "prompt", "entities", "retrieval", "suppression"}
 
 
-def _per_instance_outputs(instances, store, vocab, sources, config):
+def _per_instance_outputs(instances, store, vocab, sources, config, keys=None):
     """The batch outputs rebuilt one instance at a time, each run with its own
-    throwaway entity index."""
+    throwaway entity index; a synthetic or image key is looked up in `keys`
+    when given, else hashed as run_batch does."""
+    keys = keys if keys is not None else sources.text
     outputs = []
     for obj in instances:
         if config.mode == "training":
             caption = obj["caption"]
-            ctx = run_training_instance(
-                caption, embed_text(sources.text, caption), store, vocab, sources, config
-            )
+            synthetic_key = obj.get("synthetic_key")
+            if synthetic_key is None:
+                synthetic = embed_text(sources.text, caption)
+            else:
+                synthetic = embed_text(keys, synthetic_key)
+            ctx = run_training_instance(caption, synthetic, store, vocab, sources, config)
         else:
-            image = embed_text(sources.text, obj["image_key"])
+            image = embed_text(keys, obj["image_key"])
             ctx = run_inference_instance(image, store, vocab, sources, config)
         outputs.append(
             {
@@ -540,19 +558,56 @@ def _per_instance_outputs(instances, store, vocab, sources, config):
     return outputs
 
 
+def _key_file_instances(source):
+    """Training instances whose synthetic vectors come from a key file: each
+    caption's hashed vector pulled towards another caption's, so the
+    synthetic, fused and text queries differ but every instance passes the
+    default gate."""
+    captions = list(CAPTIONS.values())
+    instances, vectors = [], {}
+    for n, (rid, cap) in enumerate(CAPTIONS.items()):
+        other = embed_text(source, captions[(n + 3) % len(captions)])
+        vectors[f"syn-{rid}"] = embed_text(source, cap) + 0.4 * other
+        instances.append({"id": rid, "caption": cap, "synthetic_key": f"syn-{rid}"})
+    return instances, FileSource(vectors)
+
+
+# (mode, config overrides, synthetic vectors from a key file) of the
+# batch-vs-per-instance cases; the first two are the default pipeline
+STAGE_CASES = {
+    "training": ("training", {}, False),
+    "inference": ("inference", {}, False),
+    "training-nef-off": ("training", {"enable_nef": False}, False),
+    "inference-nef-off": ("inference", {"enable_nef": False}, False),
+    "training-sif-off": ("training", {"enable_sif": False}, False),
+    "training-sir-off": ("training", {"enable_sir": False}, False),
+    "training-key-file": ("training", {}, True),
+    "training-query-synthetic": ("training", {"training_query": "synthetic"}, True),
+    "training-query-fused": ("training", {"training_query": "fused"}, True),
+    "training-query-text": ("training", {"training_query": "text"}, True),
+}
+
+
 class TestBatchEntityIndex:
-    @pytest.mark.parametrize("mode", ["training", "inference"])
-    def test_batch_equals_per_instance_path(self, store, vocab, source, mode):
-        if mode == "training":
+    @pytest.mark.parametrize("case", list(STAGE_CASES))
+    def test_batch_equals_per_instance_path(self, store, vocab, source, case):
+        mode, overrides, key_file = STAGE_CASES[case]
+        keys = None
+        if key_file:
+            instances, keys = _key_file_instances(source)
+        elif mode == "training":
             instances = [{"id": rid, "caption": cap} for rid, cap in CAPTIONS.items()]
         else:
             instances = [{"id": rid, "image_key": cap} for rid, cap in CAPTIONS.items()]
-        config = _config(mode=mode, tau_sim=0.1, top_m=3)
+        config = _config(mode=mode, tau_sim=0.1, top_m=3, **overrides)
         bundle = source_bundle(source)
-        batch = run_batch(instances, store, vocab, bundle, config)
-        expected = _per_instance_outputs(instances, store, vocab, bundle, config)
+        batch = run_batch(instances, store, vocab, bundle, config, None, keys)
+        assert batch.skipped == []
+        expected = _per_instance_outputs(instances, store, vocab, bundle, config, keys)
         assert json.dumps(batch.outputs, sort_keys=True) == json.dumps(expected, sort_keys=True)
-        assert any(o["context"]["entities"]["negative"] for o in batch.outputs)
+        assert any(o["context"]["entities"]["negative"] for o in batch.outputs) == (
+            overrides.get("enable_nef", True)
+        )
 
     def test_batch_embeds_each_term_once(self, store, vocab, source, monkeypatch):
         import negsup.entities as entities_mod

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .datastore import (
@@ -117,7 +118,20 @@ def _build_config(args, file_data: dict) -> PipelineConfig:
     return PipelineConfig.from_json_dict(data)
 
 
+def _same_file(a, b) -> bool:
+    """Whether two paths name one file: the same path once links and
+    spelling are resolved, or, where both exist, the same inode."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def cmd_run(args) -> int:
+    if args.report is not None and _same_file(args.out, args.report):
+        raise FormatError(f"--report {args.report!r} names the --out file {args.out!r}")
     file_data: dict = {}
     if args.config is not None:
         file_data = read_json(args.config, "config file")

@@ -1,26 +1,31 @@
 """Immutable caption datastore with exact top-k cosine retrieval.
 
 Records are held row-sorted by id so that score ties resolve to ascending
-id regardless of insertion order, as one float64 matrix of unit rows plus a
-float32 copy of it for scanning. Retrieval is exact and batched:
-retrieve_many ranks all its queries with kernels.exact_top, which scans the
-float32 copy in cache-sized chunks against blocks of queries, keeps only
-per-group maxima to bound each query's k-th score, and re-scores the rows
-near that bound in float64; so a hit's score depends only on its row and
-the query, never on the batch. retrieve is the one-query case.
-brute_force_topk is the independent oracle (per-record dots, full stable
-sort).
+id regardless of insertion order. Ids and captions are each one UTF-8 blob
+(Texts), and a record is found by bisecting the sorted ids. Retrieval
+scans a float32 matrix of unit rows (`scan`) and scores in float64 unit
+rows, which a store holds only when it was built from float64 unit rows
+(build_datastore). A loaded store (ingest_datastore, load_datastore) holds
+its embedding file's rows as stored, float32 for a binary file, and
+derives float64 unit rows only where they are read: the candidates
+retrieval re-scores, the hits it hands out, vector_of and records().
 
-ingest_datastore (and load_datastore) gathers an embedding file's records in
-id order straight into the one float64 matrix; the file's bytes are dropped
-before the matrix is normalized and the float32 copy is made.
+Retrieval is exact and batched: retrieve_many ranks all its queries with
+kernels.exact_top, which scans `scan` in cache-sized chunks against blocks
+of queries, keeps only per-group maxima to bound each query's k-th score,
+and re-scores the rows near that bound in float64; so a hit's score
+depends only on its row and the query, never on the batch. retrieve is the
+one-query case. brute_force_topk is the independent oracle (per-record
+dots, full stable sort).
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,13 +59,20 @@ class Hit:
     id: str
     caption: str
     score: float
+    # the hit's store row; None for a hit ranked outside a store
+    row: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """Ordered retrieval hits: scores non-increasing, ties by ascending id."""
+    """Ordered retrieval hits: scores non-increasing, ties by ascending id.
+
+    `vectors` holds the hits' float64 unit rows when retrieve_many made the
+    result, and is not serialized.
+    """
 
     hits: tuple[Hit, ...]
+    vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def ids(self) -> list[str]:
         return [h.id for h in self.hits]
@@ -83,21 +95,92 @@ class RetrievalResult:
         }
 
 
-class Datastore:
-    """Immutable (id, caption, normalized embedding) collection.
+class Texts(Sequence):
+    """Strings held as one UTF-8 blob: item i is blob[starts[i]:stops[i]],
+    decoded. Equal to a tuple, or other Texts, of the same strings."""
 
-    `matrix` holds the float64 unit rows that scores come from; `scan` is
-    its read-only float32 copy, which retrieval scans for candidates.
+    def __init__(self, blob: bytes, starts: np.ndarray, stops: np.ndarray):
+        self.blob = blob
+        self.starts = starts
+        self.stops = stops
+
+    @classmethod
+    def of(cls, strings) -> "Texts":
+        # surrogatepass: any str round-trips, also one a UTF-8 file cannot hold
+        encoded = [text.encode("utf-8", "surrogatepass") for text in strings]
+        bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)), out=bounds[1:])
+        return cls(b"".join(encoded), bounds[:-1], bounds[1:])
+
+    def __len__(self) -> int:
+        return self.starts.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Texts(self.blob, self.starts[i], self.stops[i])
+        return self.blob[self.starts[i] : self.stops[i]].decode("utf-8", "surrogatepass")
+
+    def __iter__(self):
+        blob = self.blob
+        for start, stop in zip(self.starts.tolist(), self.stops.tolist()):
+            yield blob[start:stop].decode("utf-8", "surrogatepass")
+
+    def __eq__(self, other):
+        if not isinstance(other, (Texts, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
+# rows derived at a time when a store derives all of them
+DERIVE_ROWS = 1024
+
+
+def _derive(raw: np.ndarray, keys) -> np.ndarray:
+    """Float64 unit rows of an embedding file's `raw` rows: normalized once
+    as load_embedding_file normalizes a file's rows, then once as
+    build_datastore normalizes a store's (the second pass moves about a
+    quarter of the rows by an ulp). Each row depends on its own values
+    only; keys[i] names row i in errors."""
+    rows = raw.astype(np.float64)
+    for _ in range(2):
+        normalize_rows(rows, keys)
+    return rows
+
+
+class Datastore:
+    """Immutable (id, caption, normalized embedding) collection, with ids
+    distinct and ascending.
+
+    `ids` and `captions` are Texts. `matrix` holds the rows as given: by
+    default float64 unit rows, which unit_rows reads as they are; with
+    `raw`, an embedding file's rows as stored (float32 for a binary file),
+    from which unit_rows derives float64 unit rows (see _derive), so no
+    float64 copy of the store is ever held. `scan` is the read-only float32
+    of the unit rows, which retrieval scans for candidates; for a raw
+    matrix it is derived DERIVE_ROWS rows at a time.
     """
 
-    def __init__(self, ids, captions, matrix):
-        self.ids = tuple(ids)
-        self.captions = tuple(captions)
+    def __init__(self, ids, captions, matrix, *, raw: bool = False):
+        if not isinstance(ids, Texts):
+            ids = list(ids)
+            if any(map(operator.ge, ids, ids[1:])):
+                raise ValueError("datastore ids must be distinct and ascending")
+            ids = Texts.of(ids)
+        self.ids = ids
+        self.captions = captions if isinstance(captions, Texts) else Texts.of(captions)
         self.matrix = matrix
         self.matrix.flags.writeable = False
-        self.scan = matrix.astype(np.float32)
+        self._raw = raw
+        if raw:
+            self.scan = np.empty(matrix.shape, dtype=np.float32)
+            for start in range(0, len(matrix), DERIVE_ROWS):
+                stop = start + DERIVE_ROWS
+                self.scan[start:stop] = _derive(matrix[start:stop], ids[start:stop])
+        else:
+            self.scan = matrix.astype(np.float32)
         self.scan.flags.writeable = False
-        self._row_of = {rid: i for i, rid in enumerate(self.ids)}
 
     @property
     def dim(self) -> int:
@@ -106,18 +189,36 @@ class Datastore:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def unit_rows(self, index) -> np.ndarray:
+        """The float64 unit rows at `index`, an array of row numbers."""
+        if self._raw:
+            return _derive(self.matrix[index], index)
+        return self.matrix[index]
+
+    def _row(self, rid: str) -> int:
+        i = bisect.bisect_left(self.ids, rid)
+        if i == len(self.ids) or self.ids[i] != rid:
+            raise KeyError(rid)
+        return i
+
     def __contains__(self, rid: str) -> bool:
-        return rid in self._row_of
+        try:
+            self._row(rid)
+        except KeyError:
+            return False
+        return True
 
     def caption_of(self, rid: str) -> str:
-        return self.captions[self._row_of[rid]]
+        return self.captions[self._row(rid)]
 
     def vector_of(self, rid: str) -> np.ndarray:
-        return self.matrix[self._row_of[rid]]
+        return self.unit_rows(np.array([self._row(rid)]))[0]
 
     def records(self) -> Iterable[tuple[str, str, np.ndarray]]:
-        for i, rid in enumerate(self.ids):
-            yield rid, self.captions[i], self.matrix[i]
+        for start in range(0, len(self), DERIVE_ROWS):
+            rows = self.unit_rows(np.arange(start, min(start + DERIVE_ROWS, len(self))))
+            chunk = slice(start, start + DERIVE_ROWS)
+            yield from zip(self.ids[chunk], self.captions[chunk], rows)
 
 
 def build_datastore(records: Sequence[tuple[str, str, np.ndarray]]) -> Datastore:
@@ -137,7 +238,9 @@ def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[Retriev
 
     Every query is normalized and dimension-checked before the scan, which
     kernels.exact_top runs over blocks of queries; each result equals
-    retrieve(store, query, k) bit for bit, whatever the batch.
+    retrieve(store, query, k) bit for bit, whatever the batch. The hits'
+    unit rows are fetched from the store in one call for all queries and
+    handed out as each result's `vectors`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -147,12 +250,15 @@ def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[Retriev
         if vec.shape[0] != store.dim:
             raise DimMismatch(f"query dim {vec.shape[0]} != store dim {store.dim}")
         vecs.append(vec)
-    return [
-        RetrievalResult(
-            tuple(Hit(store.ids[i], store.captions[i], score) for score, i in top)
-        )
-        for top in kernels.exact_top(store.matrix, store.scan, vecs, k)
-    ]
+    tops = kernels.exact_top(store.unit_rows, store.scan, vecs, k)
+    vectors = store.unit_rows(np.array([i for top in tops for _, i in top], dtype=np.intp))
+    results = []
+    at = 0
+    for top in tops:
+        hits = tuple(Hit(store.ids[i], store.captions[i], score, i) for score, i in top)
+        results.append(RetrievalResult(hits, vectors[at : at + len(hits)]))
+        at += len(hits)
+    return results
 
 
 def retrieve(store: Datastore, query, k: int = DEFAULT_K) -> RetrievalResult:
@@ -193,7 +299,7 @@ def save_datastore(store: Datastore, directory) -> None:
             )
     write_embedding_file(
         os.path.join(directory, EMBEDDINGS_FILENAME),
-        zip(store.ids, store.matrix),
+        zip(store.ids, store.scan),  # the float32 of the unit rows
         format=FORMAT_BINARY,
         dim=store.dim,
     )
@@ -219,38 +325,86 @@ def read_caption_file(path) -> dict[str, str]:
     return captions
 
 
-def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
-    """Build a datastore from a caption file and a parallel embedding file.
+def _caption_spans(data: bytes, ids: Texts):
+    """Where the captions of `ids` lie in an id<TAB>caption file's bytes,
+    as (starts, stops), when the file is one "id<TAB>caption\n" line per
+    id, in the order of `ids`, with no "\r" and valid UTF-8; else None."""
+    if not data.endswith(b"\n") or b"\r" in data:
+        return None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    tabs = np.flatnonzero(buf == ord("\t"))
+    if ends.shape[0] != len(ids) or tabs.shape[0] != len(ids):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = tabs - starts
+    # with one tab per line in all, the i-th tab ends the i-th line's id
+    if not (np.array_equal(lengths, ids.stops - ids.starts) and (tabs < ends).all()):
+        return None
+    at = np.repeat(starts - ids.starts, lengths) + np.arange(len(ids.blob))
+    if not np.array_equal(buf[at], np.frombuffer(ids.blob, dtype=np.uint8)):
+        return None
+    return tabs + 1, ends
 
-    The file's records are gathered in id order straight into the store's
-    one float64 matrix, and the file's bytes are dropped before anything
-    else is allocated. The matrix is then normalized twice in place: once
-    as load_embedding_file normalizes a file's rows, once as build_datastore
-    normalizes a store's (the second pass moves about a quarter of the rows
-    by an ulp). The store therefore equals
-    build_datastore(load_embedding_file(...).items()) bit for bit.
+
+def _read_captions(path, keys: list[str], ids: Texts) -> Texts:
+    """The captions of the ascending `keys`, which `ids` holds, from an
+    id<TAB>caption file.
+
+    A file as save_datastore writes it, which _caption_spans recognizes, is
+    split where it lies, its bytes kept as the captions' blob. That is done
+    only when every id holds a non-space character, so that no line of the
+    file is one that read_lines skips as blank. Any other file goes through
+    read_caption_file and must name the same ids.
     """
-    captions = read_caption_file(captions_path)
-    table = read_vector_file(embeddings_path, format=format)
-    keys = table.keys
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    spans = _caption_spans(data, ids) if all(map(str.strip, keys)) else None
+    if spans is not None:
+        return Texts(data, *spans)
+    del data
+    captions = read_caption_file(path)
     missing = sorted(set(captions) - set(keys))
     extra = sorted(set(keys) - set(captions))
     if missing:
         raise FormatError(f"ids with captions but no embedding: {missing[:5]}")
     if extra:
         raise FormatError(f"ids with embeddings but no caption: {extra[:5]}")
+    return Texts.of([captions[rid] for rid in keys])
+
+
+def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
+    """Build a datastore from a caption file and a parallel embedding file.
+
+    The embedding file is read first, and only its rows are kept, as
+    stored, in id order (sorted only when the file's ids are not); its
+    bytes are gone before the captions are read and the store derives its
+    scan rows. The store's unit rows (see _derive) equal those of
+    build_datastore(load_embedding_file(...).items()) bit for bit.
+    """
+    table = read_vector_file(embeddings_path, format=format)
+    keys, rows = table.keys, table.rows
+    del table
+    if keys != sorted(keys):  # save_datastore writes them in order
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[i] for i in order]
+        rows = rows[order]
+    ids = Texts.of(keys)
+    captions = _read_captions(captions_path, keys, ids)
     if not keys:
         raise EmptyInput("cannot build a datastore from zero records")
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ids = [keys[i] for i in order]
-    matrix = table.gather(order)
-    del table, keys  # the file's bytes
+    del keys  # one string per record, gone before the scan rows are derived
     try:
-        for _ in range(2):  # the file's pass, then the store's
-            normalize_rows(matrix, ids)
+        return Datastore(ids, captions, rows, raw=True)
     except ZeroVector as exc:
         raise FormatError(str(exc)) from exc
-    return Datastore(ids, [captions[rid] for rid in ids], matrix)
 
 
 def load_datastore(directory) -> Datastore:

@@ -6,10 +6,10 @@ self-contained) and FileSource (precomputed vectors loaded from disk in
 either a binary or a JSON-lines format).
 
 read_vector_file reads an embedding file in either format into a
-VectorTable: the keys and where each one's vector lies, with no record
-copied. Its gather builds one float64 matrix of chosen records, which
-normalize_rows turns into unit rows in place; FileSource and
-datastore.ingest_datastore both load files this way.
+VectorTable: the keys and one matrix of their vectors as the file holds
+them (float32 for a binary file). FileSource turns a copy of it into
+float64 unit rows with normalize_rows; datastore.ingest_datastore keeps a
+binary file's float32 rows and derives unit rows only where they are read.
 
 All downstream cosine computations assume normalized vectors, so cosine
 similarity reduces to a dot product.
@@ -224,32 +224,13 @@ def unit_rows(keys, vectors, dim: int | None = None) -> np.ndarray:
     return matrix
 
 
-GATHER_ROWS = 1024
-
-
 class VectorTable(NamedTuple):
-    """Keyed vectors as an embedding file holds them: the vector of keys[i]
-    is rows[where[i]].
-
-    For a binary file, `rows` is a read-only view of the file's bytes with
-    one float32 row starting at every byte, so reading the file copies no
-    record; for a JSON-lines file it is the file's stacked float64 vectors.
-    """
+    """Keyed vectors as an embedding file holds them: rows[i] is the vector
+    of keys[i], in file order; float32 for a binary file, float64 for a
+    JSON-lines file."""
 
     keys: list[str]
     rows: np.ndarray
-    where: np.ndarray
-
-    def gather(self, order=None) -> np.ndarray:
-        """A new float64 matrix of the vectors of keys[order] (by default all
-        keys, in file order), copied GATHER_ROWS rows at a time, so that no
-        temporary as large as the table is made."""
-        where = self.where if order is None else self.where[order]
-        matrix = np.empty((len(where), self.rows.shape[1]))
-        for start in range(0, len(where), GATHER_ROWS):
-            stop = start + GATHER_ROWS
-            matrix[start:stop] = self.rows[where[start:stop]]
-        return matrix
 
 
 class FileSource:
@@ -266,7 +247,7 @@ class FileSource:
         self, vectors: Mapping[str, np.ndarray] | VectorTable, dim: int | None = None
     ):
         if isinstance(vectors, VectorTable):
-            self.matrix = normalize_rows(vectors.gather(), vectors.keys)
+            self.matrix = normalize_rows(vectors.rows.astype(np.float64), vectors.keys)
             self.matrix.flags.writeable = False
             keys = vectors.keys
         else:
@@ -397,6 +378,11 @@ def _read_binary(path) -> VectorTable:
     if dim == 0 and count:
         raise FormatError("binary embedding file has dimension 0")
     size = 4 * dim
+    if 16 + count * (2 + size) > len(data):
+        raise FormatError(
+            f"header claims {count} records of dimension {dim}, more than the"
+            f" file's {len(data)} bytes hold"
+        )
     vector_at: dict[str, int] = {}  # key -> byte offset of its vector
     offset = 16
     for _ in range(count):
@@ -418,12 +404,12 @@ def _read_binary(path) -> VectorTable:
         vector_at[key] = end
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after records")
-    # row j holds the dim float32 values that start at byte j
-    rows = np.ndarray(
+    # row j of `at_byte` holds the dim float32 values that start at byte j
+    at_byte = np.ndarray(
         (max(len(data) - size + 1, 0), dim), dtype="<f4", buffer=data, strides=(1, 4)
     )
-    where = np.fromiter(vector_at.values(), dtype=np.int64, count=len(vector_at))
-    return VectorTable(list(vector_at), rows, where)
+    where = np.fromiter(vector_at.values(), dtype=np.int64, count=count)
+    return VectorTable(list(vector_at), at_byte[where])
 
 
 def _write_binary(path, pairs, dim: int) -> None:
@@ -465,7 +451,7 @@ def _read_jsonl(path) -> VectorTable:
             raise FormatError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = vec
     rows = np.array(list(entries.values())) if entries else np.empty((0, 0))
-    return VectorTable(list(entries), rows, np.arange(len(entries)))
+    return VectorTable(list(entries), rows)
 
 
 def _write_jsonl(path, pairs) -> None:

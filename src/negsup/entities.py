@@ -195,8 +195,8 @@ def classify_many(
     """Vocabulary terms ranked by cosine to each image embedding, best first.
 
     Each term scores via its templated description embedding, ranked by
-    kernels.exact_top over the index's float64 term matrix, which is also
-    the scan copy, in one call for all images; terms are sorted, so ties
+    kernels.exact_top over the index's float64 term matrix, which is both
+    the unit rows and the scan copy, in one call for all images; terms are sorted, so ties
     break by ascending term. Returns the top min(top_m, |vocab|) terms
     of each image, in order; no images, no result, whatever the vocabulary.
     `index` reuses the description embeddings across calls.
@@ -215,7 +215,7 @@ def classify_many(
         _check_width(rows[0], img)
     return [
         [index.terms[i] for _, i in top]
-        for top in kernels.exact_top(rows, rows, imgs, top_m)
+        for top in kernels.exact_top(rows.__getitem__, rows, imgs, top_m)
     ]
 
 

@@ -109,7 +109,8 @@ class AttentionWeights:
     """Projection matrices for retrieval fusion and the prefix mapping network.
 
     q_proj/k_proj/v_proj are (d, d); map_proj is (out_tokens*d, in_tokens*d)
-    and is applied to the flattened token sequence.
+    and is applied to the flattened token sequence. one_token_map is a
+    contiguous copy of its first d columns, the map of a single token.
     """
 
     def __init__(self, q_proj, k_proj, v_proj, map_proj):
@@ -130,6 +131,8 @@ class AttentionWeights:
         self.dim = d
         self.out_tokens = rows // d
         self.in_tokens = cols // d
+        self.one_token_map = np.ascontiguousarray(self.map_proj[:, :d])
+        self.one_token_map.flags.writeable = False
 
     @staticmethod
     def _matrix(values, name) -> np.ndarray:
@@ -217,8 +220,19 @@ def fuse_retrieval(
 
 def map_to_prefix(attn_out, weights: AttentionWeights) -> np.ndarray:
     """Apply the mapping network to the flattened features, producing the
-    (out_tokens, d) prefix."""
+    (out_tokens, d) prefix.
+
+    One token is read as the first of in_tokens, the others zero, and
+    multiplied by one_token_map alone. That equals the product of the
+    zero-padded tokens bit for bit where the BLAS sums each row's first d
+    products alike whatever the row's length. OpenBLAS 0.3.31 does so at
+    the default 4 tokens for every d that is a multiple of 4 (a test checks
+    the dimensions in use), but not for an odd d, where the prefix can
+    differ from the padded product in its last bits.
+    """
     tokens = as_prefix(attn_out)
+    if tokens.shape[0] == 1:
+        return (weights.one_token_map @ tokens[0]).reshape(weights.out_tokens, weights.dim)
     flat = tokens.reshape(-1)
     if flat.shape[0] != weights.map_proj.shape[1]:
         raise DimMismatch(

@@ -6,9 +6,11 @@ Kernels are deterministic for fixed inputs:
   exact_top         -- the top k rows of a matrix for each of many queries,
                        found in a scan copy of the matrix (float32 for
                        retrieval) in cache-sized chunks against blocks of
-                       queries, scored exactly in the matrix's float64 and
-                       ordered (score desc, row asc); the one ranking rule
-                       of both retrieval and entity classification
+                       queries, scored exactly against float64 unit rows
+                       that a caller-given function supplies for the
+                       candidates only, and ordered (score desc, row asc);
+                       the one ranking rule of both retrieval and entity
+                       classification
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 """
@@ -51,23 +53,29 @@ def _group_maxima(scan: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def exact_top(
-    matrix: np.ndarray, scan: np.ndarray, queries, k: int
+    unit_rows, scan: np.ndarray, queries, k: int
 ) -> list[list[tuple[float, int]]]:
-    """The min(k, N) best rows of the (N, d) unit-row `matrix` for each unit
+    """The min(k, N) best rows of an (N, d) unit-row matrix for each unit
     query, as (score, row) pairs in (score desc, row asc) order.
 
-    `scan` is `matrix` or a copy of it in a narrower float dtype; every
-    approximate score below is a product with `scan`, and the score
-    returned is one float64 dot product of `matrix` per row, so it does not
-    depend on the block, the chunk or the scan, and rows with equal vectors
-    tie exactly. Queries are ranked QUERY_BLOCK at a time, in two passes:
+    `unit_rows(index)` returns the matrix's float64 rows at an array of row
+    numbers, equal whatever else the array holds; it is called only for the
+    candidates below, so the matrix itself need not exist (the datastore
+    derives its rows from a file's float32 rows). `scan` is the matrix or a
+    copy of it in a narrower float dtype; every approximate score below is a
+    product with `scan`, and the score returned is one float64 dot product
+    of a unit row per row, so it does not depend on the block, the chunk or
+    the scan, and rows with equal vectors tie exactly. Queries are ranked
+    QUERY_BLOCK at a time, in two passes:
 
     1. `scan` is scored against the block SCAN_ROWS rows at a time, and each
        chunk is kept only as its per-query maximum over every GROUP rows.
     2. For each query, the rows of the groups whose maximum is within the
        margin of the bound (below) are scored again from `scan`, SCAN_ROWS
-       rows at a time. Those within the margin of their k-th score are
-       re-scored in float64, sorted and cut to k.
+       rows at a time. Those within the margin of their k-th score are the
+       query's candidates. The block's candidates are fetched from
+       `unit_rows` SCAN_ROWS rows at a time and re-scored in float64; each
+       query's are sorted and cut to k.
 
     The margin: for unit vectors, a dot product in a precision with unit
     roundoff u = eps/2 is off by at most (d+2)*u (d*u from the sum, 2*u
@@ -85,7 +93,7 @@ def exact_top(
     exact top k, and sorting them returns it. With k >= the number of
     groups the bound is -inf: pass 1 is skipped and pass 2 scores all rows.
     """
-    n, d = matrix.shape
+    n, d = scan.shape
     margin = 4 * (d + 2) * float(np.finfo(scan.dtype).eps)
     n_groups = -(-n // GROUP)
     offsets = np.arange(GROUP)
@@ -99,7 +107,8 @@ def exact_top(
             bounds = np.partition(maxima, kth, axis=1)[:, kth].astype(np.float64) - margin
             near = maxima >= bounds[:, None]
             del maxima  # before the next block's
-        for b, query in enumerate(batch):
+        picked = []  # each query's candidate rows
+        for b in range(len(batch)):
             if k < n_groups:
                 rows = (np.flatnonzero(near[b])[:, None] * GROUP + offsets).ravel()
                 if rows[-1] >= n:  # the last group is short
@@ -114,10 +123,19 @@ def exact_top(
                 scores = dot_scores(scan, block[b])
             m = rows.shape[0]
             cutoff = float(np.partition(scores, m - k)[m - k]) - margin if k < m else -np.inf
-            scored = sorted(
-                (-float(np.dot(matrix[i], query)), i)
-                for i in rows[scores >= cutoff].tolist()
-            )
+            picked.append(rows[scores >= cutoff])
+        rows = np.concatenate(picked)
+        owner = np.repeat(np.arange(len(batch)), [p.shape[0] for p in picked]).tolist()
+        exact = []
+        for i in range(0, rows.shape[0], SCAN_ROWS):
+            exact += [
+                -float(np.dot(row, batch[q]))
+                for row, q in zip(unit_rows(rows[i : i + SCAN_ROWS]), owner[i : i + SCAN_ROWS])
+            ]
+        at = 0
+        for p in picked:
+            scored = sorted(zip(exact[at : at + p.shape[0]], p.tolist()))
+            at += p.shape[0]
             results.append([(-neg, i) for neg, i in scored[:k]])
     return results
 

@@ -215,7 +215,9 @@ def _nef_bypass(key: frozenset[str], candidates: frozenset[str]) -> EntitySets:
 
 
 def _grow_prefix(tokens: np.ndarray, target_len: int) -> np.ndarray:
-    """Zero-pad the token sequence up to the mapping network's input length."""
+    """Zero-pad the token sequence up to the mapping network's input length:
+    the padded input whose product map_to_prefix's one-token product equals
+    (the tests compose the stages with it)."""
     if tokens.shape[0] > target_len:
         raise DimMismatch(
             f"{tokens.shape[0]} tokens exceed the mapping input length {target_len}"
@@ -231,14 +233,12 @@ def _finish_instance(
     features: np.ndarray,
     retrieval: RetrievalResult,
     entity_sets: EntitySets,
-    store: Datastore,
     config: PipelineConfig,
     weights: AttentionWeights,
     index: EntityIndex,
 ) -> GenerationContext:
-    retrieved_embs = np.stack([store.vector_of(hit.id) for hit in retrieval.hits])
-    attn_out = fuse_retrieval(features, retrieved_embs, weights)
-    prefix = map_to_prefix(_grow_prefix(attn_out, weights.in_tokens), weights)
+    attn_out = fuse_retrieval(features, retrieval.vectors, weights)
+    prefix = map_to_prefix(attn_out, weights)
 
     negative_terms = sorted(entity_sets.negative)
     if negative_terms:
@@ -331,7 +331,7 @@ def _contexts(
                 key, candidates, features, sources.entity, config.tau_sim, index
             )
         yield _finish_instance(
-            as_prefix(features), retrieval, entity_sets, store, config, weights, index
+            as_prefix(features), retrieval, entity_sets, config, weights, index
         )
 
 
@@ -425,11 +425,14 @@ def standin_decode(
     probe = normalize_total(context.suppressed_prefix.mean(axis=0))
     runs = _negative_runs(context.entity_sets.negative, vocab)
 
-    scored = []
-    for hit in context.retrieval.hits:
-        score = float(np.dot(probe, store.vector_of(hit.id)))
-        scored.append((-score, hit.id, hit.caption))
-    scored.sort()
+    hits = context.retrieval.hits
+    vectors = context.retrieval.vectors
+    if vectors is None:  # a result that retrieve_many did not make
+        vectors = [store.vector_of(hit.id) for hit in hits]
+    scored = sorted(
+        (-float(np.dot(probe, vector)), hit.id, hit.caption)
+        for hit, vector in zip(hits, vectors)
+    )
 
     for _, _, caption in scored:
         if not _delete_negative_tokens(caption, runs)[1]:

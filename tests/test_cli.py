@@ -234,6 +234,27 @@ class TestRun:
         assert len(reports) == 2
         assert set(reports[0]) == {"id", "scores", "selected", "lambda"}
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_report_on_the_out_file_exits_2(self, corpus, capsys, spelling):
+        store = _store(corpus)
+        out = corpus / "out.jsonl"
+        out.write_text("kept\n")
+        report = {
+            "same": out,
+            "dotted": corpus / "sub" / ".." / "out.jsonl",
+            "symlink": corpus / "link.jsonl",
+        }[spelling]
+        (corpus / "sub").mkdir()
+        (corpus / "link.jsonl").symlink_to(out)
+        capsys.readouterr()
+        assert _run(
+            ["run", "--mode", "training", "--store", store,
+             "--input", corpus / "input.jsonl", "--out", out, "--report", report,
+             "--vocab", corpus / "vocab.txt"]
+        ) == 2
+        assert "names the --out file" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
     def test_config_file_with_flag_override(self, corpus):
         store = _store(corpus)
         config = {

@@ -302,7 +302,9 @@ class TestPersistence:
         loaded = load_datastore(tmp_path / "store")
         assert loaded.ids == store.ids
         assert loaded.captions == store.captions
-        np.testing.assert_allclose(loaded.matrix, store.matrix, atol=1e-7, rtol=0)
+        np.testing.assert_allclose(
+            loaded.unit_rows(np.arange(len(loaded))), store.matrix, atol=1e-7, rtol=0
+        )
 
     def test_retrieval_survives_round_trip(self, tmp_path):
         src = HashSource(dim=16, seed=9)
@@ -345,8 +347,11 @@ class TestPersistence:
         store = load_datastore(directory)
         order = sorted(range(len(ids)), key=ids.__getitem__)
         assert store.ids == tuple(ids[i] for i in order)
-        assert store.matrix.dtype == np.float64
-        assert np.array_equal(store.matrix, np.stack([twice[i] for i in order]))
+        assert store.matrix.dtype == np.float32
+        assert np.array_equal(store.matrix, rows[order])
+        unit = np.stack([twice[i] for i in order])
+        assert np.array_equal(store.unit_rows(np.arange(len(ids))), unit)
+        assert np.array_equal(np.stack([row for _, _, row in store.records()]), unit)
 
     def test_ingest_jsonl_embeddings(self, tmp_path):
         write_embedding_file(
@@ -424,8 +429,10 @@ class TestLoadFullWidth:
         )
         assert store.ids == oracle.ids
         assert store.captions == oracle.captions
-        assert store.matrix.dtype == np.float64
-        assert store.matrix.tobytes() == oracle.matrix.tobytes()
+        assert store.matrix.dtype == (np.float32 if format == "binary" else np.float64)
+        unit = store.unit_rows(np.arange(len(store)))
+        assert unit.dtype == np.float64
+        assert unit.tobytes() == oracle.matrix.tobytes()
         assert store.scan.dtype == np.float32
         assert store.scan.tobytes() == oracle.matrix.astype(np.float32).tobytes()
         assert not store.matrix.flags.writeable and not store.scan.flags.writeable
@@ -445,6 +452,98 @@ class TestLoadFullWidth:
             tracemalloc.stop()
         assert len(store) == count
         assert peak <= 2.1 * count * dim * 8
+
+
+class TestCompactStore:
+    """A loaded binary store keeps the file's float32 rows and derives its
+    float64 unit rows where they are read, equal to the per-row oracle."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        rng = np.random.default_rng(29)
+        rows = rng.normal(size=(3000, 32)).astype(np.float32)
+        ids = [f"r{i:04d}" for i in range(len(rows))]
+        captions, embeddings = _write_store(tmp_path_factory.mktemp("c") / "s", ids, rows)
+        oracle = [l2_normalize(l2_normalize(row.astype(np.float64))) for row in rows]
+        return load_datastore(captions.parent), rows, oracle, captions, embeddings
+
+    def test_derived_rows_equal_twice_normalized(self, loaded):
+        store, rows, oracle, _, _ = loaded
+        once = [l2_normalize(row.astype(np.float64)) for row in rows]
+        moved = np.mean([not np.array_equal(a, b) for a, b in zip(once, oracle)])
+        assert 0.15 <= moved <= 0.35
+        oracle = np.stack(oracle)
+        n = len(store)
+        assert store.unit_rows(np.arange(n)).tobytes() == oracle.tobytes()
+        assert np.stack([row for _, _, row in store.records()]).tobytes() == oracle.tobytes()
+        for i in range(n):
+            assert store.vector_of(store.ids[i]).tobytes() == oracle[i].tobytes()
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            picked = rng.integers(n, size=20)
+            assert store.unit_rows(picked).tobytes() == oracle[picked].tobytes()
+        assert store.scan.tobytes() == oracle.astype(np.float32).tobytes()
+
+    def test_retrieve_many_equals_built_store(self, loaded):
+        store, rows, _, captions, embeddings = loaded
+        caption_of = dict(line.split("\t") for line in captions.read_text().splitlines())
+        built = build_datastore(
+            [(key, caption_of[key], vec) for key, vec in load_embedding_file(embeddings).items()]
+        )
+        rng = np.random.default_rng(31)
+        queries = list(rng.normal(size=(40, 32))) + list(rows[:10])
+        got = retrieve_many(store, queries, 9)
+        want = retrieve_many(built, queries, 9)
+        for a, b in zip(got, want):
+            assert _bits(a) == _bits(b)
+            assert [h.row for h in a.hits] == [int(h.id[1:]) for h in a.hits]
+            assert a.vectors.tobytes() == b.vectors.tobytes()
+            assert a.vectors.tobytes() == np.stack([built.vector_of(h.id) for h in a.hits]).tobytes()
+
+    def test_holds_no_float64_rows(self, loaded):
+        store, rows, _, _, _ = loaded
+        arrays = [value for value in vars(store).values() if isinstance(value, np.ndarray)]
+        arrays += [store.ids.starts, store.ids.stops, store.captions.starts, store.captions.stops]
+        assert store.matrix.dtype == np.float32 and store.scan.dtype == np.float32
+        assert not any(a.dtype == np.float64 and a.shape[0] == len(rows) for a in arrays)
+        assert isinstance(store.ids.blob, bytes) and isinstance(store.captions.blob, bytes)
+
+    def test_lookups_by_id(self, loaded):
+        store = loaded[0]
+        assert "r0000" in store and "r2999" in store and "r1234" in store
+        assert "r3000" not in store and "" not in store and "r12345" not in store
+        assert store.caption_of("r1234") == "caption r1234"
+        with pytest.raises(KeyError):
+            store.vector_of("r3000")
+
+    @pytest.mark.parametrize("bad,named", [(np.nan, "non-finite"), (0.0, "zero vector")])
+    def test_bad_row_in_a_later_chunk_names_its_id(self, tmp_path, bad, named):
+        rows = np.random.default_rng(32).normal(size=(2500, 4)).astype(np.float32)
+        _, embeddings = _write_store(tmp_path / "s", [f"r{i:04d}" for i in range(len(rows))], rows)
+        data = bytearray(embeddings.read_bytes())
+        at = 16 + 1500 * (2 + 5 + 16) + 2 + 5  # header, 1500 records, key length and key
+        data[at : at + 16] = np.full(4, bad, dtype=np.float32).tobytes()
+        embeddings.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"{named}.*'r1500'"):
+            load_datastore(tmp_path / "s")
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(33)
+        store = build_datastore(_random_records(rng, 500, 24))
+        save_datastore(store, tmp_path / "a")
+        save_datastore(load_datastore(tmp_path / "a"), tmp_path / "b")
+        for name in ("embeddings.nese", "captions.tsv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_unsorted_caption_file_keeps_its_captions(self, tmp_path):
+        # a caption file in another order than the ids is read line by line
+        rows = np.random.default_rng(34).normal(size=(5, 4)).astype(np.float32)
+        ids = ["e", "b", "a", "d", "c"]
+        _write_store(tmp_path / "s", ids, rows)
+        store = load_datastore(tmp_path / "s")
+        assert store.ids == ("a", "b", "c", "d", "e")
+        assert store.captions == tuple(f"caption {rid}" for rid in "abcde")
+        assert np.array_equal(store.matrix, rows[[2, 1, 4, 3, 0]])
 
 
 def test_peak_memory_of_retrieve_many():

@@ -433,3 +433,25 @@ class TestDimZeroHeader:
              "--embeddings", str(tmp_path / "bad.nese"), "--out", str(tmp_path / "s")]
         ) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestHeaderBound:
+    """A header whose records cannot fit in the file is rejected before
+    any array of their size is allocated."""
+
+    HEADER = struct.pack("<4sIII", b"NESE", 1, 2**32 - 1, 2**31)
+
+    def test_load_raises_format_error(self, tmp_path):
+        path = tmp_path / "huge.nese"
+        path.write_bytes(self.HEADER)
+        with pytest.raises(FormatError, match="header claims 4294967295 records"):
+            load_embedding_file(path)
+
+    def test_ingest_exits_2(self, tmp_path, capsys):
+        (tmp_path / "huge.nese").write_bytes(self.HEADER)
+        (tmp_path / "caps.tsv").write_text("a\tone\n")
+        assert cli.main(
+            ["ingest", "--captions", str(tmp_path / "caps.tsv"),
+             "--embeddings", str(tmp_path / "huge.nese"), "--out", str(tmp_path / "s")]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: header claims")

@@ -351,6 +351,23 @@ class TestMapToPrefix:
         with pytest.raises(DimMismatch):
             map_to_prefix(np.ones((2, 4)), _identity_weights(4, prefix_len=3))
 
+    # the default prefix length at the dimensions of the benchmark and the
+    # tests, and a one-token map
+    @pytest.mark.parametrize("dim,prefix_len", [(128, 4), (64, 4), (32, 4), (24, 4), (5, 1)])
+    def test_one_token_equals_zero_padded_tokens(self, dim, prefix_len):
+        # one token is multiplied by the first d columns only; the BLAS must
+        # sum those products as it does within the padded row
+        weights = xavier_weights(dim, prefix_len, seed=dim)
+        assert weights.one_token_map.flags.c_contiguous
+        assert not weights.one_token_map.flags.writeable
+        rng = np.random.default_rng(dim)
+        for token in rng.normal(size=(200, dim)):
+            padded = np.zeros((prefix_len, dim))
+            padded[0] = token
+            got = map_to_prefix(token[None, :], weights)
+            assert got.shape == (prefix_len, dim)
+            assert got.tobytes() == map_to_prefix(padded, weights).tobytes()
+
 
 class TestXavier:
     def test_bounds(self):

@@ -88,10 +88,10 @@ def _planted_pairs(rng, dim=64, background=600, n_queries=40, levels=(0.95, 0.9,
     return records, queries, pairs
 
 
-def _in_blocks(matrix, scan, queries, k, size):
+def _in_blocks(unit_rows, scan, queries, k, size):
     out = []
     for start in range(0, len(queries), size):
-        out += kernels.exact_top(matrix, scan, queries[start : start + size], k)
+        out += kernels.exact_top(unit_rows, scan, queries[start : start + size], k)
     return out
 
 
@@ -127,8 +127,8 @@ class TestFloat32Scan:
         _, store, queries, _, ranked = planted
         assert store.scan.dtype == np.float32
         row = {rid: i for i, rid in enumerate(store.ids)}
-        got = _in_blocks(store.matrix, store.scan, queries, k, size)
-        assert got == _in_blocks(store.matrix, store.matrix, queries, k, size)
+        got = _in_blocks(store.unit_rows, store.scan, queries, k, size)
+        assert got == _in_blocks(store.unit_rows, store.matrix, queries, k, size)
         for top, oracle in zip(got, ranked):
             assert top == [(hit.score, row[hit.id]) for hit in oracle.hits[:k]]
 
@@ -180,7 +180,7 @@ def test_chunked_scan_boundaries_and_ties(monkeypatch, group, scan_rows):
         oracle = [brute_force_topk(records, q, n) for q in raw]
         n_groups = -(-n // group)
         for k in sorted({1, 2, 3, 5, n_groups - 1, n_groups, n_groups + 1, n, n + 2} - {0}):
-            got = kernels.exact_top(store.matrix, store.scan, queries, k)
-            assert got == kernels.exact_top(store.matrix, store.matrix, queries, k)
+            got = kernels.exact_top(store.unit_rows, store.scan, queries, k)
+            assert got == kernels.exact_top(store.unit_rows, store.matrix, queries, k)
             for top, ranked in zip(got, oracle):
                 assert top == [(hit.score, int(hit.id[1:])) for hit in ranked.hits[:k]]

@@ -5,10 +5,13 @@ id regardless of insertion order. Ids and captions are each one UTF-8 blob
 (Texts), and a record is found by bisecting the sorted ids. Retrieval
 scans a float32 matrix of unit rows (`scan`) and scores in float64 unit
 rows, which a store holds only when it was built from float64 unit rows
-(build_datastore). A loaded store (ingest_datastore, load_datastore) holds
-its embedding file's rows as stored, float32 for a binary file, and
-derives float64 unit rows only where they are read: the candidates
-retrieval re-scores, the hits it hands out, vector_of and records().
+(build_datastore). A loaded store (ingest_datastore, load_datastore)
+derives float64 unit rows from its embedding file's rows only where they
+are read: the candidates retrieval re-scores, the hits it hands out,
+vector_of and records(). For a binary file it holds one float32 array,
+the file's rows overwritten by the scan, plus the few file rows (at most
+DERIVE_ROWS) whose scan row differs; with more, or for a JSON-lines
+file, it holds the file's rows and a separate scan.
 
 Retrieval is exact and batched: retrieve_many ranks all its queries with
 kernels.exact_top, which scans `scan` in cache-sized chunks against blocks
@@ -149,17 +152,57 @@ def _derive(raw: np.ndarray, keys) -> np.ndarray:
     return rows
 
 
+def _scan_over(raw: np.ndarray, ids):
+    """The float32 scan of an embedding file's `raw` rows, derived
+    DERIVE_ROWS rows at a time, as (scan, kept rows, their file values).
+
+    Float32 rows are overwritten by their scan rows, which nearly always
+    equal them bit for bit (a saved store holds the float32 of its unit
+    rows); the few that differ are kept aside first, ascending. Past
+    DERIVE_ROWS kept rows the scan becomes a copy: the prefix written so
+    far is copied out, the kept rows are put back, and the remaining scan
+    rows go to the copy, as they always do for float64 rows.
+    """
+    scan = raw if raw.dtype == np.float32 else np.empty(raw.shape, dtype=np.float32)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (row numbers, file rows)
+    count = 0
+    for start in range(0, len(raw), DERIVE_ROWS):
+        stop = start + DERIVE_ROWS
+        chunk = _derive(raw[start:stop], ids[start:stop]).astype(np.float32)
+        if scan is raw:
+            differ = (chunk.view(np.uint32) != raw[start:stop].view(np.uint32)).any(axis=1)
+            at = start + np.flatnonzero(differ)
+            count += len(at)
+            if count <= DERIVE_ROWS:
+                kept.append((at, raw[at]))
+            else:
+                scan = np.empty(raw.shape, dtype=np.float32)
+                scan[:start] = raw[:start]
+                for at, values in kept:
+                    raw[at] = values
+                kept = []
+        scan[start:stop] = chunk
+    if not kept:
+        return scan, np.empty(0, dtype=np.intp), raw[:0]
+    return scan, np.concatenate([at for at, _ in kept]), np.concatenate([v for _, v in kept])
+
+
 class Datastore:
     """Immutable (id, caption, normalized embedding) collection, with ids
     distinct and ascending.
 
-    `ids` and `captions` are Texts. `matrix` holds the rows as given: by
-    default float64 unit rows, which unit_rows reads as they are; with
-    `raw`, an embedding file's rows as stored (float32 for a binary file),
-    from which unit_rows derives float64 unit rows (see _derive), so no
-    float64 copy of the store is ever held. `scan` is the read-only float32
-    of the unit rows, which retrieval scans for candidates; for a raw
-    matrix it is derived DERIVE_ROWS rows at a time.
+    `ids` and `captions` are Texts. `scan` is the read-only float32 of the
+    unit rows, which retrieval scans for candidates. By default the store
+    is given float64 unit rows, which unit_rows reads as they are. With
+    `raw` it is given an embedding file's rows as stored (float32 for a
+    binary file) and derives float64 unit rows from them (see _derive), so
+    no float64 copy of the store is ever held; its scan is derived
+    DERIVE_ROWS rows at a time (see _scan_over), written over float32 rows,
+    which the store then owns. Such a store holds one (N, d) float32 array,
+    both its scan and its file rows, and aside the few file rows (at most
+    DERIVE_ROWS) that differ from their scan rows. unit_rows patches those
+    in, so it derives from the file's rows exactly. `matrix` is the rows as
+    given: the unit rows, or the file rows (a copy when some are kept).
     """
 
     def __init__(self, ids, captions, matrix, *, raw: bool = False):
@@ -170,30 +213,41 @@ class Datastore:
             ids = Texts.of(ids)
         self.ids = ids
         self.captions = captions if isinstance(captions, Texts) else Texts.of(captions)
-        self.matrix = matrix
-        self.matrix.flags.writeable = False
         self._raw = raw
         if raw:
-            self.scan = np.empty(matrix.shape, dtype=np.float32)
-            for start in range(0, len(matrix), DERIVE_ROWS):
-                stop = start + DERIVE_ROWS
-                self.scan[start:stop] = _derive(matrix[start:stop], ids[start:stop])
+            self.scan, self._kept_rows, self._kept_values = _scan_over(matrix, ids)
         else:
             self.scan = matrix.astype(np.float32)
+            self._kept_rows = np.empty(0, dtype=np.intp)
+        self._rows = matrix
+        self._rows.flags.writeable = False
         self.scan.flags.writeable = False
 
     @property
+    def matrix(self) -> np.ndarray:
+        if not len(self._kept_rows):
+            return self._rows
+        rows = self._rows.copy()
+        rows[self._kept_rows] = self._kept_values
+        rows.flags.writeable = False
+        return rows
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.scan.shape[1]
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def unit_rows(self, index) -> np.ndarray:
         """The float64 unit rows at `index`, an array of row numbers."""
-        if self._raw:
-            return _derive(self.matrix[index], index)
-        return self.matrix[index]
+        rows = self._rows[index]
+        if not self._raw:
+            return rows
+        if len(self._kept_rows):
+            kept = np.isin(index, self._kept_rows)
+            rows[kept] = self._kept_values[np.searchsorted(self._kept_rows, index[kept])]
+        return _derive(rows, index)
 
     def _row(self, rid: str) -> int:
         i = bisect.bisect_left(self.ids, rid)
@@ -345,9 +399,15 @@ def _caption_spans(data: bytes, ids: Texts):
     # with one tab per line in all, the i-th tab ends the i-th line's id
     if not (np.array_equal(lengths, ids.stops - ids.starts) and (tabs < ends).all()):
         return None
-    at = np.repeat(starts - ids.starts, lengths) + np.arange(len(ids.blob))
-    if not np.array_equal(buf[at], np.frombuffer(ids.blob, dtype=np.uint8)):
-        return None
+    blob = np.frombuffer(ids.blob, dtype=np.uint8)
+    # the ids' bytes, compared DERIVE_ROWS lines at a time: an index array
+    # over the whole blob would be eight times its size
+    for line in range(0, len(ids), DERIVE_ROWS):
+        lines = slice(line, line + DERIVE_ROWS)
+        first, last = ids.starts[line], ids.stops[lines][-1]
+        at = np.repeat(starts[lines] - ids.starts[lines], lengths[lines]) + np.arange(first, last)
+        if not np.array_equal(buf[at], blob[first:last]):
+            return None
     return tabs + 1, ends
 
 
@@ -384,9 +444,10 @@ def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
     """Build a datastore from a caption file and a parallel embedding file.
 
     The embedding file is read first, and only its rows are kept, as
-    stored, in id order (sorted only when the file's ids are not); its
-    bytes are gone before the captions are read and the store derives its
-    scan rows. The store's unit rows (see _derive) equal those of
+    stored, in id order (sorted only when the file's ids are not); a
+    binary file's rows are the front of the buffer it was read into, and
+    the store writes its scan over them (see Datastore). The store's unit
+    rows (see _derive) equal those of
     build_datastore(load_embedding_file(...).items()) bit for bit.
     """
     table = read_vector_file(embeddings_path, format=format)

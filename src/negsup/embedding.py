@@ -7,9 +7,11 @@ either a binary or a JSON-lines format).
 
 read_vector_file reads an embedding file in either format into a
 VectorTable: the keys and one matrix of their vectors as the file holds
-them (float32 for a binary file). FileSource turns a copy of it into
-float64 unit rows with normalize_rows; datastore.ingest_datastore keeps a
-binary file's float32 rows and derives unit rows only where they are read.
+them (float32 for a binary file, a view of the buffer the file was read
+into). FileSource turns a copy of it into float64 unit rows with
+normalize_rows; datastore.ingest_datastore keeps a binary file's float32
+rows, writes its scan over them and derives unit rows only where they
+are read.
 
 All downstream cosine computations assume normalized vectors, so cosine
 similarity reduces to a dot product.
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import os
 import re
 import struct
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -42,6 +46,9 @@ BINARY_VERSION = 1
 
 FORMAT_BINARY = "binary"
 FORMAT_JSONL = "jsonl"
+
+# rows a binary file's read moves to the front of its buffer at a time
+MOVE_ROWS = 1024
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -226,8 +233,8 @@ def unit_rows(keys, vectors, dim: int | None = None) -> np.ndarray:
 
 class VectorTable(NamedTuple):
     """Keyed vectors as an embedding file holds them: rows[i] is the vector
-    of keys[i], in file order; float32 for a binary file, float64 for a
-    JSON-lines file."""
+    of keys[i], in file order; float32 for a binary file (a writable view
+    of the buffer it was read into), float64 for a JSON-lines file."""
 
     keys: list[str]
     rows: np.ndarray
@@ -363,12 +370,22 @@ def write_embedding_file(
 
 
 def _read_binary(path) -> VectorTable:
+    """The file's keys and float32 rows. The rows are a view of the front of
+    the one buffer the file is read into: once the records are walked, each
+    vector is moved there, MOVE_ROWS at a time, over the bytes already read.
+    Record j's vector starts past byte 16 + j*(2 + 4*dim) + 2, beyond the
+    bytes j*4*dim.. it moves to, so each move reads bytes no earlier move
+    wrote."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            nbytes = os.fstat(fh.fileno()).st_size
+            data = np.empty(nbytes, dtype=np.uint8)
+            got = fh.readinto(data)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    if len(data) < 16:
+    if got != nbytes:
+        raise IoError(f"read {got} of the {nbytes} bytes of {os.fspath(path)!r}")
+    if nbytes < 16:
         raise FormatError("binary embedding file truncated before header")
     magic, version, count, dim = struct.unpack_from("<4sIII", data, 0)
     if magic != BINARY_MAGIC:
@@ -378,38 +395,46 @@ def _read_binary(path) -> VectorTable:
     if dim == 0 and count:
         raise FormatError("binary embedding file has dimension 0")
     size = 4 * dim
-    if 16 + count * (2 + size) > len(data):
+    if 16 + count * (2 + size) > nbytes:
         raise FormatError(
             f"header claims {count} records of dimension {dim}, more than the"
-            f" file's {len(data)} bytes hold"
+            f" file's {nbytes} bytes hold"
         )
-    vector_at: dict[str, int] = {}  # key -> byte offset of its vector
+    view = memoryview(data)
+    keys: list[str] = []
+    vector_at: list[int] = []  # byte offset of each record's vector
     offset = 16
     for _ in range(count):
-        if offset + 2 > len(data):
+        if offset + 2 > nbytes:
             raise FormatError("truncated record header")
         start = offset + 2
-        end = start + (data[offset] | data[offset + 1] << 8)
-        if end > len(data):
+        end = start + (view[offset] | view[offset + 1] << 8)
+        if end > nbytes:
             raise FormatError("truncated record key")
         try:
-            key = data[start:end].decode("utf-8")
+            key = str(view[start:end], "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"record key is not valid UTF-8: {exc}") from exc
         offset = end + size
-        if offset > len(data):
+        if offset > nbytes:
             raise FormatError(f"truncated vector for key {key!r}")
-        if key in vector_at:
-            raise FormatError(f"duplicate key {key!r}")
-        vector_at[key] = end
-    if offset != len(data):
-        raise FormatError(f"{len(data) - offset} trailing bytes after records")
+        keys.append(key)
+        vector_at.append(end)
+    if offset != nbytes:
+        raise FormatError(f"{nbytes - offset} trailing bytes after records")
+    if any(map(operator.ge, keys, keys[1:])):  # save_datastore writes them ascending
+        ordered = sorted(keys)
+        for key, after in zip(ordered, ordered[1:]):
+            if key == after:
+                raise FormatError(f"duplicate key {key!r}")
     # row j of `at_byte` holds the dim float32 values that start at byte j
     at_byte = np.ndarray(
-        (max(len(data) - size + 1, 0), dim), dtype="<f4", buffer=data, strides=(1, 4)
+        (max(nbytes - size + 1, 0), dim), dtype="<f4", buffer=data, strides=(1, 4)
     )
-    where = np.fromiter(vector_at.values(), dtype=np.int64, count=count)
-    return VectorTable(list(vector_at), at_byte[where])
+    rows = np.ndarray((count, dim), dtype="<f4", buffer=data)
+    for start in range(0, count, MOVE_ROWS):
+        rows[start : start + MOVE_ROWS] = at_byte[vector_at[start : start + MOVE_ROWS]]
+    return VectorTable(keys, rows)
 
 
 def _write_binary(path, pairs, dim: int) -> None:

@@ -485,14 +485,23 @@ def run_batch(
     below the quality gate are skipped and reported; the gate applies only
     here. The rest go through the flow of run_training_instance or
     run_inference_instance all at once, so each vocabulary term is
-    embedded at most once per call (see EntityIndex)."""
+    embedded at most once per call (see EntityIndex). Every "id" must be
+    a string, and no two instances may share one; either is a FormatError
+    raised before any instance is processed."""
+    seen: set[str] = set()
+    for number, obj in enumerate(instances, 1):
+        if not isinstance(obj, dict) or "id" not in obj:
+            raise FormatError(f'instance {number}: object needs an "id"')
+        if not isinstance(obj["id"], str):
+            raise FormatError(f'instance {number}: "id" must be a string, got {obj["id"]!r}')
+        if obj["id"] in seen:
+            raise FormatError(f'instance {number}: duplicate id {obj["id"]!r}')
+        seen.add(obj["id"])
     skipped: list[dict] = []
     kept: list[dict] = []
     # (caption | None, retrieval query, features) of each kept instance
     items: list[tuple[str | None, np.ndarray, np.ndarray]] = []
     for obj in instances:
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise FormatError('instance object needs an "id"')
         if config.mode == MODE_TRAINING:
             caption = _instance_text(obj, "caption")
             if not caption:

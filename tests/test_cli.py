@@ -462,6 +462,43 @@ class TestNonStringInstanceFields:
         assert err.startswith("error: ") and "'bad1'" in err and field in err
 
 
+class TestInstanceIds:
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    @pytest.mark.parametrize("value", [[1], None, 7])
+    def test_non_string_id_exits_2(self, corpus, capsys, mode, value):
+        lines = [
+            {"id": "ok", "caption": "a dog in the park", "image_key": "a dog"},
+            {"id": value, "caption": "a cat on a mat", "image_key": "a cat"},
+        ]
+        assert self._run(corpus, capsys, mode, lines) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: instance 2: ") and f"{value!r}" in err
+
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_repeated_id_exits_2(self, corpus, capsys, mode):
+        lines = [
+            {"id": "q1", "caption": "a dog in the park", "image_key": "a dog"},
+            {"id": "q2", "caption": "a kite", "image_key": "a kite"},
+            {"id": "q1", "caption": "a cat on a mat", "image_key": "a cat"},
+        ]
+        assert self._run(corpus, capsys, mode, lines) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: instance 3: ") and "duplicate id 'q1'" in err
+
+    @staticmethod
+    def _run(corpus, capsys, mode, lines):
+        (corpus / "ids.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        store = _store(corpus)
+        capsys.readouterr()
+        code = _run(
+            ["run", "--mode", mode, "--store", store,
+             "--input", corpus / "ids.jsonl", "--out", corpus / "o.jsonl",
+             "--vocab", corpus / "vocab.txt", "--tau-neg", "0.5"]
+        )
+        assert not (corpus / "o.jsonl").exists()
+        return code
+
+
 class TestQueryVectorFile:
     # the corpus store has dimension 24, so each of these would be a query
     # of the right width if it were read as numbers

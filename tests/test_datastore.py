@@ -17,6 +17,7 @@ from negsup.embedding import (
     embed_text,
     l2_normalize,
     load_embedding_file,
+    read_vector_file,
     write_embedding_file,
 )
 from negsup.errors import (
@@ -438,20 +439,119 @@ class TestLoadFullWidth:
         assert not store.matrix.flags.writeable and not store.scan.flags.writeable
 
     def test_peak_memory_of_load(self, tmp_path):
-        # the file's bytes, the float64 matrix and its float32 scan copy are
-        # never all held at once
+        # random rows differ from their scan rows: the store holds the
+        # file's rows and a separate scan, and the read makes no copy of
+        # the file's bytes
         count, dim = 20000, 128
         rows = np.random.default_rng(27).normal(size=(count, dim)).astype(np.float32)
-        _write_store(tmp_path / "s", [f"r{i:05d}" for i in range(count)], rows)
+        _, embeddings = _write_store(tmp_path / "s", [f"r{i:05d}" for i in range(count)], rows)
         del rows
-        tracemalloc.start()
-        try:
-            store = load_datastore(tmp_path / "s")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(store) == count
-        assert peak <= 2.1 * count * dim * 8
+        assert _peak_of_load(tmp_path / "s", count) <= 2.5 * embeddings.stat().st_size
+
+    def test_peak_memory_of_loading_a_saved_store(self, tmp_path):
+        # a saved store's rows are their own scan rows: one array holds both
+        count, dim = 20000, 128
+        rows = np.random.default_rng(27).normal(size=(count, dim))
+        store = build_datastore([(f"r{i:05d}", f"c{i}", row) for i, row in enumerate(rows)])
+        save_datastore(store, tmp_path / "s")
+        del rows, store
+        size = (tmp_path / "s" / "embeddings.nese").stat().st_size
+        assert _peak_of_load(tmp_path / "s", count) <= 1.6 * size
+
+
+def _peak_of_load(directory, count):
+    """The peak of the memory traced while load_datastore(directory) runs."""
+    tracemalloc.start()
+    try:
+        store = load_datastore(directory)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store) == count
+    return peak
+
+
+def _held_bytes(store):
+    """The bytes of the distinct arrays a store holds, its Texts' aside."""
+    arrays = {id(a): a for a in vars(store).values() if isinstance(a, np.ndarray)}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def _oracle(embeddings, captions):
+    """build_datastore over load_embedding_file: the store a loaded one equals."""
+    caption_of = dict(line.split("\t") for line in captions.read_text().splitlines())
+    return build_datastore(
+        [(key, caption_of[key], vec) for key, vec in load_embedding_file(embeddings).items()]
+    )
+
+
+def _assert_equals_oracle(store, oracle, file_rows):
+    n = len(store)
+    assert store.ids == oracle.ids and store.captions == oracle.captions
+    assert store.matrix.tobytes() == file_rows.tobytes()
+    assert not store.matrix.flags.writeable and not store.scan.flags.writeable
+    assert store.scan.tobytes() == oracle.matrix.astype(np.float32).tobytes()
+    assert store.unit_rows(np.arange(n)).tobytes() == oracle.matrix.tobytes()
+    picked = np.random.default_rng(37).integers(n, size=300)
+    assert store.unit_rows(picked).tobytes() == oracle.matrix[picked].tobytes()
+    assert np.stack([row for _, _, row in store.records()]).tobytes() == oracle.matrix.tobytes()
+    for i in picked[:50]:
+        assert store.vector_of(store.ids[i]).tobytes() == oracle.matrix[i].tobytes()
+    queries = list(np.random.default_rng(38).normal(size=(30, store.dim))) + list(file_rows[picked[:10]])
+    for got, want in zip(retrieve_many(store, queries, 9), retrieve_many(oracle, queries, 9)):
+        assert _bits(got) == _bits(want)
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+class TestOneArray:
+    """A loaded binary store writes its scan over the file's float32 rows,
+    keeping aside the few that differ from their scan rows."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(35)
+        store = build_datastore(_random_records(rng, 3000, 32))
+        save_datastore(store, tmp_path / "s")
+        embeddings = tmp_path / "s" / "embeddings.nese"
+        keys, rows = read_vector_file(embeddings)
+        return tmp_path / "s", embeddings, keys, rows.copy()
+
+    def test_saved_store_is_its_own_scan(self, saved):
+        directory, embeddings, _, rows = saved
+        store = load_datastore(directory)
+        assert np.shares_memory(store.scan, store.matrix)
+        assert _held_bytes(store) == rows.nbytes
+        _assert_equals_oracle(store, _oracle(embeddings, directory / "captions.tsv"), rows)
+
+    def test_rows_off_by_an_ulp_are_kept(self, saved):
+        # each value of a bumped row is one ulp further from 0: its scan row
+        # is the saved row again, so the store keeps the bumped row aside
+        directory, embeddings, keys, rows = saved
+        bumped = [0, 1023, 1024, 1500, 2999]
+        for i in bumped:
+            rows[i] = np.nextafter(rows[i], np.copysign(np.float32(np.inf), rows[i]))
+        write_embedding_file(embeddings, zip(keys, rows))
+        store = load_datastore(directory)
+        differ = (store.scan.view(np.uint32) != store.matrix.view(np.uint32)).any(axis=1)
+        assert np.flatnonzero(differ).tolist() == bumped
+        assert _held_bytes(store) == rows.nbytes + len(bumped) * (rows[0].nbytes + 8)
+        _assert_equals_oracle(store, _oracle(embeddings, directory / "captions.tsv"), rows)
+
+    def test_many_differing_rows_switch_to_a_separate_scan(self, saved):
+        # rows 0-2999 are their own scan rows, rows 3000-4999 random: the
+        # 1025th differing row comes in the fourth 1024-row chunk, where the
+        # scan becomes a copy and the 72 kept rows of the third go back
+        directory, embeddings, keys, rows = saved
+        more = np.random.default_rng(36).normal(size=(2000, 32)).astype(np.float32)
+        keys = keys + [f"s{i:04d}" for i in range(len(more))]
+        rows = np.concatenate([rows, more])
+        write_embedding_file(embeddings, zip(keys, rows))
+        captions = directory / "captions.tsv"
+        captions.write_text("".join(f"{key}\tcaption {key}\n" for key in keys))
+        store = load_datastore(directory)
+        assert not np.shares_memory(store.scan, store.matrix)
+        assert _held_bytes(store) == 2 * rows.nbytes
+        _assert_equals_oracle(store, _oracle(embeddings, captions), rows)
 
 
 class TestCompactStore:
@@ -525,6 +625,15 @@ class TestCompactStore:
         data[at : at + 16] = np.full(4, bad, dtype=np.float32).tobytes()
         embeddings.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"{named}.*'r1500'"):
+            load_datastore(tmp_path / "s")
+
+    def test_caption_id_changed_in_a_later_chunk_is_rejected(self, tmp_path):
+        # the same line lengths as the ids, one id's bytes changed past the
+        # first 1024 lines: not the ids' file, so read line by line
+        rows = np.random.default_rng(39).normal(size=(2500, 4)).astype(np.float32)
+        captions, _ = _write_store(tmp_path / "s", [f"r{i:04d}" for i in range(len(rows))], rows)
+        captions.write_text(captions.read_text().replace("r2100\t", "x2100\t"))
+        with pytest.raises(FormatError, match="'x2100'"):
             load_datastore(tmp_path / "s")
 
     def test_save_load_save_is_byte_identical(self, tmp_path):

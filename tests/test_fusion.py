@@ -91,7 +91,7 @@ def _gated_ids(
     sources = SourceBundle(
         FileSource({GATE_CAPTION: text}), entity=HashSource(dim=GATE_DIM, seed=0)
     )
-    instances = [{"id": i, "caption": GATE_CAPTION} for i in range(len(synthetics))]
+    instances = [{"id": str(i), "caption": GATE_CAPTION} for i in range(len(synthetics))]
     vectors = {}
     for obj, vec in zip(instances, synthetics):
         if vec is not None:
@@ -107,7 +107,7 @@ def _gated_ids(
     result = run_batch(
         instances, store, EntityVocabulary(["dog"]), sources, config, None, keys
     )
-    return [o["id"] for o in result.outputs], [s["id"] for s in result.skipped]
+    return [int(o["id"]) for o in result.outputs], [int(s["id"]) for s in result.skipped]
 
 
 class TestQualityGate:

@@ -2,7 +2,9 @@
 
 Records are held row-sorted by id so that score ties resolve to ascending
 id regardless of insertion order. Ids and captions are each one UTF-8 blob
-(Texts), and a record is found by bisecting the sorted ids. Retrieval
+(embedding.Texts), and a record is found by bisecting the sorted ids; a
+loaded store's ids are the key blob its embedding file was read into, so
+a load makes no Python string per record. Retrieval
 scans a float32 matrix of unit rows (`scan`) and scores in float64 unit
 rows, which a store holds only when it was built from float64 unit rows
 (build_datastore). A loaded store (ingest_datastore, load_datastore)
@@ -35,6 +37,7 @@ import numpy as np
 from . import kernels
 from .embedding import (
     FORMAT_BINARY,
+    Texts,
     l2_normalize,
     normalize_rows,
     read_vector_file,
@@ -96,44 +99,6 @@ class RetrievalResult:
                 for h in self.hits
             ]
         }
-
-
-class Texts(Sequence):
-    """Strings held as one UTF-8 blob: item i is blob[starts[i]:stops[i]],
-    decoded. Equal to a tuple, or other Texts, of the same strings."""
-
-    def __init__(self, blob: bytes, starts: np.ndarray, stops: np.ndarray):
-        self.blob = blob
-        self.starts = starts
-        self.stops = stops
-
-    @classmethod
-    def of(cls, strings) -> "Texts":
-        # surrogatepass: any str round-trips, also one a UTF-8 file cannot hold
-        encoded = [text.encode("utf-8", "surrogatepass") for text in strings]
-        bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)), out=bounds[1:])
-        return cls(b"".join(encoded), bounds[:-1], bounds[1:])
-
-    def __len__(self) -> int:
-        return self.starts.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Texts(self.blob, self.starts[i], self.stops[i])
-        return self.blob[self.starts[i] : self.stops[i]].decode("utf-8", "surrogatepass")
-
-    def __iter__(self):
-        blob = self.blob
-        for start, stop in zip(self.starts.tolist(), self.stops.tolist()):
-            yield blob[start:stop].decode("utf-8", "surrogatepass")
-
-    def __eq__(self, other):
-        if not isinstance(other, (Texts, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
 
 
 # rows derived at a time when a store derives all of them
@@ -411,26 +376,39 @@ def _caption_spans(data: bytes, ids: Texts):
     return tabs + 1, ends
 
 
-def _read_captions(path, keys: list[str], ids: Texts) -> Texts:
-    """The captions of the ascending `keys`, which `ids` holds, from an
-    id<TAB>caption file.
+def _blank_free(ids: Texts) -> bool:
+    """Whether every id holds a character that str.strip keeps. An id
+    holding an ASCII byte that is not whitespace does; only the others are
+    decoded and stripped."""
+    keeps = np.array([not chr(byte).isspace() for byte in range(128)] + [False] * 128)
+    held = np.append(keeps[np.frombuffer(ids.blob, dtype=np.uint8)], False)
+    bounds = np.stack([ids.starts, ids.stops], axis=1).ravel()
+    # reduceat over [start, stop) of each id, which for an empty id reads
+    # held[start]: an empty id is blank
+    kept = np.logical_or.reduceat(held, bounds)[::2] & (ids.stops > ids.starts)
+    return all(ids[i].strip() for i in np.flatnonzero(~kept))
+
+
+def _read_captions(path, ids: Texts) -> Texts:
+    """The captions of the ascending `ids` from an id<TAB>caption file.
 
     A file as save_datastore writes it, which _caption_spans recognizes, is
     split where it lies, its bytes kept as the captions' blob. That is done
-    only when every id holds a non-space character, so that no line of the
-    file is one that read_lines skips as blank. Any other file goes through
-    read_caption_file and must name the same ids.
+    only when every id holds a non-space character (see _blank_free), so
+    that no line of the file is one that read_lines skips as blank. Any
+    other file goes through read_caption_file and must name the same ids.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    spans = _caption_spans(data, ids) if all(map(str.strip, keys)) else None
+    spans = _caption_spans(data, ids) if _blank_free(ids) else None
     if spans is not None:
         return Texts(data, *spans)
     del data
     captions = read_caption_file(path)
+    keys = list(ids)
     missing = sorted(set(captions) - set(keys))
     extra = sorted(set(keys) - set(captions))
     if missing:
@@ -444,24 +422,21 @@ def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
     """Build a datastore from a caption file and a parallel embedding file.
 
     The embedding file is read first, and only its rows are kept, as
-    stored, in id order (sorted only when the file's ids are not); a
-    binary file's rows are the front of the buffer it was read into, and
-    the store writes its scan over them (see Datastore). The store's unit
-    rows (see _derive) equal those of
-    build_datastore(load_embedding_file(...).items()) bit for bit.
+    stored, in id order (sorted only when the file's ids are not); its
+    keys, one Texts blob, are the store's ids. A binary file's rows are the
+    front of the buffer it was read into, and the store writes its scan
+    over them (see Datastore). The store's unit rows (see _derive) equal
+    those of build_datastore(load_embedding_file(...).items()) bit for bit.
     """
-    table = read_vector_file(embeddings_path, format=format)
-    keys, rows = table.keys, table.rows
-    del table
-    if keys != sorted(keys):  # save_datastore writes them in order
+    ids, rows = read_vector_file(embeddings_path, format=format)
+    if not ids.ascending:  # save_datastore writes them in order
+        keys = list(ids)
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = [keys[i] for i in order]
+        ids = Texts.of([keys[i] for i in order])
         rows = rows[order]
-    ids = Texts.of(keys)
-    captions = _read_captions(captions_path, keys, ids)
-    if not keys:
+    captions = _read_captions(captions_path, ids)
+    if not len(ids):
         raise EmptyInput("cannot build a datastore from zero records")
-    del keys  # one string per record, gone before the scan rows are derived
     try:
         return Datastore(ids, captions, rows, raw=True)
     except ZeroVector as exc:

@@ -6,12 +6,16 @@ self-contained) and FileSource (precomputed vectors loaded from disk in
 either a binary or a JSON-lines format).
 
 read_vector_file reads an embedding file in either format into a
-VectorTable: the keys and one matrix of their vectors as the file holds
-them (float32 for a binary file, a view of the buffer the file was read
-into). FileSource turns a copy of it into float64 unit rows with
-normalize_rows; datastore.ingest_datastore keeps a binary file's float32
-rows, writes its scan over them and derives unit rows only where they
-are read.
+VectorTable: the keys, as one UTF-8 blob (Texts), and one matrix of their
+vectors as the file holds them (float32 for a binary file, a view of the
+buffer the file was read into). A binary file is read with no Python
+object per record: its record offsets come from one numpy read of the
+length fields when every key has the first key's length, else from one
+loop over the length fields, and its keys are decoded only where they
+must be named or sorted. FileSource turns a copy of the table into
+float64 unit rows with normalize_rows; datastore.ingest_datastore keeps
+the key blob as the store's ids and a binary file's float32 rows, writes
+its scan over them and derives unit rows only where they are read.
 
 All downstream cosine computations assume normalized vectors, so cosine
 similarity reduces to a dot product.
@@ -19,12 +23,14 @@ similarity reduces to a dot product.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 import os
 import re
 import struct
+from collections.abc import Sequence
 from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -231,12 +237,80 @@ def unit_rows(keys, vectors, dim: int | None = None) -> np.ndarray:
     return matrix
 
 
+class Texts(Sequence):
+    """Strings held as one UTF-8 blob: item i is blob[starts[i]:stops[i]],
+    decoded. Equal to a tuple, or other Texts, of the same strings."""
+
+    def __init__(self, blob: bytes, starts: np.ndarray, stops: np.ndarray):
+        self.blob = blob
+        self.starts = starts
+        self.stops = stops
+
+    @classmethod
+    def of(cls, strings) -> "Texts":
+        # surrogatepass: any str round-trips, also one a UTF-8 file cannot hold
+        encoded = [text.encode("utf-8", "surrogatepass") for text in strings]
+        bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)), out=bounds[1:])
+        return cls(b"".join(encoded), bounds[:-1], bounds[1:])
+
+    def __len__(self) -> int:
+        return self.starts.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Texts(self.blob, self.starts[i], self.stops[i])
+        return self.blob[self.starts[i] : self.stops[i]].decode("utf-8", "surrogatepass")
+
+    def __iter__(self):
+        blob = self.blob
+        for start, stop in zip(self.starts.tolist(), self.stops.tolist()):
+            yield blob[start:stop].decode("utf-8", "surrogatepass")
+
+    def __eq__(self, other):
+        if not isinstance(other, (Texts, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    @functools.cached_property
+    def ascending(self) -> bool:
+        """Whether the strings strictly ascend, compared as their UTF-8
+        bytes (whose order is the strings' order), MOVE_ROWS neighbouring
+        pairs at a time: each pair by its first differing byte, else by
+        length. Nothing is decoded."""
+        buf = np.frombuffer(self.blob, dtype=np.uint8)
+        n = len(self)
+        for at in range(0, n - 1, MOVE_ROWS):
+            a = slice(at, min(at + MOVE_ROWS, n - 1))
+            b = slice(at + 1, a.stop + 1)
+            sa, sb = self.starts[a], self.starts[b]
+            la, lb = self.stops[a] - sa, self.stops[b] - sb
+            common = np.minimum(la, lb)
+            first = common.copy()  # where each pair first differs, else `common`
+            some = np.flatnonzero(common)
+            if some.size:
+                m = common[some]
+                heads = np.cumsum(m) - m
+                ramp = np.arange(heads[-1] + m[-1]) - np.repeat(heads, m)
+                differ = buf[np.repeat(sa[some], m) + ramp] != buf[np.repeat(sb[some], m) + ramp]
+                first[some] = np.minimum.reduceat(np.where(differ, ramp, np.repeat(m, m)), heads)
+            tied = first == common
+            if (la[tied] >= lb[tied]).any():
+                return False
+            if (buf[sa[~tied] + first[~tied]] > buf[sb[~tied] + first[~tied]]).any():
+                return False
+        return True
+
+
 class VectorTable(NamedTuple):
     """Keyed vectors as an embedding file holds them: rows[i] is the vector
     of keys[i], in file order; float32 for a binary file (a writable view
-    of the buffer it was read into), float64 for a JSON-lines file."""
+    of the buffer it was read into), float64 for a JSON-lines file. The
+    keys are one Texts blob."""
 
-    keys: list[str]
+    keys: Texts
     rows: np.ndarray
 
 
@@ -370,9 +444,15 @@ def write_embedding_file(
 
 
 def _read_binary(path) -> VectorTable:
-    """The file's keys and float32 rows. The rows are a view of the front of
-    the one buffer the file is read into: once the records are walked, each
-    vector is moved there, MOVE_ROWS at a time, over the bytes already read.
+    """The file's keys, as one Texts blob, and its float32 rows, with no
+    Python object per record.
+
+    The records are walked by their key spans (see _key_spans); the key
+    bytes are gathered into the blob MOVE_ROWS records at a time, checked
+    as UTF-8 once (see _check_keys) and for order as bytes (Texts.ascending),
+    and only unordered keys are decoded, to find duplicates. The rows are a
+    view of the front of the one buffer the file is read into: each vector
+    is moved there, MOVE_ROWS at a time, over the bytes already read.
     Record j's vector starts past byte 16 + j*(2 + 4*dim) + 2, beyond the
     bytes j*4*dim.. it moves to, so each move reads bytes no earlier move
     wrote."""
@@ -400,29 +480,12 @@ def _read_binary(path) -> VectorTable:
             f"header claims {count} records of dimension {dim}, more than the"
             f" file's {nbytes} bytes hold"
         )
-    view = memoryview(data)
-    keys: list[str] = []
-    vector_at: list[int] = []  # byte offset of each record's vector
-    offset = 16
-    for _ in range(count):
-        if offset + 2 > nbytes:
-            raise FormatError("truncated record header")
-        start = offset + 2
-        end = start + (view[offset] | view[offset + 1] << 8)
-        if end > nbytes:
-            raise FormatError("truncated record key")
-        try:
-            key = str(view[start:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"record key is not valid UTF-8: {exc}") from exc
-        offset = end + size
-        if offset > nbytes:
-            raise FormatError(f"truncated vector for key {key!r}")
-        keys.append(key)
-        vector_at.append(end)
-    if offset != nbytes:
-        raise FormatError(f"{nbytes - offset} trailing bytes after records")
-    if any(map(operator.ge, keys, keys[1:])):  # save_datastore writes them ascending
+    starts, stops, fault = _key_spans(data, count, size)
+    keys = _gather(data, starts, stops)
+    _check_keys(keys)
+    if fault is not None:
+        raise FormatError(fault)
+    if not keys.ascending:  # save_datastore writes them ascending
         ordered = sorted(keys)
         for key, after in zip(ordered, ordered[1:]):
             if key == after:
@@ -433,8 +496,97 @@ def _read_binary(path) -> VectorTable:
     )
     rows = np.ndarray((count, dim), dtype="<f4", buffer=data)
     for start in range(0, count, MOVE_ROWS):
-        rows[start : start + MOVE_ROWS] = at_byte[vector_at[start : start + MOVE_ROWS]]
+        rows[start : start + MOVE_ROWS] = at_byte[stops[start : start + MOVE_ROWS]]
     return VectorTable(keys, rows)
+
+
+def _key_spans(data: np.ndarray, count: int, size: int):
+    """The byte spans (starts, stops) of the keys of a binary file's
+    records, whose vectors are `size` bytes, and the structural fault that
+    ends the walk, or None.
+
+    When the u16 length fields at the heads that the first key's length L
+    predicts, 16 + j*(2 + L + size), all hold L, and `count` such records
+    fill the file, those heads are the walk: record j, of length L, ends
+    where record j+1 is predicted to start. Otherwise one loop reads the
+    length fields only, and stops at the first record that the file cannot
+    hold, or flags trailing bytes; spans are kept for the keys read whole,
+    and a key is decoded only to name it in a fault.
+    """
+    nbytes = data.shape[0]
+    if count:
+        length = int(data[16]) | int(data[17]) << 8
+        stride = 2 + length + size
+        if 16 + count * stride == nbytes:
+            fields = np.ndarray((count,), dtype="<u2", buffer=data, offset=16, strides=(stride,))
+            if (fields == length).all():
+                starts = np.arange(18, nbytes, stride, dtype=np.int64)
+                return starts, starts + length, None
+    view = memoryview(data)
+    starts, stops = [], []
+    fault = None
+    offset = 16
+    for _ in range(count):
+        if offset + 2 > nbytes:
+            fault = "truncated record header"
+            break
+        start = offset + 2
+        end = start + (view[offset] | view[offset + 1] << 8)
+        if end > nbytes:
+            fault = "truncated record key"
+            break
+        starts.append(start)
+        stops.append(end)
+        offset = end + size
+        if offset > nbytes:
+            # an invalid key is reported before this fault, so "replace"
+            # decodes the key as it is named
+            fault = f"truncated vector for key {str(view[start:end], 'utf-8', 'replace')!r}"
+            break
+    else:
+        if offset != nbytes:
+            fault = f"{nbytes - offset} trailing bytes after records"
+    return np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64), fault
+
+
+def _gather(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> Texts:
+    """The bytes data[starts[i]:stops[i]] of every i as one Texts blob,
+    gathered MOVE_ROWS spans at a time: an index array over all of them
+    would be eight times the blob."""
+    lengths = stops - starts
+    bounds = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    blob = np.empty(bounds[-1], dtype=np.uint8)
+    for at in range(0, len(starts), MOVE_ROWS):
+        part = slice(at, at + MOVE_ROWS)
+        first, last = bounds[at], bounds[min(at + MOVE_ROWS, len(starts))]
+        shift = np.repeat(starts[part] - bounds[:-1][part], lengths[part])
+        blob[first:last] = data[shift + np.arange(first, last)]
+    return Texts(blob.tobytes(), bounds[:-1], bounds[1:])
+
+
+def _check_keys(keys: Texts) -> None:
+    """FormatError naming the first key that is not valid UTF-8.
+
+    The blob is decoded once. A valid blob holds only valid keys when each
+    non-empty key begins a character, i.e. not with a continuation byte
+    0x80-0xBF: then every key ends where a character begins too (the next
+    non-empty key's start, or the blob's end). Only when that fails are
+    the keys decoded one by one, to name the first bad key.
+    """
+    try:
+        keys.blob.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    else:
+        heads = np.frombuffer(keys.blob, dtype=np.uint8)[keys.starts[keys.stops > keys.starts]]
+        if not ((heads & 0xC0) == 0x80).any():
+            return
+    for start, stop in zip(keys.starts.tolist(), keys.stops.tolist()):
+        try:
+            keys.blob[start:stop].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"record key is not valid UTF-8: {exc}") from exc
 
 
 def _write_binary(path, pairs, dim: int) -> None:
@@ -476,7 +628,7 @@ def _read_jsonl(path) -> VectorTable:
             raise FormatError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = vec
     rows = np.array(list(entries.values())) if entries else np.empty((0, 0))
-    return VectorTable(list(entries), rows)
+    return VectorTable(Texts.of(entries), rows)
 
 
 def _write_jsonl(path, pairs) -> None:

@@ -29,7 +29,9 @@ class EntityVocabulary:
 
     `runs` maps each surface form's token run to its canonical term; two
     surface forms with one run (such as "t-shirt" and "t shirt") must map
-    to the same canonical, else FormatError names both.
+    to the same canonical, else FormatError names both. `runs_of` lists
+    each canonical term's runs, and `longest` maps each token that starts
+    a run to the length of the longest run it starts (see match_runs).
     """
 
     def __init__(self, canonical: Iterable[str], synonyms: Mapping[str, str] | None = None):
@@ -56,7 +58,10 @@ class EntityVocabulary:
                     f"token run {' '.join(run)!r} but map to two canonicals"
                 )
         self.runs = {run: table[surface] for run, surface in first.items()}
-        self.longest_run = max(map(len, self.runs), default=0)
+        self.runs_of: dict[str, list[tuple[str, ...]]] = {}
+        for run, term in self.runs.items():
+            self.runs_of.setdefault(term, []).append(run)
+        self.longest = longest_runs(self.runs)
 
     def __len__(self) -> int:
         return len(self.canonical)
@@ -102,16 +107,27 @@ class EntitySets:
         }
 
 
+def longest_runs(runs: Iterable[tuple[str, ...]]) -> dict[str, int]:
+    """The length of the longest of the (non-empty) `runs` that starts
+    with each token."""
+    longest: dict[str, int] = {}
+    for run in runs:
+        if len(run) > longest.get(run[0], 0):
+            longest[run[0]] = len(run)
+    return longest
+
+
 def match_runs(
-    tokens: Sequence[str], runs: Mapping[tuple[str, ...], str], longest: int
+    tokens: Sequence[str], runs: Mapping[tuple[str, ...], str], longest: Mapping[str, int]
 ) -> Iterator[tuple[int, int, str]]:
-    """(start, stop, canonical) of each run of `runs` (none longer than
-    `longest` tokens) in `tokens`, scanned left to right with the longest
-    run first at each position, so "hot dog" hides the "dog" inside it."""
+    """(start, stop, canonical) of each run of `runs` in `tokens`, scanned
+    left to right with the longest run first at each position, so "hot
+    dog" hides the "dog" inside it. `longest` is longest_runs(runs): a
+    token that starts no run costs one lookup."""
     i = 0
     n = len(tokens)
     while i < n:
-        for stop in range(min(i + longest, n), i, -1):
+        for stop in range(min(i + longest.get(tokens[i], 0), n), i, -1):
             target = runs.get(tuple(tokens[i:stop]))
             if target is not None:
                 yield i, stop, target
@@ -127,7 +143,7 @@ def extract_entities(caption: str, vocab: EntityVocabulary) -> set[str]:
     if not vocab.canonical:
         raise EmptyInput("vocabulary is empty")
     return {
-        target for _, _, target in match_runs(tokenize(caption), vocab.runs, vocab.longest_run)
+        target for _, _, target in match_runs(tokenize(caption), vocab.runs, vocab.longest)
     }
 
 

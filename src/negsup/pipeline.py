@@ -43,6 +43,7 @@ from .entities import (
     filter_inference,
     filter_training,
     index_for,
+    longest_runs,
     match_runs,
 )
 from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError, IoError
@@ -388,19 +389,20 @@ def _negative_runs(
     and, given a vocabulary, its runs (synonyms too) of negative terms."""
     runs = {run: term for term in negative if (run := tuple(tokenize(term)))}
     if vocab is not None:
-        runs.update((run, term) for run, term in vocab.runs.items() if term in negative)
+        runs.update((run, term) for term in negative for run in vocab.runs_of.get(term, ()))
     return runs
 
 
 def _delete_negative_tokens(
-    caption: str, runs: dict[tuple[str, ...], str]
+    caption: str, runs: dict[tuple[str, ...], str], longest: dict[str, int]
 ) -> tuple[str, bool]:
-    """`caption`'s tokens with the negative runs deleted (see match_runs)
-    joined by spaces, and whether any run occurred."""
+    """`caption`'s tokens with the negative runs deleted (see match_runs;
+    `longest` is longest_runs(runs)) joined by spaces, and whether any run
+    occurred."""
     tokens = tokenize(caption)
     kept: list[str] = []
     i = 0
-    for start, stop, _ in match_runs(tokens, runs, max(map(len, runs), default=0)):
+    for start, stop, _ in match_runs(tokens, runs, longest):
         kept += tokens[i:start]
         i = stop
     kept += tokens[i:]
@@ -424,6 +426,7 @@ def standin_decode(
         raise EmptyRetrieval("stand-in decoding needs at least one retrieved caption")
     probe = normalize_total(context.suppressed_prefix.mean(axis=0))
     runs = _negative_runs(context.entity_sets.negative, vocab)
+    longest = longest_runs(runs)
 
     hits = context.retrieval.hits
     vectors = context.retrieval.vectors
@@ -435,9 +438,9 @@ def standin_decode(
     )
 
     for _, _, caption in scored:
-        if not _delete_negative_tokens(caption, runs)[1]:
+        if not _delete_negative_tokens(caption, runs, longest)[1]:
             return caption
-    return _delete_negative_tokens(scored[0][2], runs)[0]
+    return _delete_negative_tokens(scored[0][2], runs, longest)[0]
 
 
 # --- batch runner ---------------------------------------------------------------

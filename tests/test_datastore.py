@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from negsup.datastore import (
+    _blank_free,
     brute_force_topk,
     build_datastore,
     ingest_datastore,
@@ -14,6 +15,7 @@ from negsup.datastore import (
 )
 from negsup.embedding import (
     HashSource,
+    Texts,
     embed_text,
     l2_normalize,
     load_embedding_file,
@@ -397,6 +399,14 @@ class TestCaptionFileLines:
         assert store.captions == ("one", "two")
 
 
+@pytest.mark.parametrize(
+    "rid", ["a", "", " ", "\x00", "\x1c", " \x1f\t", "\u3000", "\x85", "\u3000x", " \u00e9 "]
+)
+def test_blank_ids_found_on_the_bytes_as_str_strip_finds_them(rid):
+    for ids in ([rid], ["a", rid], [rid, "z", "y"]):
+        assert _blank_free(Texts.of(ids)) == all(map(str.strip, ids))
+
+
 def _write_store(directory, ids, rows, format="binary"):
     """A store directory (or, for JSON lines, its two files) holding `rows`
     under `ids`; returns the caption and embedding paths."""
@@ -456,7 +466,7 @@ class TestLoadFullWidth:
         save_datastore(store, tmp_path / "s")
         del rows, store
         size = (tmp_path / "s" / "embeddings.nese").stat().st_size
-        assert _peak_of_load(tmp_path / "s", count) <= 1.6 * size
+        assert _peak_of_load(tmp_path / "s", count) <= 1.35 * size
 
 
 def _peak_of_load(directory, count):
@@ -543,7 +553,7 @@ class TestOneArray:
         # scan becomes a copy and the 72 kept rows of the third go back
         directory, embeddings, keys, rows = saved
         more = np.random.default_rng(36).normal(size=(2000, 32)).astype(np.float32)
-        keys = keys + [f"s{i:04d}" for i in range(len(more))]
+        keys = list(keys) + [f"s{i:04d}" for i in range(len(more))]
         rows = np.concatenate([rows, more])
         write_embedding_file(embeddings, zip(keys, rows))
         captions = directory / "captions.tsv"

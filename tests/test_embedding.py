@@ -1,4 +1,5 @@
 import json
+import operator
 import struct
 import warnings
 
@@ -9,13 +10,16 @@ from negsup import cli
 from negsup.embedding import (
     FORMAT_BINARY,
     FORMAT_JSONL,
+    MOVE_ROWS,
     FileSource,
     HashSource,
+    Texts,
     embed_entity,
     embed_text,
     l2_normalize,
     load_embedding_file,
     normalize_total,
+    read_vector_file,
     tokenize,
     write_embedding_file,
 )
@@ -393,6 +397,155 @@ class TestBadBinaryFiles:
              "--embeddings", str(tmp_path / "bad.nese"), "--out", str(tmp_path / "s")]
         ) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _walk_records(data):
+    """Oracle for the binary reader: the per-record walk, one decoded key
+    and one float32 vector per record, with the reader's checks and
+    messages in record order. Returns (keys, rows)."""
+    if len(data) < 16:
+        raise FormatError("binary embedding file truncated before header")
+    magic, version, count, dim = struct.unpack_from("<4sIII", data, 0)
+    if magic != b"NESE":
+        raise FormatError(f"bad magic {magic!r}")
+    if version != 1:
+        raise FormatError(f"unsupported version {version}")
+    if dim == 0 and count:
+        raise FormatError("binary embedding file has dimension 0")
+    size = 4 * dim
+    if 16 + count * (2 + size) > len(data):
+        raise FormatError(
+            f"header claims {count} records of dimension {dim}, more than the"
+            f" file's {len(data)} bytes hold"
+        )
+    keys, rows = [], []
+    offset = 16
+    for _ in range(count):
+        if offset + 2 > len(data):
+            raise FormatError("truncated record header")
+        (length,) = struct.unpack_from("<H", data, offset)
+        start, end = offset + 2, offset + 2 + length
+        if end > len(data):
+            raise FormatError("truncated record key")
+        try:
+            key = data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"record key is not valid UTF-8: {exc}") from exc
+        offset = end + size
+        if offset > len(data):
+            raise FormatError(f"truncated vector for key {key!r}")
+        keys.append(key)
+        rows.append(np.frombuffer(data, dtype="<f4", count=dim, offset=end))
+    if offset != len(data):
+        raise FormatError(f"{len(data) - offset} trailing bytes after records")
+    ordered = sorted(keys)
+    for key, after in zip(ordered, ordered[1:]):
+        if key == after:
+            raise FormatError(f"duplicate key {key!r}")
+    return keys, np.array(rows, dtype="<f4").reshape(count, dim)
+
+
+def _records(keys, dim=3):
+    rng = np.random.default_rng(len(keys))
+    return [(key, rng.normal(size=dim)) for key in keys]
+
+
+def _truncated(records, dim, cut):
+    return _nese_bytes(records, dim)[:-cut]
+
+
+def _with_count(data, count):
+    return data[:8] + struct.pack("<I", count) + data[12:]
+
+
+# name -> bytes of a binary embedding file
+ORACLE_FILES = {
+    # every key 5 bytes: the heads the first key predicts are the walk
+    "equal_length": _nese_bytes(_records([b"k%04d" % i for i in range(2 * MOVE_ROWS + 5)]), 3),
+    "mixed_length": _nese_bytes(_records([b"k%d" % i for i in range(MOVE_ROWS + 40)]), 3),
+    "multi_byte_empty_nul": _nese_bytes(
+        _records([k.encode() for k in ["", "a", "a\x00", "caf\u00e9", "\u2603", "\U0001f600z"]]), 3
+    ),
+    # a valid blob, "a\xc3\xa9b", split inside "\u00e9" across two keys
+    "split_character": _nese_bytes(_records([b"a\xc3", b"\xa9b"]), 3),
+    "split_character_equal_length": _nese_bytes(_records([b"x\xc3", b"\xa9y", b"zz"]), 3),
+    "invalid_last_key": _nese_bytes(_records([b"a", b"b", b"\xff"]), 3),
+    "unsorted": _nese_bytes(_records([b"k3", b"k1", b"k20", b"k0"]), 3),
+    "duplicate_apart": _nese_bytes(_records([b"d1", b"d2", b"d3", b"d1", b"d4"]), 3),
+    "duplicate_adjacent_equal_length": _nese_bytes(_records([b"aa", b"bb", b"bb"]), 3),
+    "count_zero": _nese_bytes([], 3),
+    "count_zero_trailing": _nese_bytes([], 3) + b"\x00",
+    # the first key's length, 2, predicts 4 records of 2 + 2 + 12 bytes,
+    # the file's size, but the middle keys are 1 and 3 bytes long
+    "trap": _nese_bytes(_records([b"aa", b"b", b"ccc", b"dd"]), 3),
+    "truncated_vector": _truncated(_records([b"aa", b"bb"]), 3, 1),
+    "truncated_vector_bad_key": _truncated(_records([b"aa", b"\xfe\xff"]), 3, 1),
+    # the header's bound, 16 + 2 * (2 + 4), holds; the second record does not
+    "truncated_key": _with_count(_nese_bytes(_records([b"abcdefgh"], 1), 1) + b"\x09\x00abc", 2),
+    "truncated_header": _with_count(_nese_bytes(_records([b"abcdefgh"], 1), 1) + b"\x01", 2),
+    "bad_key_before_truncation": _truncated(_records([b"\xff", b"bb", b"cc"]), 3, 1),
+    "trailing_bytes": _nese_bytes(_records([b"aa", b"bb"]), 3) + b"\x00\x00",
+    "bad_key_before_trailing_bytes": _nese_bytes(_records([b"aa", b"\xc3"]), 3) + b"\x00",
+}
+
+
+class TestBinaryReaderOracle:
+    """The binary reader returns the keys, rows and errors of the
+    per-record walk (_walk_records) on every file."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FILES))
+    def test_equals_the_walk(self, tmp_path, name):
+        data = ORACLE_FILES[name]
+        path = tmp_path / "v.nese"
+        path.write_bytes(data)
+        try:
+            keys, rows = _walk_records(data)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read_vector_file(path)
+            assert str(got.value) == str(exc)
+            return
+        table = read_vector_file(path)
+        assert isinstance(table.keys, Texts) and isinstance(table.keys.blob, bytes)
+        assert list(table.keys) == keys
+        assert table.rows.dtype == np.float32 and table.rows.tobytes() == rows.tobytes()
+
+    def test_trap_fits_the_first_keys_prediction(self):
+        data = ORACLE_FILES["trap"]
+        (length,) = struct.unpack_from("<H", data, 16)
+        assert 16 + 4 * (2 + length + 4 * 3) == len(data)
+        assert _walk_records(data)[0] == ["aa", "b", "ccc", "dd"]
+
+
+def _random_keys(rng, count):
+    alphabet = ["", "a", "b", "\x00", "a\x00", "\x7f", "\u00e9", "\u2603", "\U0001f600", "a" * 9]
+    return ["".join(rng.choice(alphabet, size=rng.integers(0, 4))) for _ in range(count)]
+
+
+class TestTextsAscending:
+    def test_equals_str_order(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            keys = _random_keys(rng, int(rng.integers(0, 7)))
+            if rng.random() < 0.5:
+                keys = sorted(set(keys))
+            want = not any(map(operator.ge, keys, keys[1:]))
+            assert Texts.of(keys).ascending == want, keys
+
+    def test_prefix_and_trailing_nul(self):
+        assert Texts.of(["a", "a\x00"]).ascending
+        assert not Texts.of(["a\x00", "a"]).ascending
+        assert not Texts.of(["a\x00", "a\x00"]).ascending
+        assert Texts.of(["", "\x00"]).ascending and not Texts.of(["", ""]).ascending
+
+    def test_across_chunks(self):
+        keys = [f"k{i:06d}" for i in range(3 * MOVE_ROWS)]
+        assert Texts.of(keys).ascending
+        keys[2 * MOVE_ROWS], keys[2 * MOVE_ROWS + 1] = keys[2 * MOVE_ROWS + 1], keys[2 * MOVE_ROWS]
+        assert not Texts.of(keys).ascending
+        keys = [f"k{i:06d}" for i in range(3 * MOVE_ROWS)]
+        keys[MOVE_ROWS] = keys[MOVE_ROWS - 1]  # equal across a chunk's edge
+        assert not Texts.of(keys).ascending
 
 
 def _rows_moved_by_renormalizing(rng, count, dim):

@@ -4,16 +4,15 @@ Records are held row-sorted by id so that score ties resolve to ascending
 id regardless of insertion order. Ids and captions are each one UTF-8 blob
 (embedding.Texts), and a record is found by bisecting the sorted ids; a
 loaded store's ids are the key blob its embedding file was read into, so
-a load makes no Python string per record. Retrieval
-scans a float32 matrix of unit rows (`scan`) and scores in float64 unit
-rows, which a store holds only when it was built from float64 unit rows
-(build_datastore). A loaded store (ingest_datastore, load_datastore)
-derives float64 unit rows from its embedding file's rows only where they
-are read: the candidates retrieval re-scores, the hits it hands out,
-vector_of and records(). For a binary file it holds one float32 array,
-the file's rows overwritten by the scan, plus the few file rows (at most
-DERIVE_ROWS) whose scan row differs; with more, or for a JSON-lines
-file, it holds the file's rows and a separate scan.
+a load makes no Python string per record. Retrieval scans a float32
+matrix (`scan`) and scores in float64 unit rows, which a store holds only
+when it was built from float64 unit rows (build_datastore). A loaded store (ingest_datastore, load_datastore)
+holds its embedding file's rows as stored and derives float64 unit rows
+from them only where they are read: the candidates retrieval re-scores,
+the hits it hands out, vector_of and records(). A binary file's float32
+rows are the scan themselves when every norm is within float32 eps of 1,
+as in every file save_datastore writes, so such a store holds one
+float32 array; other rows get a separate scan.
 
 Retrieval is exact and batched: retrieve_many ranks all its queries with
 kernels.exact_top, which scans `scan` in cache-sized chunks against blocks
@@ -37,6 +36,7 @@ import numpy as np
 from . import kernels
 from .embedding import (
     FORMAT_BINARY,
+    MOVE_ROWS,
     Texts,
     l2_normalize,
     normalize_rows,
@@ -101,10 +101,6 @@ class RetrievalResult:
         }
 
 
-# rows derived at a time when a store derives all of them
-DERIVE_ROWS = 1024
-
-
 def _derive(raw: np.ndarray, keys) -> np.ndarray:
     """Float64 unit rows of an embedding file's `raw` rows: normalized once
     as load_embedding_file normalizes a file's rows, then once as
@@ -117,57 +113,42 @@ def _derive(raw: np.ndarray, keys) -> np.ndarray:
     return rows
 
 
-def _scan_over(raw: np.ndarray, ids):
-    """The float32 scan of an embedding file's `raw` rows, derived
-    DERIVE_ROWS rows at a time, as (scan, kept rows, their file values).
+def _near_unit(raw: np.ndarray) -> bool:
+    """Whether every row of the float32 `raw` has a float64 norm within
+    float32 eps of 1, as every row save_datastore writes has (see
+    kernels.exact_top for why such rows can be the scan). A non-finite or
+    zero row has not."""
+    eps = float(np.finfo(np.float32).eps)
+    for start in range(0, len(raw), MOVE_ROWS):
+        rows = raw[start : start + MOVE_ROWS].astype(np.float64)
+        if not (np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0) <= eps).all():
+            return False
+    return True
 
-    Float32 rows are overwritten by their scan rows, which nearly always
-    equal them bit for bit (a saved store holds the float32 of its unit
-    rows); the few that differ are kept aside first, ascending. Past
-    DERIVE_ROWS kept rows the scan becomes a copy: the prefix written so
-    far is copied out, the kept rows are put back, and the remaining scan
-    rows go to the copy, as they always do for float64 rows.
-    """
-    scan = raw if raw.dtype == np.float32 else np.empty(raw.shape, dtype=np.float32)
-    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (row numbers, file rows)
-    count = 0
-    for start in range(0, len(raw), DERIVE_ROWS):
-        stop = start + DERIVE_ROWS
-        chunk = _derive(raw[start:stop], ids[start:stop]).astype(np.float32)
-        if scan is raw:
-            differ = (chunk.view(np.uint32) != raw[start:stop].view(np.uint32)).any(axis=1)
-            at = start + np.flatnonzero(differ)
-            count += len(at)
-            if count <= DERIVE_ROWS:
-                kept.append((at, raw[at]))
-            else:
-                scan = np.empty(raw.shape, dtype=np.float32)
-                scan[:start] = raw[:start]
-                for at, values in kept:
-                    raw[at] = values
-                kept = []
-        scan[start:stop] = chunk
-    if not kept:
-        return scan, np.empty(0, dtype=np.intp), raw[:0]
-    return scan, np.concatenate([at for at, _ in kept]), np.concatenate([v for _, v in kept])
+
+def _scan_of(raw: np.ndarray, ids) -> np.ndarray:
+    """The float32 of the unit rows derived from `raw`, MOVE_ROWS at a time."""
+    scan = np.empty(raw.shape, dtype=np.float32)
+    for start in range(0, len(raw), MOVE_ROWS):
+        stop = start + MOVE_ROWS
+        scan[start:stop] = _derive(raw[start:stop], ids[start:stop])
+    return scan
 
 
 class Datastore:
     """Immutable (id, caption, normalized embedding) collection, with ids
     distinct and ascending.
 
-    `ids` and `captions` are Texts. `scan` is the read-only float32 of the
-    unit rows, which retrieval scans for candidates. By default the store
-    is given float64 unit rows, which unit_rows reads as they are. With
-    `raw` it is given an embedding file's rows as stored (float32 for a
-    binary file) and derives float64 unit rows from them (see _derive), so
-    no float64 copy of the store is ever held; its scan is derived
-    DERIVE_ROWS rows at a time (see _scan_over), written over float32 rows,
-    which the store then owns. Such a store holds one (N, d) float32 array,
-    both its scan and its file rows, and aside the few file rows (at most
-    DERIVE_ROWS) that differ from their scan rows. unit_rows patches those
-    in, so it derives from the file's rows exactly. `matrix` is the rows as
-    given: the unit rows, or the file rows (a copy when some are kept).
+    `ids` and `captions` are Texts. `scan` is the read-only float32 matrix
+    that retrieval scans for candidates. By default the store is given
+    float64 unit rows, which unit_rows reads as they are, and scans their
+    float32. With `raw` it is given an embedding file's rows as stored
+    (float32 for a binary file), which it then owns, and derives float64
+    unit rows from them where they are read (see _derive), so no float64
+    copy of the store is ever held. Float32 file rows whose norms are all
+    within float32 eps of 1, as a saved store's are, are the scan
+    themselves (see _near_unit); other file rows get a separate scan, the
+    float32 of their unit rows. `matrix` is the rows as given.
     """
 
     def __init__(self, ids, captions, matrix, *, raw: bool = False):
@@ -179,23 +160,15 @@ class Datastore:
         self.ids = ids
         self.captions = captions if isinstance(captions, Texts) else Texts.of(captions)
         self._raw = raw
-        if raw:
-            self.scan, self._kept_rows, self._kept_values = _scan_over(matrix, ids)
-        else:
+        if not raw:
             self.scan = matrix.astype(np.float32)
-            self._kept_rows = np.empty(0, dtype=np.intp)
-        self._rows = matrix
-        self._rows.flags.writeable = False
+        elif matrix.dtype == np.float32 and _near_unit(matrix):
+            self.scan = matrix
+        else:
+            self.scan = _scan_of(matrix, ids)
+        self.matrix = matrix
+        self.matrix.flags.writeable = False
         self.scan.flags.writeable = False
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if not len(self._kept_rows):
-            return self._rows
-        rows = self._rows.copy()
-        rows[self._kept_rows] = self._kept_values
-        rows.flags.writeable = False
-        return rows
 
     @property
     def dim(self) -> int:
@@ -206,13 +179,8 @@ class Datastore:
 
     def unit_rows(self, index) -> np.ndarray:
         """The float64 unit rows at `index`, an array of row numbers."""
-        rows = self._rows[index]
-        if not self._raw:
-            return rows
-        if len(self._kept_rows):
-            kept = np.isin(index, self._kept_rows)
-            rows[kept] = self._kept_values[np.searchsorted(self._kept_rows, index[kept])]
-        return _derive(rows, index)
+        rows = self.matrix[index]
+        return _derive(rows, index) if self._raw else rows
 
     def _row(self, rid: str) -> int:
         i = bisect.bisect_left(self.ids, rid)
@@ -234,9 +202,9 @@ class Datastore:
         return self.unit_rows(np.array([self._row(rid)]))[0]
 
     def records(self) -> Iterable[tuple[str, str, np.ndarray]]:
-        for start in range(0, len(self), DERIVE_ROWS):
-            rows = self.unit_rows(np.arange(start, min(start + DERIVE_ROWS, len(self))))
-            chunk = slice(start, start + DERIVE_ROWS)
+        for start in range(0, len(self), MOVE_ROWS):
+            rows = self.unit_rows(np.arange(start, min(start + MOVE_ROWS, len(self))))
+            chunk = slice(start, start + MOVE_ROWS)
             yield from zip(self.ids[chunk], self.captions[chunk], rows)
 
 
@@ -318,7 +286,9 @@ def save_datastore(store: Datastore, directory) -> None:
             )
     write_embedding_file(
         os.path.join(directory, EMBEDDINGS_FILENAME),
-        zip(store.ids, store.scan),  # the float32 of the unit rows
+        # the float32 of the unit rows, or the file rows a loaded store
+        # scans, so such a store is saved as the file it was loaded from
+        zip(store.ids, store.scan),
         format=FORMAT_BINARY,
         dim=store.dim,
     )
@@ -365,10 +335,10 @@ def _caption_spans(data: bytes, ids: Texts):
     if not (np.array_equal(lengths, ids.stops - ids.starts) and (tabs < ends).all()):
         return None
     blob = np.frombuffer(ids.blob, dtype=np.uint8)
-    # the ids' bytes, compared DERIVE_ROWS lines at a time: an index array
+    # the ids' bytes, compared MOVE_ROWS lines at a time: an index array
     # over the whole blob would be eight times its size
-    for line in range(0, len(ids), DERIVE_ROWS):
-        lines = slice(line, line + DERIVE_ROWS)
+    for line in range(0, len(ids), MOVE_ROWS):
+        lines = slice(line, line + MOVE_ROWS)
         first, last = ids.starts[line], ids.stops[lines][-1]
         at = np.repeat(starts[lines] - ids.starts[lines], lengths[lines]) + np.arange(first, last)
         if not np.array_equal(buf[at], blob[first:last]):
@@ -424,8 +394,8 @@ def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
     The embedding file is read first, and only its rows are kept, as
     stored, in id order (sorted only when the file's ids are not); its
     keys, one Texts blob, are the store's ids. A binary file's rows are the
-    front of the buffer it was read into, and the store writes its scan
-    over them (see Datastore). The store's unit rows (see _derive) equal
+    front of the buffer it was read into, and may be the store's scan as
+    well (see Datastore). The store's unit rows (see _derive) equal
     those of build_datastore(load_embedding_file(...).items()) bit for bit.
     """
     ids, rows = read_vector_file(embeddings_path, format=format)

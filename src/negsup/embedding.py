@@ -53,7 +53,8 @@ BINARY_VERSION = 1
 FORMAT_BINARY = "binary"
 FORMAT_JSONL = "jsonl"
 
-# rows a binary file's read moves to the front of its buffer at a time
+# rows (or records, or lines) one pass over a whole table handles at a
+# time, so that no temporary as large as the table is made
 MOVE_ROWS = 1024
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -69,7 +70,7 @@ def as_vector(values) -> np.ndarray:
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] < 1:
         raise DimMismatch(f"expected a 1-D vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise FormatError("vector contains non-finite values")
     return vec
 

@@ -80,8 +80,12 @@ def exact_top(
     The margin: for unit vectors, a dot product in a precision with unit
     roundoff u = eps/2 is off by at most (d+2)*u (d*u from the sum, 2*u
     from rounding the operands to that precision), so any scan score of a
-    row and its float64 re-score differ by at most e = 2*(d+2)*u. The
-    margin is 4*(d+2)*eps, twice the 2*e the argument needs.
+    row and its float64 re-score differ by at most e = 2*(d+2)*u. A scan
+    row s need not be the rounding of its unit row v: a row with
+    |norm(s) - 1| <= eps (a loaded store scans its file's rows when all
+    are) differs from v by at most |norm(s) - 1| + O(d*u64) <= 2*u, one u
+    more than a rounding, for at most (d+3)*u, still within e. The margin
+    is 4*(d+2)*eps, twice the 2*e the argument needs.
 
     Why the result is exact: let b be a query's k-th largest group maximum.
     Its k best groups hold k distinct rows that scan at >= b, so at least k

@@ -449,9 +449,9 @@ class TestLoadFullWidth:
         assert not store.matrix.flags.writeable and not store.scan.flags.writeable
 
     def test_peak_memory_of_load(self, tmp_path):
-        # random rows differ from their scan rows: the store holds the
-        # file's rows and a separate scan, and the read makes no copy of
-        # the file's bytes
+        # random rows are not near unit: the store holds the file's rows
+        # and a separate scan, and the read makes no copy of the file's
+        # bytes
         count, dim = 20000, 128
         rows = np.random.default_rng(27).normal(size=(count, dim)).astype(np.float32)
         _, embeddings = _write_store(tmp_path / "s", [f"r{i:05d}" for i in range(count)], rows)
@@ -459,7 +459,7 @@ class TestLoadFullWidth:
         assert _peak_of_load(tmp_path / "s", count) <= 2.5 * embeddings.stat().st_size
 
     def test_peak_memory_of_loading_a_saved_store(self, tmp_path):
-        # a saved store's rows are their own scan rows: one array holds both
+        # a saved store's rows are near unit: one array is its rows and scan
         count, dim = 20000, 128
         rows = np.random.default_rng(27).normal(size=(count, dim))
         store = build_datastore([(f"r{i:05d}", f"c{i}", row) for i, row in enumerate(rows)])
@@ -467,6 +467,15 @@ class TestLoadFullWidth:
         del rows, store
         size = (tmp_path / "s" / "embeddings.nese").stat().st_size
         assert _peak_of_load(tmp_path / "s", count) <= 1.35 * size
+
+
+def _set_row_1500(embeddings, value):
+    """Every value of record 1500 (key 'r1500', d = 4) of a binary file set
+    to `value`."""
+    data = bytearray(embeddings.read_bytes())
+    at = 16 + 1500 * (2 + 5 + 16) + 2 + 5  # header, 1500 records, key length and key
+    data[at : at + 16] = np.full(4, value, dtype=np.float32).tobytes()
+    embeddings.write_bytes(bytes(data))
 
 
 def _peak_of_load(directory, count):
@@ -495,12 +504,12 @@ def _oracle(embeddings, captions):
     )
 
 
-def _assert_equals_oracle(store, oracle, file_rows):
+def _assert_equals_oracle(store, oracle, file_rows, scan):
     n = len(store)
     assert store.ids == oracle.ids and store.captions == oracle.captions
     assert store.matrix.tobytes() == file_rows.tobytes()
     assert not store.matrix.flags.writeable and not store.scan.flags.writeable
-    assert store.scan.tobytes() == oracle.matrix.astype(np.float32).tobytes()
+    assert store.scan.tobytes() == scan.tobytes()
     assert store.unit_rows(np.arange(n)).tobytes() == oracle.matrix.tobytes()
     picked = np.random.default_rng(37).integers(n, size=300)
     assert store.unit_rows(picked).tobytes() == oracle.matrix[picked].tobytes()
@@ -513,9 +522,26 @@ def _assert_equals_oracle(store, oracle, file_rows):
         assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def _near_unit(rows):
+    """Whether every float32 row's float64 norm is within float32 eps of 1."""
+    return bool(np.abs(np.linalg.norm(rows.astype(np.float64), axis=1) - 1.0).max() <= F32_EPS)
+
+
+def _bump(rows, at):
+    """Each value of rows[at] moved one ulp further from 0, in place."""
+    for i in at:
+        rows[i] = np.nextafter(rows[i], np.copysign(np.float32(np.inf), rows[i]))
+
+
 class TestOneArray:
-    """A loaded binary store writes its scan over the file's float32 rows,
-    keeping aside the few that differ from their scan rows."""
+    """A loaded binary store whose float32 rows all have norms within
+    float32 eps of 1, as a saved store's have, scans those rows; any other
+    gets a separate scan, the float32 of its unit rows."""
+
+    BUMPED = [0, 1023, 1024, 1500, 2999]  # rows at and across chunk edges
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -531,26 +557,47 @@ class TestOneArray:
         store = load_datastore(directory)
         assert np.shares_memory(store.scan, store.matrix)
         assert _held_bytes(store) == rows.nbytes
-        _assert_equals_oracle(store, _oracle(embeddings, directory / "captions.tsv"), rows)
+        _assert_equals_oracle(store, _oracle(embeddings, directory / "captions.tsv"), rows, rows)
 
-    def test_rows_off_by_an_ulp_are_kept(self, saved):
-        # each value of a bumped row is one ulp further from 0: its scan row
-        # is the saved row again, so the store keeps the bumped row aside
+    @pytest.mark.parametrize("change", ["bump", "stretch"])
+    def test_scan_is_the_file_rows_only_when_every_norm_passes(self, saved, change):
+        # a bumped row's values are each one ulp further from 0, which keeps
+        # its norm within eps of 1, though its scan row as derived would be
+        # the saved row again; a stretched row is 3 eps too long
         directory, embeddings, keys, rows = saved
-        bumped = [0, 1023, 1024, 1500, 2999]
-        for i in bumped:
-            rows[i] = np.nextafter(rows[i], np.copysign(np.float32(np.inf), rows[i]))
+        if change == "bump":
+            _bump(rows, self.BUMPED)
+        else:
+            rows[1500] *= np.float32(1 + 3 * F32_EPS)
         write_embedding_file(embeddings, zip(keys, rows))
+        passes = _near_unit(rows)
+        assert passes == (change == "bump")
         store = load_datastore(directory)
-        differ = (store.scan.view(np.uint32) != store.matrix.view(np.uint32)).any(axis=1)
-        assert np.flatnonzero(differ).tolist() == bumped
-        assert _held_bytes(store) == rows.nbytes + len(bumped) * (rows[0].nbytes + 8)
-        _assert_equals_oracle(store, _oracle(embeddings, directory / "captions.tsv"), rows)
+        oracle = _oracle(embeddings, directory / "captions.tsv")
+        derived = oracle.matrix.astype(np.float32)
+        if passes:
+            differ = (rows.view(np.uint32) != derived.view(np.uint32)).any(axis=1)
+            assert np.flatnonzero(differ).tolist() == self.BUMPED
+            assert np.shares_memory(store.scan, store.matrix)
+            assert _held_bytes(store) == rows.nbytes
+        else:
+            assert _held_bytes(store) == 2 * rows.nbytes
+        _assert_equals_oracle(store, oracle, rows, rows if passes else derived)
+
+    def test_saving_a_loaded_store_keeps_its_file(self, saved, tmp_path):
+        directory, embeddings, keys, rows = saved
+        _bump(rows, self.BUMPED)
+        write_embedding_file(embeddings, zip(keys, rows))
+        loaded = load_datastore(directory)
+        save_datastore(loaded, tmp_path / "again")
+        assert (tmp_path / "again" / "embeddings.nese").read_bytes() == embeddings.read_bytes()
+        again = load_datastore(tmp_path / "again")
+        n = len(loaded)
+        assert again.unit_rows(np.arange(n)).tobytes() == loaded.unit_rows(np.arange(n)).tobytes()
 
     def test_many_differing_rows_switch_to_a_separate_scan(self, saved):
-        # rows 0-2999 are their own scan rows, rows 3000-4999 random: the
-        # 1025th differing row comes in the fourth 1024-row chunk, where the
-        # scan becomes a copy and the 72 kept rows of the third go back
+        # rows 0-2999 are near unit, rows 3000-4999 random: the store's
+        # scan is a separate array, the float32 of its unit rows
         directory, embeddings, keys, rows = saved
         more = np.random.default_rng(36).normal(size=(2000, 32)).astype(np.float32)
         keys = list(keys) + [f"s{i:04d}" for i in range(len(more))]
@@ -561,7 +608,54 @@ class TestOneArray:
         store = load_datastore(directory)
         assert not np.shares_memory(store.scan, store.matrix)
         assert _held_bytes(store) == 2 * rows.nbytes
-        _assert_equals_oracle(store, _oracle(embeddings, captions), rows)
+        oracle = _oracle(embeddings, captions)
+        _assert_equals_oracle(store, oracle, rows, oracle.matrix.astype(np.float32))
+
+    @pytest.mark.parametrize("dim", [8, 32, 128])
+    def test_every_saved_row_passes(self, tmp_path, dim):
+        # a saved row is the float32 of a unit row: its norm is within
+        # eps/2 of 1, whatever the dimension
+        rng = np.random.default_rng(40 + dim)
+        save_datastore(build_datastore(_random_records(rng, 3000, dim)), tmp_path / "s")
+        _, rows = read_vector_file(tmp_path / "s" / "embeddings.nese")
+        norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+        assert np.abs(norms - 1.0).max() <= F32_EPS / 2
+        store = load_datastore(tmp_path / "s")
+        assert np.shares_memory(store.scan, store.matrix)
+
+    @pytest.mark.parametrize("bad,named", [(np.nan, "non-finite"), (0.0, "zero vector")])
+    def test_bad_row_of_a_saved_store_names_its_id(self, tmp_path, bad, named):
+        rng = np.random.default_rng(41)
+        save_datastore(build_datastore(_random_records(rng, 2500, 4)), tmp_path / "s")
+        _set_row_1500(tmp_path / "s" / "embeddings.nese", bad)
+        with pytest.raises(FormatError, match=f"{named}.*'r1500'"):
+            load_datastore(tmp_path / "s")
+
+    def test_rows_unit_to_a_thousandth_are_not_scanned(self, tmp_path):
+        # 400 rows near one query, their norms off 1 by up to 1e-3: scanned
+        # as they are, r0300 (the best cosine, but norm 1 - 8e-4) would
+        # score below rows of lower cosine and norm above 1, far beyond the
+        # scan's margin
+        dim = 32
+        rng = np.random.default_rng(42)
+        query = l2_normalize(rng.normal(size=dim))
+        cosines = rng.uniform(0.9885, 0.98995, size=400)
+        norms = 1.0 + rng.uniform(-1e-3, 1e-3, size=400)
+        cosines[300], norms[300] = 0.99, 1.0 - 8e-4
+        rows = []
+        for cosine, norm in zip(cosines, norms):
+            side = rng.normal(size=dim)
+            side = l2_normalize(side - side.dot(query) * query)
+            rows.append(norm * (cosine * query + np.sqrt(1 - cosine**2) * side))
+        rows = np.array(rows, dtype=np.float32)
+        ids = [f"r{i:04d}" for i in range(len(rows))]
+        captions, embeddings = _write_store(tmp_path / "s", ids, rows)
+        records = list(_oracle(embeddings, captions).records())
+        store = load_datastore(tmp_path / "s")
+        for k in (1, 9):
+            assert retrieve(store, query, k).ids() == brute_force_topk(records, query, k).ids()
+        assert retrieve(store, query, 1).ids() == ["r0300"]
+        assert not np.shares_memory(store.scan, store.matrix)
 
 
 class TestCompactStore:
@@ -630,10 +724,7 @@ class TestCompactStore:
     def test_bad_row_in_a_later_chunk_names_its_id(self, tmp_path, bad, named):
         rows = np.random.default_rng(32).normal(size=(2500, 4)).astype(np.float32)
         _, embeddings = _write_store(tmp_path / "s", [f"r{i:04d}" for i in range(len(rows))], rows)
-        data = bytearray(embeddings.read_bytes())
-        at = 16 + 1500 * (2 + 5 + 16) + 2 + 5  # header, 1500 records, key length and key
-        data[at : at + 16] = np.full(4, bad, dtype=np.float32).tobytes()
-        embeddings.write_bytes(bytes(data))
+        _set_row_1500(embeddings, bad)
         with pytest.raises(FormatError, match=f"{named}.*'r1500'"):
             load_datastore(tmp_path / "s")
 

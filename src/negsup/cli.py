@@ -32,7 +32,7 @@ from .metrics import (
     retrieval_diagnostics,
 )
 from .pipeline import (
-    MODE_TRAINING,
+    KEY_FIELDS,
     PipelineConfig,
     SourceBundle,
     read_jsonl,
@@ -155,22 +155,24 @@ def cmd_run(args) -> int:
     weights = None
     if paths["weights"] is not None:
         weights = load_weights_file(paths["weights"])
+        if "prefix_length" in file_data and weights.out_tokens != config.prefix_length:
+            raise FormatError(
+                f"config prefix_length {config.prefix_length} != the weights file's"
+                f" prefix length {weights.out_tokens}"
+            )
 
     keys = None
     if paths["aux_embeddings"] is not None:
         keys = load_embedding_file(paths["aux_embeddings"])
 
     instances = read_jsonl(args.input)
-    if keys is None:
-        key_field = "synthetic_key" if config.mode == MODE_TRAINING else "image_key"
-        hashed = sum(isinstance(obj.get(key_field), str) for obj in instances)
-        if hashed:
-            print(
-                f"warning: no --aux-embeddings given; {hashed} instances use the "
-                f"hash of their {key_field} string as the embedding",
-                file=sys.stderr,
-            )
     result = run_batch(instances, store, vocab, sources, config, weights, keys)
+    if result.hashed:
+        print(
+            f"warning: no --aux-embeddings given; {result.hashed} instances use the "
+            f"hash of their {KEY_FIELDS[config.mode]} string as the embedding",
+            file=sys.stderr,
+        )
     write_jsonl(args.out, result.outputs)
     if args.report is not None:
         write_jsonl(

@@ -38,6 +38,7 @@ from .embedding import (
     FORMAT_BINARY,
     MOVE_ROWS,
     Texts,
+    _gather,
     l2_normalize,
     normalize_rows,
     read_vector_file,
@@ -49,10 +50,9 @@ from .errors import (
     DuplicateId,
     EmptyInput,
     FormatError,
-    IoError,
     ZeroVector,
 )
-from .validation import read_lines
+from .validation import make_directory, read_bytes, read_lines, write_file
 
 DEFAULT_K = 9
 
@@ -276,14 +276,28 @@ def brute_force_topk(
 
 
 def save_datastore(store: Datastore, directory) -> None:
-    """Persist a datastore as an embeddings file plus an id<TAB>caption file."""
-    os.makedirs(directory, exist_ok=True)
+    """Persist a datastore as an embeddings file plus an id<TAB>caption file.
+
+    The caption lines are encoded before either file is written, and each
+    file replaces its old copy only once written whole (see
+    validation.write_file), so a record that cannot be saved (a tab,
+    newline or lone surrogate in its id or caption) leaves an existing
+    store as it was.
+    """
+    lines = []
     for rid, caption in zip(store.ids, store.captions):
         if any(c in text for text in (rid, caption) for c in "\t\n\r"):
             raise FormatError(
                 f"record {rid!r}: ids and captions must not contain tabs,"
                 " newlines or carriage returns"
             )
+        try:
+            lines.append(f"{rid}\t{caption}\n".encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise FormatError(
+                f"record {rid!r}: ids and captions must not contain lone surrogates"
+            ) from exc
+    make_directory(directory)
     write_embedding_file(
         os.path.join(directory, EMBEDDINGS_FILENAME),
         # the float32 of the unit rows, or the file rows a loaded store
@@ -292,13 +306,7 @@ def save_datastore(store: Datastore, directory) -> None:
         format=FORMAT_BINARY,
         dim=store.dim,
     )
-    try:
-        path = os.path.join(directory, CAPTIONS_FILENAME)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for rid, caption in zip(store.ids, store.captions):
-                fh.write(f"{rid}\t{caption}\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_file(os.path.join(directory, CAPTIONS_FILENAME), lines)
 
 
 def read_caption_file(path) -> dict[str, str]:
@@ -330,19 +338,11 @@ def _caption_spans(data: bytes, ids: Texts):
     if ends.shape[0] != len(ids) or tabs.shape[0] != len(ids):
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = tabs - starts
     # with one tab per line in all, the i-th tab ends the i-th line's id
-    if not (np.array_equal(lengths, ids.stops - ids.starts) and (tabs < ends).all()):
+    if not (np.array_equal(tabs - starts, ids.stops - ids.starts) and (tabs < ends).all()):
         return None
-    blob = np.frombuffer(ids.blob, dtype=np.uint8)
-    # the ids' bytes, compared MOVE_ROWS lines at a time: an index array
-    # over the whole blob would be eight times its size
-    for line in range(0, len(ids), MOVE_ROWS):
-        lines = slice(line, line + MOVE_ROWS)
-        first, last = ids.starts[line], ids.stops[lines][-1]
-        at = np.repeat(starts[lines] - ids.starts[lines], lengths[lines]) + np.arange(first, last)
-        if not np.array_equal(buf[at], blob[first:last]):
-            return None
+    if _gather(buf, starts, tabs).blob != ids.blob:
+        return None
     return tabs + 1, ends
 
 
@@ -368,11 +368,7 @@ def _read_captions(path, ids: Texts) -> Texts:
     that no line of the file is one that read_lines skips as blank. Any
     other file goes through read_caption_file and must name the same ids.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    data = read_bytes(path)
     spans = _caption_spans(data, ids) if _blank_free(ids) else None
     if spans is not None:
         return Texts(data, *spans)

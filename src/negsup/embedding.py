@@ -24,12 +24,10 @@ similarity reduces to a dot product.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 import os
 import re
-import struct
 from collections.abc import Sequence
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -43,7 +41,7 @@ from .errors import (
     UnknownKey,
     ZeroVector,
 )
-from .validation import json_lines
+from .validation import HEADER, json_lines, read_bytes, read_header, write_file, write_jsonl
 
 ENTITY_TEMPLATE = "A photo of {}"
 
@@ -385,21 +383,12 @@ def embed_entity(source: EmbeddingSource, entity: str) -> np.ndarray:
 # object per line, UTF-8, LF line endings.
 
 
-def _detect_format(path) -> str:
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    return FORMAT_BINARY if head == BINARY_MAGIC else FORMAT_JSONL
-
-
 def read_vector_file(path, format: str | None = None) -> VectorTable:
     """The keys and vectors of an embedding file in either layout (by
     default the one its first bytes show), checked for structure: header,
     truncation, key encoding, duplicate keys, widths, trailing bytes."""
     if format is None:
-        format = _detect_format(path)
+        format = FORMAT_BINARY if read_bytes(path, 4) == BINARY_MAGIC else FORMAT_JSONL
     if format == FORMAT_BINARY:
         return _read_binary(path)
     if format == FORMAT_JSONL:
@@ -439,7 +428,11 @@ def write_embedding_file(
             raise ValueError("dim is required to write an empty binary file")
         _write_binary(path, pairs, dim)
     elif format == FORMAT_JSONL:
-        _write_jsonl(path, pairs)
+        objects = (
+            {"key": key, "vector": np.asarray(values, dtype=np.float64).tolist()}
+            for key, values in pairs
+        )
+        write_jsonl(path, objects)
     else:
         raise ValueError(f"unknown embedding file format {format!r}")
 
@@ -457,6 +450,7 @@ def _read_binary(path) -> VectorTable:
     Record j's vector starts past byte 16 + j*(2 + 4*dim) + 2, beyond the
     bytes j*4*dim.. it moves to, so each move reads bytes no earlier move
     wrote."""
+    # not read_bytes: the rows move within this buffer, and bytes would be a second copy
     try:
         with open(path, "rb") as fh:
             nbytes = os.fstat(fh.fileno()).st_size
@@ -466,13 +460,7 @@ def _read_binary(path) -> VectorTable:
         raise IoError(str(exc)) from exc
     if got != nbytes:
         raise IoError(f"read {got} of the {nbytes} bytes of {os.fspath(path)!r}")
-    if nbytes < 16:
-        raise FormatError("binary embedding file truncated before header")
-    magic, version, count, dim = struct.unpack_from("<4sIII", data, 0)
-    if magic != BINARY_MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != BINARY_VERSION:
-        raise FormatError(f"unsupported version {version}")
+    count, dim = read_header(data, BINARY_MAGIC, BINARY_VERSION, "binary embedding file")
     if dim == 0 and count:
         raise FormatError("binary embedding file has dimension 0")
     size = 4 * dim
@@ -591,19 +579,15 @@ def _check_keys(keys: Texts) -> None:
 
 
 def _write_binary(path, pairs, dim: int) -> None:
-    chunks = [struct.pack("<4sIII", BINARY_MAGIC, BINARY_VERSION, len(pairs), dim)]
+    chunks = [HEADER.pack(BINARY_MAGIC, BINARY_VERSION, len(pairs), dim)]
     for key, values in pairs:
         raw = key.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"key too long for u16 length: {key[:32]!r}...")
-        chunks.append(struct.pack("<H", len(raw)))
+        chunks.append(len(raw).to_bytes(2, "little"))
         chunks.append(raw)
         chunks.append(np.asarray(values, dtype="<f4").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_file(path, chunks)
 
 
 def _read_jsonl(path) -> VectorTable:
@@ -630,14 +614,3 @@ def _read_jsonl(path) -> VectorTable:
         entries[key] = vec
     rows = np.array(list(entries.values())) if entries else np.empty((0, 0))
     return VectorTable(Texts.of(entries), rows)
-
-
-def _write_jsonl(path, pairs) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, values in pairs:
-                vec = [float(x) for x in np.asarray(values, dtype=np.float64)]
-                fh.write(json.dumps({"key": key, "vector": vec}, ensure_ascii=False))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc

@@ -8,8 +8,8 @@ on column vectors (token_out = M @ token_in), stored row-major.
 
 from __future__ import annotations
 
+import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +20,9 @@ from .errors import (
     DimMismatch,
     EmptyRetrieval,
     FormatError,
-    IoError,
     ZeroVector,
 )
-from .validation import check_float
+from .validation import HEADER, check_float, read_bytes, read_header, write_file
 
 STRATEGY_CLIPSCORE_FORWARD = "clipscore-forward"
 STRATEGY_CLIPSCORE_REVERSE = "clipscore-reverse"
@@ -255,51 +254,24 @@ def write_weights_file(path, weights: AttentionWeights) -> None:
             "weights file stores square mappings only "
             f"(in_tokens={weights.in_tokens}, out_tokens={weights.out_tokens})"
         )
-    header = struct.pack(
-        "<4sIII", WEIGHTS_MAGIC, WEIGHTS_VERSION, weights.dim, weights.out_tokens
-    )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for mat in (weights.q_proj, weights.k_proj, weights.v_proj, weights.map_proj):
-                fh.write(np.asarray(mat, dtype="<f4").tobytes())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    header = HEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION, weights.dim, weights.out_tokens)
+    matrices = (weights.q_proj, weights.k_proj, weights.v_proj, weights.map_proj)
+    # one matrix's bytes at a time: map_proj's alone may be hundreds of MiB
+    chunks = (np.asarray(mat, dtype="<f4").tobytes() for mat in matrices)
+    write_file(path, itertools.chain([header], chunks))
 
 
 def load_weights_file(path) -> AttentionWeights:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    if len(data) < 16:
-        raise FormatError("weights file truncated before header")
-    magic, version, dim, prefix_len = struct.unpack_from("<4sIII", data, 0)
-    if magic != WEIGHTS_MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"unsupported version {version}")
+    data = read_bytes(path)
+    dim, prefix_len = read_header(data, WEIGHTS_MAGIC, WEIGHTS_VERSION, "weights file")
     if dim < 1 or prefix_len < 1:
         raise FormatError(f"invalid header: d={dim}, L={prefix_len}")
-    expected = 16 + 4 * (3 * dim * dim + (prefix_len * dim) ** 2)
+    expected = HEADER.size + 4 * (3 * dim * dim + (prefix_len * dim) ** 2)
     if len(data) != expected:
-        raise FormatError(
-            f"weights file has {len(data)} bytes, expected {expected}"
-        )
-    offset = 16
-
-    def take(rows, cols):
-        nonlocal offset
-        count = rows * cols
-        mat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        return mat.astype(np.float64).reshape(rows, cols)
-
-    q = take(dim, dim)
-    k = take(dim, dim)
-    v = take(dim, dim)
-    m = take(prefix_len * dim, prefix_len * dim)
+        raise FormatError(f"weights file has {len(data)} bytes, expected {expected}")
+    values = np.frombuffer(data, dtype="<f4", offset=HEADER.size).astype(np.float64)
+    q, k, v = values[: 3 * dim * dim].reshape(3, dim, dim)
+    m = values[3 * dim * dim :].reshape(prefix_len * dim, prefix_len * dim)
     try:
         return AttentionWeights(q, k, v, m)
     except (DimMismatch, FormatError) as exc:

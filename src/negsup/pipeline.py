@@ -17,10 +17,6 @@ metrics are computable without a neural decoder.
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import secrets
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -46,7 +42,7 @@ from .entities import (
     longest_runs,
     match_runs,
 )
-from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError, IoError
+from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError
 from .fusion import (
     AttentionWeights,
     FusionConfig,
@@ -71,10 +67,14 @@ from .validation import (
     config_from_json,
     config_to_json,
     json_lines,
+    write_jsonl,
 )
 
 MODE_TRAINING = "training"
 MODE_INFERENCE = "inference"
+
+# the instance field each mode embeds (a key store's key, else hashed)
+KEY_FIELDS = {MODE_TRAINING: "synthetic_key", MODE_INFERENCE: "image_key"}
 
 QUERY_AUTO = "auto"
 QUERY_SYNTHETIC = "synthetic"
@@ -312,6 +312,8 @@ def _contexts(
     """
     if weights is None:
         weights = default_weights(store, config)
+    elif weights.dim != store.dim:
+        raise DimMismatch(f"weights dim {weights.dim} != store dim {store.dim}")
     index = index_for(sources.entity, vocab, index)
     retrievals = retrieve_many(store, [query for _, query, _ in items], config.retrieval_k)
     if mode == MODE_INFERENCE:
@@ -450,6 +452,8 @@ def standin_decode(
 class BatchResult:
     outputs: list[dict]
     skipped: list[dict]
+    # instances whose key string was hashed, for want of a key store
+    hashed: int = 0
 
 
 def _instance_text(obj: dict, name: str) -> str | None:
@@ -504,15 +508,19 @@ def run_batch(
     kept: list[dict] = []
     # (caption | None, retrieval query, features) of each kept instance
     items: list[tuple[str | None, np.ndarray, np.ndarray]] = []
+    key_field = KEY_FIELDS[config.mode]
+    hashed = 0
     for obj in instances:
         if config.mode == MODE_TRAINING:
             caption = _instance_text(obj, "caption")
             if not caption:
                 raise FormatError(f'training instance {obj["id"]!r} needs a "caption"')
             text_emb = embed_text(sources.text, caption)
-            synthetic = _instance_embedding(obj, "synthetic_key", keys, sources)
+            synthetic = _instance_embedding(obj, key_field, keys, sources)
             if synthetic is None:
                 synthetic = text_emb
+            else:
+                hashed += keys is None
             if config.enable_sir or config.enable_sif:
                 score = clip_score(synthetic, text_emb)
                 if score < config.fusion.tau_quality:
@@ -521,9 +529,10 @@ def run_batch(
             query, fused = _training_query(text_emb, synthetic, config)
             items.append((caption, query, fused))
         else:
-            image = _instance_embedding(obj, "image_key", keys, sources)
+            image = _instance_embedding(obj, key_field, keys, sources)
             if image is None:
                 raise FormatError(f'inference instance {obj["id"]!r} needs an "image_key"')
+            hashed += keys is None
             image = l2_normalize(image)
             items.append((None, image, image))
         kept.append(obj)
@@ -543,37 +552,7 @@ def run_batch(
         elif config.mode == MODE_TRAINING:
             out["references"] = [obj["caption"]]
         outputs.append(out)
-    return BatchResult(outputs=outputs, skipped=skipped)
-
-
-def _write_lines(path, mode: str, objects: Iterable[dict]) -> None:
-    with open(path, mode, encoding="utf-8", newline="\n") as fh:
-        for obj in objects:
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-
-
-def write_jsonl(path, objects: Iterable[dict]) -> None:
-    """Write one sorted-key JSON object per line. The lines go to a temporary
-    file beside `path` that replaces it only once all are written, so a
-    failure leaves an existing file as it was and no partial one behind.
-    A symlink, pipe or device (such as /dev/stdout) is written through."""
-    path = os.fspath(path)
-    try:
-        if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
-            _write_lines(path, "w", objects)
-            return
-        directory, name = os.path.split(path)
-        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-        try:
-            _write_lines(tmp, "x", objects)
-            os.replace(tmp, path)
-        finally:
-            # still there only when a write or the replace failed
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    return BatchResult(outputs=outputs, skipped=skipped, hashed=hashed)
 
 
 def read_jsonl(path) -> list[dict]:

@@ -1,4 +1,5 @@
-"""The input contract: config values, config JSON, and text input files.
+"""The file contract: config values, config JSON, and every file negsup
+reads or writes, with OSError raised as IoError.
 
 JSON gives ints, floats, bools and strings alike, and a Python bool is an
 int, so the config dataclasses check each field's type before its range.
@@ -9,18 +10,23 @@ A config dataclass's JSON object is derived from its fields: the key is the
 field name unless the field's metadata names another ("key"), and a field
 whose metadata holds a dataclass ("config") is that sub-config's object.
 
-Every line-oriented input file is read through read_lines: UTF-8, lines
-ended by "\n" or "\r\n" only, blank lines skipped, lines numbered as in
-the file, OSError raised as IoError.
+Text files are read through read_lines: UTF-8, lines ended by "\n" or
+"\r\n" only, blank lines skipped, lines numbered as in the file. Every
+file is written through write_file, which replaces a file only once the
+new one is whole. Both binary formats begin with HEADER (read_header).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import numbers
-from typing import Iterator
+import os
+import secrets
+import struct
+from typing import Iterable, Iterator
 
 from .errors import FormatError, IoError
 
@@ -91,7 +97,16 @@ def config_to_json(config) -> dict:
     return data
 
 
-# --- input files ------------------------------------------------------------------
+# --- files ------------------------------------------------------------------------
+
+
+def read_bytes(path, size: int = -1) -> bytes:
+    """The first `size` bytes of a file, by default all of them."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(size)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
@@ -100,11 +115,7 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
     Lines end at "\n" or "\r\n" only; any other line or paragraph
     separator (a lone "\r", "\x0c", "\x85", U+2028, ...) is part of the line.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    text = read_bytes(path).decode("utf-8")
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.endswith("\r"):
             line = line[:-1]
@@ -128,9 +139,64 @@ def json_lines(path) -> Iterator[tuple[int, dict]]:
 def read_json(path, what: str):
     """The JSON value held by a whole file (`what` names the file in errors)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+        return json.loads(read_bytes(path).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+# Binary file header: 4-byte magic, u32 LE version, two u32 LE fields.
+HEADER = struct.Struct("<4sIII")
+
+
+def read_header(data, magic: bytes, version: int, what: str) -> tuple[int, int]:
+    """The two fields of the HEADER that begins `data` (bytes or a uint8
+    array), once its magic and version are checked; `what` names the file
+    when it is too short to hold one."""
+    if len(data) < HEADER.size:
+        raise FormatError(f"{what} truncated before header")
+    got_magic, got_version, first, second = HEADER.unpack_from(data, 0)
+    if got_magic != magic:
+        raise FormatError(f"bad magic {got_magic!r}")
+    if got_version != version:
+        raise FormatError(f"unsupported version {got_version}")
+    return first, second
+
+
+def make_directory(path) -> None:
+    """Create a directory and its parents, unless it exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
+def write_file(path, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks to `path`. They go to a temporary file beside
+    `path` that replaces it only once all are written, so a failure,
+    also one raised while `chunks` is iterated, leaves an existing file as
+    it was and no partial one behind. A symlink, pipe or device (such as
+    /dev/stdout) is written through."""
+    path = os.fspath(path)
+    try:
+        if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
+            return
+        directory, name = os.path.split(path)
+        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        finally:
+            # still there only when a write or the replace failed
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
+def write_jsonl(path, objects: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line, UTF-8, through write_file."""
+    lines = (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n" for obj in objects)
+    write_file(path, (line.encode("utf-8") for line in lines))

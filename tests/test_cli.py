@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import negsup
-from negsup import cli
+from negsup import cli, pipeline
 from negsup.embedding import HashSource, embed_text, write_embedding_file
 from negsup.errors import InvariantError
+from negsup.fusion import write_weights_file, xavier_weights
 
 
 @pytest.fixture()
@@ -330,6 +331,42 @@ BAD_CONFIGS = {
     "synonyms_bool": {"synonyms": True},
     "aux_embeddings_empty": {"aux_embeddings": ""},
 }
+
+
+class TestWeightsFile:
+    def _run(self, corpus, weights, config):
+        write_weights_file(corpus / "w.nesw", weights)
+        (corpus / "config.json").write_text(
+            json.dumps({"mode": "training", "suppression": {"strategy": "top-k"}, **config})
+        )
+        return _run(
+            ["run", "--store", _store(corpus), "--config", corpus / "config.json",
+             "--input", corpus / "input.jsonl", "--out", corpus / "out.jsonl",
+             "--vocab", corpus / "vocab.txt", "--weights", corpus / "w.nesw"]
+        )
+
+    def test_dim_other_than_the_store_exits_2_before_retrieval(
+        self, corpus, capsys, monkeypatch
+    ):
+        calls = []
+        retrieve_many = pipeline.retrieve_many
+        monkeypatch.setattr(
+            pipeline, "retrieve_many", lambda *args: calls.append(1) or retrieve_many(*args)
+        )
+        assert self._run(corpus, xavier_weights(16, 2), {}) == 2
+        assert "weights dim 16 != store dim 24" in capsys.readouterr().err
+        assert calls == [] and not (corpus / "out.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "config, code", [({}, 0), ({"prefix_length": 2}, 0), ({"prefix_length": 6}, 2)]
+    )
+    def test_config_prefix_length_must_match_the_weights(self, corpus, capsys, config, code):
+        assert self._run(corpus, xavier_weights(24, 2), config) == code
+        if code:
+            assert "prefix_length 6" in capsys.readouterr().err
+            return
+        out = json.loads((corpus / "out.jsonl").read_text().splitlines()[0])
+        assert len(out["context"]["prefix"]) == 2
 
 
 class TestRunConfigTypes:

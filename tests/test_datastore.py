@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -323,6 +324,24 @@ class TestPersistence:
         loaded = load_datastore(tmp_path / "s")
         query = embed_text(src, "a dog in the park")
         assert retrieve(loaded, query, k=2).ids() == retrieve(store, query, k=2).ids()
+
+    @pytest.mark.parametrize(
+        "bad", [("c", "cap c\ud800"), ("c\udfff", "cap c")], ids=["caption", "id"]
+    )
+    def test_failed_save_keeps_the_previous_store(self, tmp_path, bad):
+        # a lone surrogate cannot be written as UTF-8
+        rng = np.random.default_rng(12)
+        old = build_datastore([(rid, f"cap {rid}", rng.normal(size=4)) for rid in "abc"])
+        save_datastore(old, tmp_path / "s")
+        files = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
+        new = build_datastore(
+            [("a", "cap a", np.ones(4)), ("b", "cap b", np.ones(4)), (*bad, np.ones(4))]
+        )
+        with pytest.raises(FormatError, match=re.escape(f"record {bad[0]!r}")):
+            save_datastore(new, tmp_path / "s")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == files
+        loaded = load_datastore(tmp_path / "s")
+        assert loaded.ids == old.ids and loaded.captions == old.captions
 
     def test_tab_in_caption_rejected(self, tmp_path):
         store = build_datastore([("a", "has\ttab", np.ones(4))])

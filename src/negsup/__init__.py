@@ -45,6 +45,7 @@ from .errors import (
     DuplicateId,
     EmptyInput,
     EmptyRetrieval,
+    EncodingError,
     FormatError,
     IndexOutOfRange,
     InvariantError,

@@ -39,7 +39,7 @@ from .pipeline import (
     run_batch,
     write_jsonl,
 )
-from .validation import check_path, json_lines, read_json
+from .validation import check_output, check_path, json_lines, read_json
 
 # Config keys naming input files; the flag of the same name overrides each.
 CONFIG_PATH_KEYS = ("vocab", "synonyms", "weights", "aux_embeddings")
@@ -130,8 +130,11 @@ def _same_file(a, b) -> bool:
 
 
 def cmd_run(args) -> int:
-    if args.report is not None and _same_file(args.out, args.report):
-        raise FormatError(f"--report {args.report!r} names the --out file {args.out!r}")
+    check_output(args.out, "--out")
+    if args.report is not None:
+        check_output(args.report, "--report")
+        if _same_file(args.out, args.report):
+            raise FormatError(f"--report {args.report!r} names the --out file {args.out!r}")
     file_data: dict = {}
     if args.config is not None:
         file_data = read_json(args.config, "config file")

@@ -414,7 +414,10 @@ def write_embedding_file(
     """Write (key, vector) entries to `path` in the binary or JSONL layout.
 
     `dim` is only needed to write an empty binary file (the header carries
-    the dimension); otherwise it is inferred and cross-checked.
+    the dimension); otherwise it is inferred and cross-checked. A vector
+    that load_embedding_file would reject as the file holds it (zero, or
+    beyond float32 range in the binary layout) raises its error before
+    anything is written.
     """
     pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
     for key, values in pairs:
@@ -423,18 +426,25 @@ def write_embedding_file(
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
             raise DimMismatch(f"key {key!r} has dim {vec.shape[0]}, expected {dim}")
-    if format == FORMAT_BINARY:
-        if dim is None:
-            raise ValueError("dim is required to write an empty binary file")
-        _write_binary(path, pairs, dim)
-    elif format == FORMAT_JSONL:
-        objects = (
-            {"key": key, "vector": np.asarray(values, dtype=np.float64).tolist()}
-            for key, values in pairs
-        )
-        write_jsonl(path, objects)
-    else:
+    if format not in (FORMAT_BINARY, FORMAT_JSONL):
         raise ValueError(f"unknown embedding file format {format!r}")
+    if format == FORMAT_BINARY and dim is None:
+        raise ValueError("dim is required to write an empty binary file")
+    # the rows as the file holds them; a value beyond float32 range is inf
+    rows = np.empty((len(pairs), dim or 0), "<f4" if format == FORMAT_BINARY else np.float64)
+    with np.errstate(over="ignore"):
+        for row, (_, values) in zip(rows, pairs):
+            row[:] = values
+    keys = [key for key, _ in pairs]
+    for at in range(0, len(keys), MOVE_ROWS):
+        try:
+            normalize_rows(rows[at : at + MOVE_ROWS].astype(np.float64), keys[at : at + MOVE_ROWS])
+        except ZeroVector as exc:
+            raise FormatError(str(exc)) from exc
+    if format == FORMAT_BINARY:
+        _write_binary(path, keys, rows)
+    else:
+        write_jsonl(path, ({"key": key, "vector": row.tolist()} for key, row in zip(keys, rows)))
 
 
 def _read_binary(path) -> VectorTable:
@@ -578,15 +588,15 @@ def _check_keys(keys: Texts) -> None:
             raise FormatError(f"record key is not valid UTF-8: {exc}") from exc
 
 
-def _write_binary(path, pairs, dim: int) -> None:
-    chunks = [HEADER.pack(BINARY_MAGIC, BINARY_VERSION, len(pairs), dim)]
-    for key, values in pairs:
+def _write_binary(path, keys: list[str], rows: np.ndarray) -> None:
+    chunks = [HEADER.pack(BINARY_MAGIC, BINARY_VERSION, len(keys), rows.shape[1])]
+    for key, row in zip(keys, rows):
         raw = key.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"key too long for u16 length: {key[:32]!r}...")
         chunks.append(len(raw).to_bytes(2, "little"))
         chunks.append(raw)
-        chunks.append(np.asarray(values, dtype="<f4").tobytes())
+        chunks.append(row.tobytes())
     write_file(path, chunks)
 
 

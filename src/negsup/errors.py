@@ -21,6 +21,11 @@ class FormatError(NegsupError):
     """A file failed to parse (bad magic, dim mismatch, non-finite value, ...)."""
 
 
+class EncodingError(FormatError, ValueError):
+    """A text file holds bytes that are not UTF-8 (a ValueError, as the
+    UnicodeDecodeError it replaces is)."""
+
+
 class IoError(NegsupError):
     """An underlying filesystem operation failed."""
 

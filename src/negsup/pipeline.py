@@ -1,15 +1,13 @@
 """End-to-end orchestration of the two phase flows.
 
-Both phases run one flow (_contexts): retrieve with each instance's
-query, take the key entities, split the retrieved captions' entities into
-positives and negatives, fuse the features with the retrieved captions,
-map them to prefix tokens, and suppress the negative-aligned tokens.
-Training queries with the caption's (gated, optionally fused)
-synthetic-image embedding, takes the caption's own entities as the key and
-splits against them. Inference queries with the image embedding, takes
-the key from zero-shot classification and splits by embedding similarity.
-run_batch runs the flow for many instances at once; run_training_instance
-and run_inference_instance are its one-instance case, without the gate.
+A Run holds a run's fixed inputs and makes its weights and entity index
+once; both phases run its one flow (Run.contexts). Training queries with
+the caption's (gated, optionally fused) synthetic-image embedding, takes
+the caption's own entities as the key and splits against them. Inference
+queries with the image embedding, takes the key from zero-shot
+classification and splits by embedding similarity. run_batch runs the
+flow for many instances at once; run_training_instance and
+run_inference_instance are its one-instance case, without the gate.
 
 A small extractive stand-in decoder closes the loop so hallucination
 metrics are computable without a neural decoder.
@@ -143,10 +141,16 @@ class PipelineConfig:
             raise ValueError(f"top_m must be >= 1, got {self.top_m}")
         if self.prefix_length < 1:
             raise ValueError(f"prefix_length must be >= 1, got {self.prefix_length}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.training_query not in (QUERY_AUTO, QUERY_SYNTHETIC, QUERY_FUSED, QUERY_TEXT):
             raise ValueError(f"unknown training_query {self.training_query!r}")
         if self.enable_as and self.suppression is None:
-            raise ValueError("enable_as requires a suppression config")
+            raise ValueError(
+                "enable_as requires a suppression config: give the config key"
+                " 'suppression' or --suppression-strategy, or turn suppression off"
+                " with --no-as"
+            )
 
     def to_json_dict(self) -> dict:
         return config_to_json(self)
@@ -230,49 +234,6 @@ def _grow_prefix(tokens: np.ndarray, target_len: int) -> np.ndarray:
     return padded
 
 
-def _finish_instance(
-    features: np.ndarray,
-    retrieval: RetrievalResult,
-    entity_sets: EntitySets,
-    config: PipelineConfig,
-    weights: AttentionWeights,
-    index: EntityIndex,
-) -> GenerationContext:
-    attn_out = fuse_retrieval(features, retrieval.vectors, weights)
-    prefix = map_to_prefix(attn_out, weights)
-
-    negative_terms = sorted(entity_sets.negative)
-    if negative_terms:
-        negative_embs = np.stack([index.vector(term) for term in negative_terms])
-    else:
-        negative_embs = np.zeros((0, prefix.shape[1]))
-    scores = score_negative_attention(prefix, negative_embs)
-
-    if config.enable_as:
-        selected = select_tokens(scores, len(negative_terms), config.suppression)
-        lam = config.suppression.lam
-        suppressed = suppress(prefix, selected, lam)
-    else:
-        selected = set()
-        lam = 1.0
-        suppressed = prefix
-
-    report = SuppressionReport(
-        scores=tuple(float(s) for s in scores),
-        selected=frozenset(selected),
-        lambda_applied=lam,
-    )
-    context = GenerationContext(
-        suppressed_prefix=suppressed,
-        positive_prompt=build_prompt(entity_sets.positive),
-        entity_sets=entity_sets,
-        retrieval=retrieval,
-        suppression_report=report,
-    )
-    context.check()
-    return context
-
-
 def _training_query(
     text_emb: np.ndarray, synthetic_emb, config: PipelineConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -289,53 +250,154 @@ def _training_query(
     return query, fused
 
 
-def _contexts(
-    mode: str,
-    items: Sequence[tuple[str | None, np.ndarray, np.ndarray]],
-    store: Datastore,
-    vocab: EntityVocabulary,
-    sources: SourceBundle,
-    config: PipelineConfig,
-    weights: AttentionWeights | None,
-    index: EntityIndex | None,
-) -> Iterator[GenerationContext]:
-    """The flow of both phases for (caption | None, retrieval query,
-    features) items: one context per item, in order, each made when the
-    caller asks for it.
+class Run:
+    """A run's fixed inputs, set up once for all its instances: the store,
+    vocabulary, sources and config; the attention weights (Xavier weights
+    from config.seed unless given); the EntityIndex of (sources.entity,
+    vocab), so each term is embedded at most once per run; and the source
+    of the instances' key vectors (`keys`, else the text source, which
+    hashes each key string as a stand-in vector)."""
 
-    All queries are retrieved together (see retrieve_many). The key
-    entities are the caption's own in training and, in inference, the
-    features' zero-shot classes, ranked for all items together (see
-    classify_many). The entity split is filter_training, filter_inference
-    against tau_sim, or with NEF off no split at all; the features then
-    attend to the retrieved captions and the negatives are suppressed.
-    """
-    if weights is None:
-        weights = default_weights(store, config)
-    elif weights.dim != store.dim:
-        raise DimMismatch(f"weights dim {weights.dim} != store dim {store.dim}")
-    index = index_for(sources.entity, vocab, index)
-    retrievals = retrieve_many(store, [query for _, query, _ in items], config.retrieval_k)
-    if mode == MODE_INFERENCE:
-        key_terms = classify_many(
-            [features for _, _, features in items], vocab, sources.entity, config.top_m, index
-        )
-    else:
-        key_terms = [extract_entities(caption, vocab) for caption, _, _ in items]
-    for (_, _, features), retrieval, key in zip(items, retrievals, key_terms):
-        key = frozenset(key)
-        candidates = _candidate_entities(retrieval, vocab)
-        if not config.enable_nef:
-            entity_sets = _nef_bypass(key, candidates)
-        elif mode == MODE_TRAINING:
-            entity_sets = filter_training(key, candidates)
-        else:
-            entity_sets = filter_inference(
-                key, candidates, features, sources.entity, config.tau_sim, index
+    def __init__(
+        self, store: Datastore, vocab: EntityVocabulary, sources: SourceBundle,
+        config: PipelineConfig, weights: AttentionWeights | None = None,
+        keys: EmbeddingSource | None = None, index: EntityIndex | None = None,
+    ):
+        if weights is None:
+            weights = default_weights(store, config)
+        elif weights.dim != store.dim:
+            raise DimMismatch(f"weights dim {weights.dim} != store dim {store.dim}")
+        self.store = store
+        self.vocab = vocab
+        self.sources = sources
+        self.config = config
+        self.weights = weights
+        self.index = index_for(sources.entity, vocab, index)
+        self.hashes_keys = keys is None
+        self.keys = sources.text if keys is None else keys
+
+    def contexts(
+        self, mode: str, items: Sequence[tuple[str | None, np.ndarray, np.ndarray]]
+    ) -> Iterator[GenerationContext]:
+        """The flow of both phases for (caption | None, retrieval query,
+        features) items: one context per item, in order, each made when the
+        caller asks for it.
+
+        All queries are retrieved together (see retrieve_many). The key
+        entities are the caption's own in training and, in inference, the
+        features' zero-shot classes, ranked for all items together (see
+        classify_many). The entity split is filter_training, filter_inference
+        against tau_sim, or with NEF off no split at all; the features then
+        attend to the retrieved captions and the negatives are suppressed.
+        """
+        config, vocab, entity = self.config, self.vocab, self.sources.entity
+        retrievals = retrieve_many(self.store, [query for _, query, _ in items], config.retrieval_k)
+        if mode == MODE_INFERENCE:
+            key_terms = classify_many(
+                [features for _, _, features in items], vocab, entity, config.top_m, self.index
             )
-        yield _finish_instance(
-            as_prefix(features), retrieval, entity_sets, config, weights, index
+        else:
+            key_terms = [extract_entities(caption, vocab) for caption, _, _ in items]
+        for (_, _, features), retrieval, key in zip(items, retrievals, key_terms):
+            key = frozenset(key)
+            candidates = _candidate_entities(retrieval, vocab)
+            if not config.enable_nef:
+                entity_sets = _nef_bypass(key, candidates)
+            elif mode == MODE_TRAINING:
+                entity_sets = filter_training(key, candidates)
+            else:
+                entity_sets = filter_inference(
+                    key, candidates, features, entity, config.tau_sim, self.index
+                )
+            yield self._finish(as_prefix(features), retrieval, entity_sets)
+
+    def _key_vector(self, obj: dict) -> np.ndarray | None:
+        """The vector of the instance's key (see KEY_FIELDS), if it has one."""
+        key = obj.get(KEY_FIELDS[self.config.mode])
+        return None if key is None else embed_text(self.keys, key)
+
+    def batch(self, instances: Sequence[dict]) -> BatchResult:
+        """run_batch's flow for instances that _check_instances passed: each
+        instance's query is made (and training's quality gate applied), then
+        all of them go through contexts() together."""
+        config = self.config
+        skipped: list[dict] = []
+        kept: list[dict] = []
+        # (caption | None, retrieval query, features) of each kept instance
+        items: list[tuple[str | None, np.ndarray, np.ndarray]] = []
+        for obj in instances:
+            if config.mode == MODE_TRAINING:
+                caption = obj["caption"]
+                text_emb = embed_text(self.sources.text, caption)
+                synthetic = self._key_vector(obj)
+                if synthetic is None:
+                    synthetic = text_emb
+                if config.enable_sir or config.enable_sif:
+                    score = clip_score(synthetic, text_emb)
+                    if score < config.fusion.tau_quality:
+                        skipped.append({"id": obj["id"], "clip_score": score})
+                        continue
+                query, fused = _training_query(text_emb, synthetic, config)
+                items.append((caption, query, fused))
+            else:
+                image = l2_normalize(self._key_vector(obj))
+                items.append((None, image, image))
+            kept.append(obj)
+
+        outputs: list[dict] = []
+        # one context at a time: each is dropped once its output dict is made
+        for obj, context in zip(kept, self.contexts(config.mode, items)):
+            out = {
+                "id": obj["id"],
+                "generated": standin_decode(context, self.store, self.vocab),
+                "retrieved": context.retrieval.captions(),
+                "context": context.to_json_dict(),
+            }
+            if "references" in obj:
+                out["references"] = obj["references"]
+            elif config.mode == MODE_TRAINING:
+                out["references"] = [obj["caption"]]
+            outputs.append(out)
+        key_field = KEY_FIELDS[config.mode]
+        hashed = sum(obj.get(key_field) is not None for obj in instances) if self.hashes_keys else 0
+        return BatchResult(outputs=outputs, skipped=skipped, hashed=hashed)
+
+    def _finish(
+        self, features: np.ndarray, retrieval: RetrievalResult, entity_sets: EntitySets
+    ) -> GenerationContext:
+        attn_out = fuse_retrieval(features, retrieval.vectors, self.weights)
+        prefix = map_to_prefix(attn_out, self.weights)
+
+        negative_terms = sorted(entity_sets.negative)
+        if negative_terms:
+            negative_embs = np.stack([self.index.vector(term) for term in negative_terms])
+        else:
+            negative_embs = np.zeros((0, prefix.shape[1]))
+        scores = score_negative_attention(prefix, negative_embs)
+
+        if self.config.enable_as:
+            selected = select_tokens(scores, len(negative_terms), self.config.suppression)
+            lam = self.config.suppression.lam
+            suppressed = suppress(prefix, selected, lam)
+        else:
+            selected = set()
+            lam = 1.0
+            suppressed = prefix
+
+        report = SuppressionReport(
+            scores=tuple(float(s) for s in scores),
+            selected=frozenset(selected),
+            lambda_applied=lam,
         )
+        context = GenerationContext(
+            suppressed_prefix=suppressed,
+            positive_prompt=build_prompt(entity_sets.positive),
+            entity_sets=entity_sets,
+            retrieval=retrieval,
+            suppression_report=report,
+        )
+        context.check()
+        return context
 
 
 def run_training_instance(
@@ -354,10 +416,8 @@ def run_training_instance(
     EntityIndex of (sources.entity, vocab); a throwaway one is built when
     it is not given."""
     query, fused = _training_query(embed_text(sources.text, caption), synthetic_emb, config)
-    (context,) = _contexts(
-        MODE_TRAINING, [(caption, query, fused)], store, vocab, sources, config, weights, index
-    )
-    return context
+    run = Run(store, vocab, sources, config, weights, index=index)
+    return next(run.contexts(MODE_TRAINING, [(caption, query, fused)]))
 
 
 def run_inference_instance(
@@ -375,10 +435,8 @@ def run_inference_instance(
     embedding similarity against tau_sim. `index` is as in
     run_training_instance."""
     image = l2_normalize(image_emb)
-    (context,) = _contexts(
-        MODE_INFERENCE, [(None, image, image)], store, vocab, sources, config, weights, index
-    )
-    return context
+    run = Run(store, vocab, sources, config, weights, index=index)
+    return next(run.contexts(MODE_INFERENCE, [(None, image, image)]))
 
 
 # --- stand-in decoder ---------------------------------------------------------
@@ -456,26 +514,28 @@ class BatchResult:
     hashed: int = 0
 
 
-def _instance_text(obj: dict, name: str) -> str | None:
-    value = obj.get(name)
-    if value is not None and not isinstance(value, str):
-        raise FormatError(f'instance {obj["id"]!r}: "{name}" must be a string, got {value!r}')
-    return value
-
-
-def _instance_embedding(
-    obj: dict,
-    key_field: str,
-    keys: EmbeddingSource | None,
-    sources: SourceBundle,
-) -> np.ndarray | None:
-    key = _instance_text(obj, key_field)
-    if key is None:
-        return None
-    if keys is not None:
-        return embed_text(keys, key)
-    # no key store supplied: hash the key string as a stand-in vector
-    return embed_text(sources.text, key)
+def _check_instances(instances: Sequence[dict], mode: str) -> None:
+    """FormatError for the first fault of the instances, before any of them
+    is processed: an "id" that is missing, not a string or repeated; then a
+    text field of the mode that is not a string, or a missing or blank
+    "caption" (training) or "image_key" (inference)."""
+    seen: set[str] = set()
+    for number, obj in enumerate(instances, 1):
+        if not isinstance(obj, dict) or "id" not in obj:
+            raise FormatError(f'instance {number}: object needs an "id"')
+        if not isinstance(obj["id"], str):
+            raise FormatError(f'instance {number}: "id" must be a string, got {obj["id"]!r}')
+        if obj["id"] in seen:
+            raise FormatError(f'instance {number}: duplicate id {obj["id"]!r}')
+        seen.add(obj["id"])
+    fields = ("caption", KEY_FIELDS[mode]) if mode == MODE_TRAINING else (KEY_FIELDS[mode],)
+    for obj in instances:
+        for name in fields:
+            value = obj.get(name)
+            if value is not None and not isinstance(value, str):
+                raise FormatError(f'instance {obj["id"]!r}: "{name}" must be a string, got {value!r}')
+        if not (obj.get(fields[0]) or "").strip():
+            raise FormatError(f'{mode} instance {obj["id"]!r} needs a non-empty "{fields[0]}"')
 
 
 def run_batch(
@@ -495,64 +555,8 @@ def run_batch(
     embedded at most once per call (see EntityIndex). Every "id" must be
     a string, and no two instances may share one; either is a FormatError
     raised before any instance is processed."""
-    seen: set[str] = set()
-    for number, obj in enumerate(instances, 1):
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise FormatError(f'instance {number}: object needs an "id"')
-        if not isinstance(obj["id"], str):
-            raise FormatError(f'instance {number}: "id" must be a string, got {obj["id"]!r}')
-        if obj["id"] in seen:
-            raise FormatError(f'instance {number}: duplicate id {obj["id"]!r}')
-        seen.add(obj["id"])
-    skipped: list[dict] = []
-    kept: list[dict] = []
-    # (caption | None, retrieval query, features) of each kept instance
-    items: list[tuple[str | None, np.ndarray, np.ndarray]] = []
-    key_field = KEY_FIELDS[config.mode]
-    hashed = 0
-    for obj in instances:
-        if config.mode == MODE_TRAINING:
-            caption = _instance_text(obj, "caption")
-            if not caption:
-                raise FormatError(f'training instance {obj["id"]!r} needs a "caption"')
-            text_emb = embed_text(sources.text, caption)
-            synthetic = _instance_embedding(obj, key_field, keys, sources)
-            if synthetic is None:
-                synthetic = text_emb
-            else:
-                hashed += keys is None
-            if config.enable_sir or config.enable_sif:
-                score = clip_score(synthetic, text_emb)
-                if score < config.fusion.tau_quality:
-                    skipped.append({"id": obj["id"], "clip_score": score})
-                    continue
-            query, fused = _training_query(text_emb, synthetic, config)
-            items.append((caption, query, fused))
-        else:
-            image = _instance_embedding(obj, key_field, keys, sources)
-            if image is None:
-                raise FormatError(f'inference instance {obj["id"]!r} needs an "image_key"')
-            hashed += keys is None
-            image = l2_normalize(image)
-            items.append((None, image, image))
-        kept.append(obj)
-
-    contexts = _contexts(config.mode, items, store, vocab, sources, config, weights, None)
-    outputs: list[dict] = []
-    # one context at a time: each is dropped once its output dict is made
-    for obj, context in zip(kept, contexts):
-        out = {
-            "id": obj["id"],
-            "generated": standin_decode(context, store, vocab),
-            "retrieved": context.retrieval.captions(),
-            "context": context.to_json_dict(),
-        }
-        if "references" in obj:
-            out["references"] = obj["references"]
-        elif config.mode == MODE_TRAINING:
-            out["references"] = [obj["caption"]]
-        outputs.append(out)
-    return BatchResult(outputs=outputs, skipped=skipped, hashed=hashed)
+    _check_instances(instances, config.mode)
+    return Run(store, vocab, sources, config, weights, keys).batch(instances)
 
 
 def read_jsonl(path) -> list[dict]:

@@ -10,8 +10,9 @@ A config dataclass's JSON object is derived from its fields: the key is the
 field name unless the field's metadata names another ("key"), and a field
 whose metadata holds a dataclass ("config") is that sub-config's object.
 
-Text files are read through read_lines: UTF-8, lines ended by "\n" or
-"\r\n" only, blank lines skipped, lines numbered as in the file. Every
+Text files are read through read_lines: UTF-8 (other bytes are an
+EncodingError naming the file and line), lines ended by "\n" or "\r\n"
+only, blank lines skipped, lines numbered as in the file. Every
 file is written through write_file, which replaces a file only once the
 new one is whole. Both binary formats begin with HEADER (read_header).
 """
@@ -28,7 +29,7 @@ import secrets
 import struct
 from typing import Iterable, Iterator
 
-from .errors import FormatError, IoError
+from .errors import EncodingError, FormatError, IoError
 
 
 def check_int(name: str, value) -> None:
@@ -109,13 +110,24 @@ def read_bytes(path, size: int = -1) -> bytes:
         raise IoError(str(exc)) from exc
 
 
+def _read_text(path) -> str:
+    """A whole UTF-8 file; bytes that are not UTF-8 are an EncodingError
+    that names the file and the line they are on."""
+    data = read_bytes(path)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise EncodingError(f"{os.fspath(path)}: line {line}: invalid UTF-8: {exc.reason}") from None
+
+
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) for each non-blank line of a UTF-8 text file.
 
     Lines end at "\n" or "\r\n" only; any other line or paragraph
     separator (a lone "\r", "\x0c", "\x85", U+2028, ...) is part of the line.
     """
-    text = read_bytes(path).decode("utf-8")
+    text = _read_text(path)
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.endswith("\r"):
             line = line[:-1]
@@ -139,7 +151,7 @@ def json_lines(path) -> Iterator[tuple[int, dict]]:
 def read_json(path, what: str):
     """The JSON value held by a whole file (`what` names the file in errors)."""
     try:
-        return json.loads(read_bytes(path).decode("utf-8"))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -194,6 +206,18 @@ def write_file(path, chunks: Iterable[bytes]) -> None:
                 os.unlink(tmp)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def check_output(path, name: str) -> None:
+    """IoError naming `name` (the flag that gave `path`) when write_file
+    cannot write `path` because it is a directory or its directory does
+    not exist; checked before the work whose output goes there."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IoError(f"{name} {path!r} is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise IoError(f"{name} {path!r}: no directory {directory!r}")
 
 
 def write_jsonl(path, objects: Iterable[dict]) -> None:

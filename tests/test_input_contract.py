@@ -1,0 +1,147 @@
+"""The input contract, one row per fault: a bad input to `negsup run`
+exits 2 with no traceback, a message that names the file or the field at
+fault, and no file written. A fault that set-up can see (an output path,
+a config value, a file read before the store) is reported before the
+store is loaded and before anything is retrieved."""
+
+import json
+import warnings
+
+import pytest
+
+from negsup import cli, pipeline
+from negsup.embedding import HashSource, embed_text, write_embedding_file
+from negsup.errors import FormatError
+
+CAPTIONS = {
+    "c1": "a dog catches a frisbee in the park",
+    "c2": "a cat sleeps on a warm mat",
+    "c3": "a dog and a cat on the grass",
+}
+
+# row -> (options written over BASE_OPTIONS, None removing one; a file the
+# row writes first, as (name, bytes); strings the message must hold; the
+# calls that must not happen). "{d}" is the row's work directory.
+SET_UP = ("load_datastore", "retrieve_many")
+ROWS = {
+    "out_in_missing_directory": (
+        {"--out": "{d}/out/missing/o.jsonl"}, None, ["--out", "missing"], SET_UP,
+    ),
+    "out_names_a_directory": ({"--out": "{d}/out"}, None, ["--out", "is a directory"], SET_UP),
+    "report_in_missing_directory": (
+        {"--report": "{d}/out/missing/r.jsonl"}, None, ["--report", "missing"], SET_UP,
+    ),
+    "seed_negative": ({"--seed": "-5"}, None, ["seed", "-5"], SET_UP),
+    "seed_beyond_64_bits": ({"--seed": str(2**64 + 3)}, None, ["seed", str(2**64 + 3)], SET_UP),
+    "no_suppression_config": (
+        {"--suppression-strategy": None}, None,
+        ["'suppression'", "--suppression-strategy", "--no-as"], SET_UP,
+    ),
+    "vocab_invalid_utf8": (
+        {"--vocab": "{d}/bad.txt"}, ("bad.txt", b"dog\ncat\n\xffmat\n"),
+        ["bad.txt", "line 3", "UTF-8"], SET_UP,
+    ),
+    "config_invalid_utf8": (
+        {"--config": "{d}/bad.json"}, ("bad.json", b'{"top_m": 3,\n "mode": "\xff"}\n'),
+        ["bad.json", "line 2", "UTF-8"], SET_UP,
+    ),
+    "caption_blank": (
+        {"--input": "{d}/bad.jsonl"}, ("bad.jsonl", b'{"id": "t1", "caption": " \\t "}\n'),
+        ["'t1'", '"caption"'], ("retrieve_many",),
+    ),
+    "input_invalid_utf8": (
+        {"--input": "{d}/bad.jsonl"},
+        ("bad.jsonl", b'{"id": "t1", "caption": "a dog"}\n{"id": "t2", "caption": "\xe9"}\n'),
+        ["bad.jsonl", "line 2", "UTF-8"], ("retrieve_many",),
+    ),
+}
+
+BASE_OPTIONS = {
+    "--mode": "training",
+    "--store": "{d}/store",
+    "--input": "{d}/input.jsonl",
+    "--out": "{d}/out/o.jsonl",
+    "--vocab": "{d}/vocab.txt",
+    "--suppression-strategy": "top-k",
+}
+
+
+@pytest.fixture()
+def work(tmp_path):
+    """A saved store, a vocabulary, training instances and an empty out/."""
+    src = HashSource(dim=16, seed=3)
+    (tmp_path / "captions.tsv").write_text("".join(f"{k}\t{v}\n" for k, v in CAPTIONS.items()))
+    write_embedding_file(
+        tmp_path / "embeddings.nese", {k: embed_text(src, v) for k, v in CAPTIONS.items()}
+    )
+    assert cli.main(
+        ["ingest", "--captions", str(tmp_path / "captions.tsv"),
+         "--embeddings", str(tmp_path / "embeddings.nese"), "--out", str(tmp_path / "store")]
+    ) == 0
+    (tmp_path / "vocab.txt").write_text("dog\ncat\nfrisbee\nmat\ngrass\n")
+    (tmp_path / "input.jsonl").write_text(
+        "".join(json.dumps({"id": k, "caption": v}) + "\n" for k, v in CAPTIONS.items())
+    )
+    (tmp_path / "out").mkdir()
+    return tmp_path
+
+
+def _tree(directory):
+    return sorted(str(p.relative_to(directory)) for p in directory.rglob("*"))
+
+
+def test_base_options_run(work):
+    argv = [str(a) for kv in BASE_OPTIONS.items() for a in kv]
+    assert cli.main(["run", *(a.format(d=work) for a in argv)]) == 0
+    assert (work / "out" / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_fault_exits_2_naming_it_before_the_work(work, capsys, monkeypatch, row):
+    options, file, names, forbidden = ROWS[row]
+    if file is not None:
+        (work / file[0]).write_bytes(file[1])
+    calls = []
+    for module, name in ((cli, "load_datastore"), (pipeline, "retrieve_many")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
+        )
+    argv = ["run"]
+    for option, value in {**BASE_OPTIONS, **options}.items():
+        if value is not None:
+            argv += [option, value.format(d=work)]
+    before = _tree(work)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    for name in names:
+        assert name in err
+    assert _tree(work) == before
+    assert not set(calls) & set(forbidden)
+
+
+# row -> (layout, the vector of key "a", load_embedding_file's message for
+# the file the writer would write)
+WRITER_ROWS = {
+    "binary_beyond_float32": ("binary", [1e300, 1.0], "non-finite value in vector for 'a'"),
+    "binary_zero": ("binary", [0.0, 0.0], "cannot normalize the zero vector for 'a'"),
+    "binary_zero_in_float32": ("binary", [1e-50, 1e-50], "cannot normalize the zero vector for 'a'"),
+    "jsonl_zero": ("jsonl", [0.0, -0.0], "cannot normalize the zero vector for 'a'"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(WRITER_ROWS))
+def test_embedding_writer_rejects_what_the_load_rejects(tmp_path, row):
+    layout, vector, message = WRITER_ROWS[row]
+    path = tmp_path / "vectors"
+    write_embedding_file(path, {"old": [1.0, 0.0]}, format=layout)
+    before = path.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError) as exc:
+            write_embedding_file(path, {"b": [0.5, 1.0], "a": vector}, format=layout)
+    assert str(exc.value) == message
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vectors"]

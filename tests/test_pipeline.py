@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -879,3 +881,64 @@ class TestContextInvariants:
         )
         with pytest.raises(InvariantError):
             ctx.check()
+
+
+class TestRunSetUp:
+    def test_instance_faults_precede_a_weights_mismatch(self, store, vocab, source):
+        weights = xavier_weights(DIM + 1, 4)
+        with pytest.raises(FormatError, match="caption"):
+            run_batch(
+                [{"id": "t1", "caption": ""}], store, vocab, source_bundle(source), _config(),
+                weights,
+            )
+        with pytest.raises(DimMismatch, match="weights dim"):
+            run_batch(
+                [{"id": "t1", "caption": CAPTIONS["c01"]}], store, vocab,
+                source_bundle(source), _config(), weights,
+            )
+
+
+# a run's set-up: made once, in Run.__init__, and not again per call
+SET_UP_CALLS = {"default_weights", "index_for", "EntityIndex"}
+
+
+def _set_up_calls(tree):
+    """(name, qualified name of the innermost enclosing class or def) of
+    each call of a SET_UP_CALLS name in a module's syntax tree."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SET_UP_CALLS:
+                found.add((name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_run_set_up_happens_only_in_run_init():
+    source = Path(pipeline_mod.__file__).read_text(encoding="utf-8")
+    assert _set_up_calls(ast.parse(source)) == {
+        ("default_weights", "Run.__init__"), ("index_for", "Run.__init__")
+    }
+
+
+def test_set_up_guard_sees_each_call():
+    source = (
+        "class A:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return index_for(s)\n"
+        "        return entities.EntityIndex(s, v), default_weights(t, c)\n"
+        "index_for(s)\n"
+    )
+    assert _set_up_calls(ast.parse(source)) == {
+        ("index_for", "A.f.g"), ("EntityIndex", "A.f"), ("default_weights", "A.f"),
+        ("index_for", None),
+    }

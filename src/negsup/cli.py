@@ -23,7 +23,7 @@ from .datastore import (
 )
 from .embedding import HashSource, load_embedding_file, vector_from_json
 from .entities import load_vocabulary
-from .errors import FormatError, InvariantError, NegsupError
+from .errors import FormatError, InvariantError, NegsupError, UnknownKey
 from .fusion import load_weights_file
 from .metrics import (
     entity_set_from_json,
@@ -169,7 +169,10 @@ def cmd_run(args) -> int:
         keys = load_embedding_file(paths["aux_embeddings"])
 
     instances = read_jsonl(args.input)
-    result = run_batch(instances, store, vocab, sources, config, weights, keys)
+    try:
+        result = run_batch(instances, store, vocab, sources, config, weights, keys)
+    except UnknownKey as exc:  # the one file-backed source here is the key store
+        raise UnknownKey(f"{paths['aux_embeddings']}: {exc}") from None
     if result.hashed:
         print(
             f"warning: no --aux-embeddings given; {result.hashed} instances use the "
@@ -213,17 +216,17 @@ def cmd_eval_retrieval(args) -> int:
     for lineno, obj in json_lines(args.instances):
         retrieved = obj.get("retrieved", obj.get("retrieved_entities"))
         truth = obj.get("references", obj.get("ground_truth_entities"))
-        if retrieved is None or truth is None:
-            raise FormatError(
-                f"line {lineno}: need 'retrieved' and 'references' "
-                "(or *_entities arrays)"
+        try:
+            if retrieved is None or truth is None:
+                raise FormatError("need 'retrieved' and 'references' (or *_entities arrays)")
+            pairs.append(
+                (
+                    entity_set_from_json(retrieved, vocab, "retrieved"),
+                    entity_set_from_json(truth, vocab, "references"),
+                )
             )
-        pairs.append(
-            (
-                entity_set_from_json(retrieved, vocab, "retrieved"),
-                entity_set_from_json(truth, vocab, "references"),
-            )
-        )
+        except FormatError as exc:
+            raise FormatError(f"{args.instances}: line {lineno}: {exc}") from exc
     diag = retrieval_diagnostics(pairs)
     _emit(
         {"acc": diag.acc, "rc": diag.rc, "ahc": diag.ahc, "dhc": diag.dhc},

@@ -283,6 +283,13 @@ def save_datastore(store: Datastore, directory) -> None:
     validation.write_file), so a record that cannot be saved (a tab,
     newline or lone surrogate in its id or caption) leaves an existing
     store as it was.
+
+    The two files are not replaced together: embeddings.nese is replaced
+    first, so an OSError while captions.tsv is written leaves the new
+    vectors beside the old captions. The load rejects that pair when the
+    id sets differ ("ids with embeddings but no caption", or the reverse);
+    when only the captions or the vectors changed, the pair loads and
+    nothing detects it.
     """
     lines = []
     for rid, caption in zip(store.ids, store.captions):

@@ -276,29 +276,27 @@ class Texts(Sequence):
     @functools.cached_property
     def ascending(self) -> bool:
         """Whether the strings strictly ascend, compared as their UTF-8
-        bytes (whose order is the strings' order), MOVE_ROWS neighbouring
-        pairs at a time: each pair by its first differing byte, else by
-        length. Nothing is decoded."""
+        bytes (whose order is the strings' order). Nothing is decoded.
+
+        Windows of MOVE_ROWS + 1 keys, each overlapping the next by one, are
+        NUL-padded to the window's longest key and compared as fixed-width
+        bytes: padded keys order as their bytes do, except that a key and
+        itself followed by NULs pad alike, so an equal pair ascends only
+        when its first key is the shorter. A window's padded keys and their
+        mask take 2 * (MOVE_ROWS + 1) * w bytes for its longest key of w
+        bytes: at most 2 * 1025 * 65535 for a binary file's u16 key lengths.
+        """
         buf = np.frombuffer(self.blob, dtype=np.uint8)
-        n = len(self)
-        for at in range(0, n - 1, MOVE_ROWS):
-            a = slice(at, min(at + MOVE_ROWS, n - 1))
-            b = slice(at + 1, a.stop + 1)
-            sa, sb = self.starts[a], self.starts[b]
-            la, lb = self.stops[a] - sa, self.stops[b] - sb
-            common = np.minimum(la, lb)
-            first = common.copy()  # where each pair first differs, else `common`
-            some = np.flatnonzero(common)
-            if some.size:
-                m = common[some]
-                heads = np.cumsum(m) - m
-                ramp = np.arange(heads[-1] + m[-1]) - np.repeat(heads, m)
-                differ = buf[np.repeat(sa[some], m) + ramp] != buf[np.repeat(sb[some], m) + ramp]
-                first[some] = np.minimum.reduceat(np.where(differ, ramp, np.repeat(m, m)), heads)
-            tied = first == common
-            if (la[tied] >= lb[tied]).any():
-                return False
-            if (buf[sa[~tied] + first[~tied]] > buf[sb[~tied] + first[~tied]]).any():
+        for at in range(0, len(self) - 1, MOVE_ROWS):
+            starts = self.starts[at : at + MOVE_ROWS + 1]
+            lengths = self.stops[at : at + MOVE_ROWS + 1] - starts
+            width = max(int(lengths.max()), 1)
+            padded = np.zeros((len(starts), width), dtype=np.uint8)
+            present = np.arange(width) < lengths[:, None]
+            padded[present] = np.frombuffer(_gather(buf, starts, starts + lengths).blob, np.uint8)
+            keys = padded.view(f"S{width}")[:, 0]
+            a, b = keys[:-1], keys[1:]
+            if not ((a < b) | ((a == b) & (lengths[:-1] < lengths[1:]))).all():
                 return False
         return True
 
@@ -604,23 +602,22 @@ def _read_jsonl(path) -> VectorTable:
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, obj in json_lines(path):
+        where = f"{os.fspath(path)}: line {lineno}"
         if "key" not in obj or "vector" not in obj:
-            raise FormatError(f'line {lineno}: expected {{"key", "vector"}} object')
+            raise FormatError(f'{where}: expected {{"key", "vector"}} object')
         key = obj["key"]
         if not isinstance(key, str):
-            raise FormatError(f"line {lineno}: key must be a string")
+            raise FormatError(f"{where}: key must be a string")
         try:
             vec = vector_from_json(obj["vector"])
         except (DimMismatch, FormatError) as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise FormatError(f"{where}: {exc}") from exc
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
-            raise FormatError(
-                f"line {lineno}: dim {vec.shape[0]} != expected {dim}"
-            )
+            raise FormatError(f"{where}: dim {vec.shape[0]} != expected {dim}")
         if key in entries:
-            raise FormatError(f"line {lineno}: duplicate key {key!r}")
+            raise FormatError(f"{where}: duplicate key {key!r}")
         entries[key] = vec
     rows = np.array(list(entries.values())) if entries else np.empty((0, 0))
     return VectorTable(Texts.of(entries), rows)

@@ -85,6 +85,17 @@ class EntitySets:
     positive: frozenset[str]
     negative: frozenset[str]
 
+    @classmethod
+    def split(
+        cls, key: Iterable[str], candidates: Iterable[str], negative: Iterable[str]
+    ) -> "EntitySets":
+        """The one partition rule: the candidates that are not key entities
+        are filtered, `negative` (a subset of them) is negative, and every
+        other entity is positive."""
+        key, candidates, negative = map(frozenset, (key, candidates, negative))
+        filtered = candidates - key
+        return cls(key, candidates, filtered, key | (filtered - negative), negative)
+
     def check(self) -> None:
         if self.filtered != self.candidates - self.key:
             raise InvariantError("filtered != candidates \\ key")
@@ -248,16 +259,8 @@ def classify_image_entities(
 
 def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets:
     """Training-mode partition: candidates absent from the key are negative."""
-    key = frozenset(key)
-    candidates = frozenset(candidates)
-    filtered = candidates - key
-    return EntitySets(
-        key=key,
-        candidates=candidates,
-        filtered=filtered,
-        positive=key,
-        negative=filtered,
-    )
+    key, candidates = frozenset(key), frozenset(candidates)
+    return EntitySets.split(key, candidates, candidates - key)
 
 
 def filter_inference(
@@ -275,22 +278,13 @@ def filter_inference(
     if not (-1.0 <= tau_sim <= 1.0) or math.isnan(tau_sim):
         raise ValueError(f"tau_sim must be in [-1, 1], got {tau_sim}")
     index = index_for(source, None, index)
-    key = frozenset(key)
-    candidates = frozenset(candidates)
-    filtered = candidates - key
+    key, candidates = frozenset(key), frozenset(candidates)
     img = l2_normalize(image_emb)
-    vectors = {term: index.vector(term) for term in filtered}
+    vectors = {term: index.vector(term) for term in candidates - key}
     if vectors:
         _check_width(next(iter(vectors.values())), img)
-    passed = {term for term, vec in vectors.items() if float(np.dot(vec, img)) > tau_sim}
-    positive = key | passed
-    return EntitySets(
-        key=key,
-        candidates=candidates,
-        filtered=filtered,
-        positive=frozenset(positive),
-        negative=filtered - positive,
-    )
+    negative = [term for term, vec in vectors.items() if float(np.dot(vec, img)) <= tau_sim]
+    return EntitySets.split(key, candidates, negative)
 
 
 # --- vocabulary files --------------------------------------------------------

@@ -9,6 +9,7 @@ one ground-truth entity somewhere.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,5 +244,5 @@ def load_instances(path, vocab: EntityVocabulary | None = None) -> list[EvalInst
         try:
             instances.append(instance_from_json(obj, vocab))
         except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
+            raise FormatError(f"{os.fspath(path)}: line {lineno}: {exc}") from exc
     return instances

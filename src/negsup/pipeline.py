@@ -40,7 +40,7 @@ from .entities import (
     longest_runs,
     match_runs,
 )
-from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError
+from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError, UnknownKey
 from .fusion import (
     AttentionWeights,
     FusionConfig,
@@ -207,18 +207,6 @@ def _candidate_entities(retrieval: RetrievalResult, vocab: EntityVocabulary) -> 
     return frozenset(found)
 
 
-def _nef_bypass(key: frozenset[str], candidates: frozenset[str]) -> EntitySets:
-    # filtering disabled: every retrieved entity passes through as positive
-    filtered = candidates - key
-    return EntitySets(
-        key=key,
-        candidates=candidates,
-        filtered=filtered,
-        positive=key | candidates,
-        negative=frozenset(),
-    )
-
-
 def _grow_prefix(tokens: np.ndarray, target_len: int) -> np.ndarray:
     """Zero-pad the token sequence up to the mapping network's input length:
     the padded input whose product map_to_prefix's one-token product equals
@@ -287,8 +275,9 @@ class Run:
         entities are the caption's own in training and, in inference, the
         features' zero-shot classes, ranked for all items together (see
         classify_many). The entity split is filter_training, filter_inference
-        against tau_sim, or with NEF off no split at all; the features then
-        attend to the retrieved captions and the negatives are suppressed.
+        against tau_sim, or with NEF off EntitySets.split with no negatives;
+        the features then attend to the retrieved captions and the negatives
+        are suppressed.
         """
         config, vocab, entity = self.config, self.vocab, self.sources.entity
         retrievals = retrieve_many(self.store, [query for _, query, _ in items], config.retrieval_k)
@@ -299,10 +288,9 @@ class Run:
         else:
             key_terms = [extract_entities(caption, vocab) for caption, _, _ in items]
         for (_, _, features), retrieval, key in zip(items, retrievals, key_terms):
-            key = frozenset(key)
             candidates = _candidate_entities(retrieval, vocab)
             if not config.enable_nef:
-                entity_sets = _nef_bypass(key, candidates)
+                entity_sets = EntitySets.split(key, candidates, ())
             elif mode == MODE_TRAINING:
                 entity_sets = filter_training(key, candidates)
             else:
@@ -312,9 +300,16 @@ class Run:
             yield self._finish(as_prefix(features), retrieval, entity_sets)
 
     def _key_vector(self, obj: dict) -> np.ndarray | None:
-        """The vector of the instance's key (see KEY_FIELDS), if it has one."""
-        key = obj.get(KEY_FIELDS[self.config.mode])
-        return None if key is None else embed_text(self.keys, key)
+        """The vector of the instance's key (see KEY_FIELDS), if it has one;
+        UnknownKey names the instance, the field and the key."""
+        name = KEY_FIELDS[self.config.mode]
+        key = obj.get(name)
+        if key is None:
+            return None
+        try:
+            return embed_text(self.keys, key)
+        except UnknownKey as exc:
+            raise UnknownKey(f'instance {obj["id"]!r}: "{name}": {exc}') from None
 
     def batch(self, instances: Sequence[dict]) -> BatchResult:
         """run_batch's flow for instances that _check_instances passed: each
@@ -369,11 +364,7 @@ class Run:
         prefix = map_to_prefix(attn_out, self.weights)
 
         negative_terms = sorted(entity_sets.negative)
-        if negative_terms:
-            negative_embs = np.stack([self.index.vector(term) for term in negative_terms])
-        else:
-            negative_embs = np.zeros((0, prefix.shape[1]))
-        scores = score_negative_attention(prefix, negative_embs)
+        scores = score_negative_attention(prefix, [self.index.vector(t) for t in negative_terms])
 
         if self.config.enable_as:
             selected = select_tokens(scores, len(negative_terms), self.config.suppression)

@@ -137,14 +137,14 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 
 def json_lines(path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file; a
-    line that is not a JSON object is a FormatError naming it."""
+    line that is not a JSON object is a FormatError naming the file and it."""
     for lineno, line in read_lines(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+            raise FormatError(f"{os.fspath(path)}: line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise FormatError(f"line {lineno}: expected a JSON object")
+            raise FormatError(f"{os.fspath(path)}: line {lineno}: expected a JSON object")
         yield lineno, obj
 
 

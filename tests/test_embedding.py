@@ -547,6 +547,33 @@ class TestTextsAscending:
         keys[MOVE_ROWS] = keys[MOVE_ROWS - 1]  # equal across a chunk's edge
         assert not Texts.of(keys).ascending
 
+    def test_equals_str_order_with_nuls(self):
+        # keys picked by index: a numpy str array would strip trailing NULs.
+        # Guards the NUL-padded fixed-width comparison (numpy's S order) against
+        # embedded, trailing and leading NULs and keys that are prefixes
+        rng = np.random.default_rng(43)
+        alphabet = ["", "\x00", "\x00\x00", "a", "a\x00", "\x00a", "\x01", "\u00e9", "\U0001f600"]
+        for _ in range(20_000):
+            keys = [
+                "".join(alphabet[j] for j in rng.integers(0, len(alphabet), rng.integers(0, 4)))
+                for _ in range(rng.integers(0, 6))
+            ]
+            if rng.random() < 0.5:
+                keys = sorted(set(keys))
+            want = not any(map(operator.ge, keys, keys[1:]))
+            assert Texts.of(keys).ascending == want, keys
+
+    @pytest.mark.parametrize("tail", ["z", "\x00"])
+    def test_window_with_a_longest_key(self, tail):
+        # a window of MOVE_ROWS + 1 keys, one of the 65535 bytes a u16 length allows
+        keys = [f"k{i:06d}" for i in range(MOVE_ROWS + 1)]
+        longest = keys[500] + tail * (0xFFFF - len(keys[500]))
+        keys.insert(501, longest)
+        assert len(keys[501].encode("utf-8")) == 0xFFFF
+        assert Texts.of(keys).ascending
+        keys[500], keys[501] = keys[501], keys[500]
+        assert not Texts.of(keys).ascending
+
 
 def _rows_moved_by_renormalizing(rng, count, dim):
     """float32 rows, some of whose unit vectors move when normalized again."""

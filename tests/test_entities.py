@@ -1,12 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import negsup
 from negsup import kernels
 from negsup.embedding import FileSource, HashSource, embed_entity, l2_normalize, tokenize
 from negsup.entities import (
     EntityIndex,
+    EntitySets,
     EntityVocabulary,
     classify_image_entities,
     classify_many,
@@ -399,6 +404,64 @@ class TestSetAlgebraProperties:
         inferred = filter_inference(key, candidates, image, src, 1.0)
         assert trained.positive == inferred.positive
         assert trained.negative == inferred.negative
+
+
+def _split_oracle(shape, key, candidates, passed):
+    """The five fields of each NEF shape, built by hand: training makes
+    every filtered entity negative, inference the filtered ones outside
+    `passed`, and NEF off none."""
+    filtered = candidates - key
+    if shape == "training":
+        return dict(key=key, candidates=candidates, filtered=filtered, positive=key,
+                    negative=filtered)
+    if shape == "inference":
+        positive = key | (filtered & passed)
+        return dict(key=key, candidates=candidates, filtered=filtered, positive=positive,
+                    negative=filtered - positive)
+    return dict(key=key, candidates=candidates, filtered=filtered, positive=key | candidates,
+                negative=frozenset())
+
+
+class TestSplit:
+    @given(
+        shape=st.sampled_from(["training", "inference", "off"]),
+        key=_terms, candidates=_terms, passed=_terms,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_hand_built_sets(self, shape, key, candidates, passed):
+        key, candidates, passed = map(frozenset, (key, candidates, passed))
+        want = EntitySets(**_split_oracle(shape, key, candidates, passed))
+        sets = EntitySets.split(key, candidates, want.negative)
+        sets.check()
+        assert sets == want
+
+    def test_takes_any_iterables(self):
+        sets = EntitySets.split(["dog", "dog"], iter(["dog", "kite", "ball"]), ("kite",))
+        assert sets == EntitySets(
+            key=frozenset({"dog"}), candidates=frozenset({"dog", "kite", "ball"}),
+            filtered=frozenset({"kite", "ball"}), positive=frozenset({"dog", "ball"}),
+            negative=frozenset({"kite"}),
+        )
+
+
+def _entity_sets_calls(tree):
+    """Line numbers of the calls of EntitySets(...) in a syntax tree."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "EntitySets"
+    ]
+
+
+def test_every_split_goes_through_entity_sets_split():
+    for path in sorted(Path(negsup.__file__).parent.glob("*.py")):
+        assert _entity_sets_calls(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
+
+
+def test_split_guard_sees_each_call():
+    source = "EntitySets(a, b)\nentities.EntitySets(**s)\nEntitySets.split(k, c, n)\n"
+    assert _entity_sets_calls(ast.parse(source)) == [1, 2]
 
 
 class TestVocabularyFiles:

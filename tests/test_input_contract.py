@@ -54,6 +54,21 @@ ROWS = {
         ("bad.jsonl", b'{"id": "t1", "caption": "a dog"}\n{"id": "t2", "caption": "\xe9"}\n'),
         ["bad.jsonl", "line 2", "UTF-8"], ("retrieve_many",),
     ),
+    "input_invalid_json": (
+        {"--input": "{d}/bad.jsonl"},
+        ("bad.jsonl", b'{"id": "t1", "caption": "a dog"}\n{"id": "t2", "caption": \n'),
+        ["bad.jsonl", "line 2", "invalid JSON"], ("retrieve_many",),
+    ),
+    "aux_embeddings_bad_line": (
+        {"--aux-embeddings": "{d}/bad_aux.jsonl"},
+        ("bad_aux.jsonl", b'{"key": "a", "vector": [1.0, 0.0]}\n{"key": "b", "vector": "x"}\n'),
+        ["bad_aux.jsonl", "line 2", "vector"], ("retrieve_many",),
+    ),
+    "key_missing_from_aux_embeddings": (
+        {"--mode": "inference", "--input": "{d}/keyed.jsonl", "--aux-embeddings": "{d}/aux.jsonl"},
+        ("keyed.jsonl", b'{"id": "t1", "image_key": "a dog"}\n'),
+        ["aux.jsonl", "'t1'", '"image_key"', "'a dog'"], ("retrieve_many",),
+    ),
 }
 
 BASE_OPTIONS = {
@@ -68,7 +83,8 @@ BASE_OPTIONS = {
 
 @pytest.fixture()
 def work(tmp_path):
-    """A saved store, a vocabulary, training instances and an empty out/."""
+    """A saved store, a vocabulary, training instances, a key store that
+    holds only the key "other" and an empty out/."""
     src = HashSource(dim=16, seed=3)
     (tmp_path / "captions.tsv").write_text("".join(f"{k}\t{v}\n" for k, v in CAPTIONS.items()))
     write_embedding_file(
@@ -82,6 +98,7 @@ def work(tmp_path):
     (tmp_path / "input.jsonl").write_text(
         "".join(json.dumps({"id": k, "caption": v}) + "\n" for k, v in CAPTIONS.items())
     )
+    write_embedding_file(tmp_path / "aux.jsonl", {"other": embed_text(src, "other")}, "jsonl")
     (tmp_path / "out").mkdir()
     return tmp_path
 
@@ -145,3 +162,38 @@ def test_embedding_writer_rejects_what_the_load_rejects(tmp_path, row):
     assert str(exc.value) == message
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["vectors"]
+
+
+# row -> (the eval subcommand and the flag of the JSON-lines file it reads,
+# the file's bytes, strings the message must hold)
+EVAL_ROWS = {
+    "chair_pred_invalid_json": (
+        ["chair", "--pred"],
+        b'{"generated": "a dog", "references": ["a dog"]}\n{"generated": \n',
+        ["pred.jsonl", "line 2", "invalid JSON"],
+    ),
+    "chair_pred_without_references": (
+        ["chair", "--pred"], b'{"generated": "a dog"}\n', ["pred.jsonl", "line 1", '"references"'],
+    ),
+    "retrieval_instances_wrong_type": (
+        ["retrieval", "--instances"],
+        b'{"retrieved": ["a dog"], "references": ["a dog"]}\n{"retrieved": 5, "references": []}\n',
+        ["pred.jsonl", "line 2", "'retrieved'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(EVAL_ROWS))
+def test_eval_fault_exits_2_naming_the_file_and_line(tmp_path, capsys, row):
+    (command, flag), data, names = EVAL_ROWS[row]
+    (tmp_path / "pred.jsonl").write_bytes(data)
+    (tmp_path / "vocab.txt").write_text("dog\ncat\n")
+    before = _tree(tmp_path)
+    argv = ["eval", command, flag, str(tmp_path / "pred.jsonl"),
+            "--vocab", str(tmp_path / "vocab.txt")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    for name in names:
+        assert name in err
+    assert _tree(tmp_path) == before

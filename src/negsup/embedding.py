@@ -54,6 +54,9 @@ FORMAT_JSONL = "jsonl"
 # rows (or records, or lines) one pass over a whole table handles at a
 # time, so that no temporary as large as the table is made
 MOVE_ROWS = 1024
+# bytes `_gather` moves at a time (or one longer span): its three int64
+# index temporaries take 24 bytes per byte moved
+GATHER_BYTES = 1 << 16
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -450,7 +453,7 @@ def _read_binary(path) -> VectorTable:
     Python object per record.
 
     The records are walked by their key spans (see _key_spans); the key
-    bytes are gathered into the blob MOVE_ROWS records at a time, checked
+    bytes are gathered into the blob in windows (see _gather), checked
     as UTF-8 once (see _check_keys) and for order as bytes (Texts.ascending),
     and only unordered keys are decoded, to find duplicates. The rows are a
     view of the front of the one buffer the file is read into: each vector
@@ -548,17 +551,22 @@ def _key_spans(data: np.ndarray, count: int, size: int):
 
 def _gather(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> Texts:
     """The bytes data[starts[i]:stops[i]] of every i as one Texts blob,
-    gathered MOVE_ROWS spans at a time: an index array over all of them
-    would be eight times the blob."""
+    gathered in windows of at most MOVE_ROWS spans and GATHER_BYTES bytes
+    (a longer span is a window of its own): an index array over all of
+    them would be eight times the blob."""
     lengths = stops - starts
     bounds = np.zeros(len(starts) + 1, dtype=np.int64)
     np.cumsum(lengths, out=bounds[1:])
     blob = np.empty(bounds[-1], dtype=np.uint8)
-    for at in range(0, len(starts), MOVE_ROWS):
-        part = slice(at, at + MOVE_ROWS)
-        first, last = bounds[at], bounds[min(at + MOVE_ROWS, len(starts))]
-        shift = np.repeat(starts[part] - bounds[:-1][part], lengths[part])
+    at = 0
+    while at < len(starts):
+        # the last span that ends within the byte budget
+        end = int(np.searchsorted(bounds, bounds[at] + GATHER_BYTES, side="right")) - 1
+        end = min(max(end, at + 1), at + MOVE_ROWS)
+        first, last = bounds[at], bounds[end]
+        shift = np.repeat(starts[at:end] - bounds[at:end], lengths[at:end])
         blob[first:last] = data[shift + np.arange(first, last)]
+        at = end
     return Texts(blob.tobytes(), bounds[:-1], bounds[1:])
 
 

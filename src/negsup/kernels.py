@@ -10,7 +10,11 @@ Kernels are deterministic for fixed inputs:
                        that a caller-given function supplies for the
                        candidates only, and ordered (score desc, row asc);
                        the one ranking rule of both retrieval and entity
-                       classification
+                       classification. Its first pass splits the scan into
+                       contiguous ranges of chunks, one per CPU the process
+                       may run on (at most one per chunk); the calling
+                       thread scans one and worker threads the others, on
+                       top of any threads the BLAS library runs
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 """
@@ -18,6 +22,8 @@ Kernels are deterministic for fixed inputs:
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,26 +35,70 @@ def dot_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 # Queries ranked per block, and store rows scored per chunk of a block: a
-# chunk's (QUERY_BLOCK, SCAN_ROWS) float32 scores take 1 MiB, so they stay in
+# chunk's (SCAN_ROWS, QUERY_BLOCK) float32 scores take 1 MiB, so they stay in
 # a core's L2 cache. A chunk is reduced to per-query maxima over GROUP rows.
 QUERY_BLOCK = 256
 SCAN_ROWS = 1024
 GROUP = 64  # SCAN_ROWS must be a multiple of GROUP
 
 
-def _group_maxima(scan: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """(B, ceil(N/GROUP)) maxima of the scan scores of every GROUP rows of
-    `scan` for each query of `block`, scored SCAN_ROWS rows at a time."""
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _scan_range(scan, block, maxima, start, stop, step) -> None:
+    """Fill the rows of `maxima` that cover scan rows start:stop, scoring
+    each SCAN_ROWS chunk `step` rows at a time into one reused buffer."""
+    width = block.shape[0]
+    scores = np.empty((min(step, stop - start), width), dtype=scan.dtype)
+    for chunk in range(start, stop, SCAN_ROWS):
+        end = min(chunk + SCAN_ROWS, stop)
+        for at in range(chunk, end, step):
+            rows = scan[at : min(at + step, end)]
+            m = rows.shape[0]
+            p = np.matmul(rows, block.T, out=scores[:m])
+            g, full = at // GROUP, m // GROUP
+            np.max(p[: full * GROUP].reshape(full, GROUP, width), axis=1, out=maxima[g : g + full])
+            if full * GROUP < m:  # the scan's short last group
+                np.max(p[full * GROUP :], axis=0, out=maxima[g + full])
+
+
+def _group_maxima(scan: np.ndarray, block: np.ndarray, workers: int | None = None) -> np.ndarray:
+    """(ceil(N/GROUP), B) maxima of the scan scores of every GROUP rows of
+    `scan` for each query of `block`.
+
+    The chunks are split into `workers` contiguous ranges, at most one per
+    chunk (by default one per CPU the process may run on, at most
+    SCAN_ROWS / GROUP); the calling thread scans the first range and a
+    worker thread each other one, each writing only its own rows of the
+    maxima. Every thread scores SCAN_ROWS / CPUs rows at a time (in whole
+    groups), so that the threads' buffers together hold about one chunk's
+    scores. That row count does not depend on `workers`, so neither does
+    any product (BLAS can round a row's scores differently in a product of
+    another row count) nor any maximum.
+    """
     n = scan.shape[0]
-    maxima = np.empty((block.shape[0], -(-n // GROUP)), dtype=scan.dtype)
-    for start in range(0, n, SCAN_ROWS):
-        rows = scan[start : start + SCAN_ROWS]
-        heads = np.arange(0, rows.shape[0], GROUP)
-        first = start // GROUP
-        np.maximum.reduceat(
-            dot_scores(rows, block), heads, axis=1,
-            out=maxima[:, first : first + heads.shape[0]],
-        )
+    cpus = min(_cpus(), SCAN_ROWS // GROUP)
+    step = SCAN_ROWS // cpus // GROUP * GROUP
+    chunks = -(-n // SCAN_ROWS)
+    workers = min(workers or cpus, chunks)
+    maxima = np.empty((-(-n // GROUP), block.shape[0]), dtype=scan.dtype)
+    if workers == 1:
+        _scan_range(scan, block, maxima, 0, n, step)
+        return maxima
+    edges = [min(n, chunks * w // workers * SCAN_ROWS) for w in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [
+            pool.submit(_scan_range, scan, block, maxima, edges[w], edges[w + 1], step)
+            for w in range(1, workers)
+        ]
+        _scan_range(scan, block, maxima, edges[0], edges[1], step)
+        for other in others:
+            other.result()
     return maxima
 
 
@@ -70,6 +120,11 @@ def exact_top(
 
     1. `scan` is scored against the block SCAN_ROWS rows at a time, and each
        chunk is kept only as its per-query maximum over every GROUP rows.
+       The chunks are split into contiguous ranges, one per CPU the process
+       may run on (at most one per chunk), scanned at once: the calling
+       thread scans one range and worker threads the others, on top of any
+       threads the BLAS library runs. The calling thread alone takes each
+       query's bound from the maxima and runs pass 2.
     2. For each query, the rows of the groups whose maximum is within the
        margin of the bound (below) are scored again from `scan`, SCAN_ROWS
        rows at a time. Those within the margin of their k-th score are the
@@ -108,8 +163,14 @@ def exact_top(
         if k < n_groups:
             maxima = _group_maxima(scan, block)
             kth = n_groups - k
-            bounds = np.partition(maxima, kth, axis=1)[:, kth].astype(np.float64) - margin
-            near = maxima >= bounds[:, None]
+            # partitioned in place along C-ordered rows: np.partition would
+            # keep the transpose's strides, np.ascontiguousarray would give
+            # a view of the maxima at B = 1
+            part = maxima.T.copy()
+            part.partition(kth, axis=1)
+            bounds = part[:, kth].astype(np.float64) - margin
+            del part
+            near = np.greater_equal(maxima.T, bounds[:, None], order="C")
             del maxima  # before the next block's
         picked = []  # each query's candidate rows
         for b in range(len(batch)):

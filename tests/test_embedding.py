@@ -1,6 +1,7 @@
 import json
 import operator
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from negsup import cli
 from negsup.embedding import (
     FORMAT_BINARY,
     FORMAT_JSONL,
+    GATHER_BYTES,
     MOVE_ROWS,
     FileSource,
     HashSource,
@@ -21,6 +23,7 @@ from negsup.embedding import (
     normalize_total,
     read_vector_file,
     tokenize,
+    _gather,
     write_embedding_file,
 )
 from negsup.errors import (
@@ -518,8 +521,13 @@ class TestBinaryReaderOracle:
 
 
 def _random_keys(rng, count):
+    # picked by index: rng.choice would make a numpy str array, which strips
+    # trailing NULs
     alphabet = ["", "a", "b", "\x00", "a\x00", "\x7f", "\u00e9", "\u2603", "\U0001f600", "a" * 9]
-    return ["".join(rng.choice(alphabet, size=rng.integers(0, 4))) for _ in range(count)]
+    return [
+        "".join(alphabet[j] for j in rng.integers(0, len(alphabet), rng.integers(0, 4)))
+        for _ in range(count)
+    ]
 
 
 class TestTextsAscending:
@@ -573,6 +581,40 @@ class TestTextsAscending:
         assert Texts.of(keys).ascending
         keys[500], keys[501] = keys[501], keys[500]
         assert not Texts.of(keys).ascending
+
+
+class TestGather:
+    def test_equals_slices(self):
+        # windows closed by span count, by bytes, and by one span longer
+        # than the byte budget, with empty spans between them
+        rng = np.random.default_rng(61)
+        data = rng.integers(0, 256, size=200_000, dtype=np.uint8)
+        lengths = np.concatenate([
+            rng.integers(0, 9, size=3 * MOVE_ROWS), [GATHER_BYTES + 5, 0, 0, GATHER_BYTES],
+            rng.integers(0, 300, size=700), [0],
+        ])
+        starts = rng.integers(0, len(data) - lengths.max(), size=len(lengths))
+        got = _gather(data, starts, starts + lengths)
+        assert got.blob == b"".join(data[a : a + n].tobytes() for a, n in zip(starts, lengths))
+        assert np.array_equal(got.stops - got.starts, lengths)
+        assert np.array_equal(got.starts[1:], got.stops[:-1]) and got.starts[0] == 0
+
+    def test_peak_memory_is_bounded_by_bytes(self):
+        # 1024 spans of 4096 bytes, in reverse: windows of MOVE_ROWS spans
+        # alone would index 4 MiB at once, 72 MiB of index arrays
+        count, width = 1024, 4096
+        data = np.arange(count * width, dtype=np.int64).astype(np.uint8)
+        starts = np.arange(count - 1, -1, -1, dtype=np.int64) * width
+        tracemalloc.start()
+        try:
+            got = _gather(data, starts, starts + width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = data.reshape(count, width)[::-1].tobytes()
+        assert got.blob == want
+        # the blob twice (the array and its bytes) and a window's indexes
+        assert peak <= 2 * len(want) + 2 * 2**20
 
 
 def _rows_moved_by_renormalizing(rng, count, dim):

@@ -1,8 +1,15 @@
+import functools
+import importlib
+import importlib.util
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from negsup import kernels
-from negsup.datastore import brute_force_topk, build_datastore
+from negsup.datastore import brute_force_topk, build_datastore, retrieve_many
 from negsup.embedding import l2_normalize
 
 
@@ -184,3 +191,126 @@ def test_chunked_scan_boundaries_and_ties(monkeypatch, group, scan_rows):
             assert got == kernels.exact_top(store.unit_rows, store.matrix, queries, k)
             for top, ranked in zip(got, oracle):
                 assert top == [(hit.score, int(hit.id[1:])) for hit in ranked.hits[:k]]
+
+
+# A store of 5037 rows, a multiple of neither GROUP nor SCAN_ROWS: five
+# chunks, so 2 workers split it at row 2048 and 3 workers at 1024 and 3072.
+N_RANGED = 5037
+
+
+@pytest.fixture(scope="module")
+def ranged():
+    """Records whose row i is at index i, with a bit-identical pair across
+    the 3-worker boundaries 1024 and 3072 and a pair one ulp apart across
+    the 2-worker boundary 2048, and 257 queries led by the pairs' vectors."""
+    rng = np.random.default_rng(51)
+    vectors = rng.normal(size=(N_RANGED, 32))
+    bases = rng.normal(size=(2, 32))
+    for boundary in (1024, 3072):
+        vectors[boundary - 1] = vectors[boundary] = bases[0]
+    vectors[2047] = vectors[2048] = bases[1]
+    vectors[2048, 0] = np.nextafter(bases[1, 0], np.inf)
+    records = [(f"r{i:05d}", "c", v) for i, v in enumerate(vectors)]
+    raw = [bases[0], bases[1], bases[0] + 1e-3 * bases[1]]
+    raw += list(rng.normal(size=(254, 32)))
+    return records, build_datastore(records), raw
+
+
+GROUP_MAXIMA = kernels._group_maxima
+
+
+@pytest.mark.parametrize("width", [1, 2, 257])
+def test_group_maxima_equal_at_any_worker_count(ranged, width):
+    """The maxima do not depend on the worker count, with more workers than
+    a 2-CPU machine has and the interpreter switching threads often."""
+    _, store, raw = ranged
+    block = np.array([l2_normalize(q) for q in raw[:width]], dtype=np.float32)
+    one = kernels._group_maxima(store.scan, block, 1)
+    assert one.shape == (-(-N_RANGED // kernels.GROUP), width)
+    scores = block @ store.scan.T
+    # at the range edges, each maximum is its group's largest scan score, up
+    # to float32 rounding of the product
+    for g in (0, 15, 16, 31, 32, 47, 48, one.shape[0] - 1):
+        rows = scores[:, g * kernels.GROUP : (g + 1) * kernels.GROUP]
+        np.testing.assert_allclose(one[g], rows.max(axis=1), rtol=0, atol=1e-5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3):
+            assert kernels._group_maxima(store.scan, block, workers).tobytes() == one.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("width", [1, 2, 257])
+def test_exact_top_equal_at_any_worker_count(monkeypatch, ranged, width):
+    records, store, raw = ranged
+    queries = [l2_normalize(q) for q in raw[:width]]
+    got = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_group_maxima", functools.partial(GROUP_MAXIMA, workers=workers))
+        got[workers] = kernels.exact_top(store.unit_rows, store.scan, queries, 9)
+    assert got[1] == got[2] == got[3]
+    for top, q in zip(got[1][:3], raw):
+        oracle = brute_force_topk(records, q, 9)
+        assert top == [(hit.score, int(hit.id[1:])) for hit in oracle.hits]
+    # the planted pairs rank first, the identical one tied exactly
+    assert [i for _, i in got[1][0][:4]] == [1023, 1024, 3071, 3072]
+    assert got[1][0][0][0] == got[1][0][3][0]
+    if width > 1:
+        assert {i for _, i in got[1][1][:2]} == {2047, 2048}
+
+
+def test_worker_exception_reaches_caller(monkeypatch, ranged):
+    _, store, raw = ranged
+    caller = threading.get_ident()
+    scan_range = kernels._scan_range
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker failed")
+        scan_range(*args)
+
+    monkeypatch.setattr(kernels, "_scan_range", failing)
+    block = np.array([l2_normalize(q) for q in raw[:2]], dtype=np.float32)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        kernels._group_maxima(store.scan, block, 3)
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPANS
+
+
+def test_traced_functions_run_on_the_calling_thread_only(monkeypatch, ranged):
+    """The benchmark's tracer keeps one span stack, which threads would
+    corrupt: the scan's workers call none of the traced functions."""
+    _, store, raw = ranged
+    threads = {"span": [], "scan": []}
+
+    def recording(kind, func):
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            threads[kind].append(threading.get_ident())
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for _, module, name in _spans():
+        func = getattr(importlib.import_module(module), name)
+        wrapper = recording("span", func)
+        for loaded in [m for key, m in sys.modules.items() if key.startswith("negsup")]:
+            for attr, value in list(vars(loaded).items()):
+                if value is func:
+                    monkeypatch.setattr(loaded, attr, wrapper)
+    monkeypatch.setattr(kernels, "_scan_range", recording("scan", kernels._scan_range))
+    monkeypatch.setattr(kernels, "_cpus", lambda: 3)
+    retrieve_many(store, raw[:40], 9)
+    # three ranges, scanned on more than one thread (a pool may reuse one)
+    assert len(threads["scan"]) == 3 and len(set(threads["scan"])) > 1
+    assert threads["span"] and set(threads["span"]) == {threading.get_ident()}

@@ -10,11 +10,11 @@ Kernels are deterministic for fixed inputs:
                        that a caller-given function supplies for the
                        candidates only, and ordered (score desc, row asc);
                        the one ranking rule of both retrieval and entity
-                       classification. Its first pass splits the scan into
-                       contiguous ranges of chunks, one per CPU the process
-                       may run on (at most one per chunk); the calling
-                       thread scans one and worker threads the others, on
-                       top of any threads the BLAS library runs
+                       classification. When BLAS runs one thread (by its
+                       thread variables) and the process may run on 2 or
+                       more CPUs, its first pass splits the scan into two
+                       contiguous ranges of chunks, one scanned by the
+                       calling thread and one by a worker thread
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 """
@@ -35,11 +35,17 @@ def dot_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 # Queries ranked per block, and store rows scored per chunk of a block: a
-# chunk's (SCAN_ROWS, QUERY_BLOCK) float32 scores take 1 MiB, so they stay in
-# a core's L2 cache. A chunk is reduced to per-query maxima over GROUP rows.
+# chunk's (SCAN_ROWS, QUERY_BLOCK) float32 scores take 1 MiB. A chunk is
+# reduced to per-query maxima over GROUP rows.
 QUERY_BLOCK = 256
 SCAN_ROWS = 1024
 GROUP = 64  # SCAN_ROWS must be a multiple of GROUP
+# Pass 1 runs in at most SCAN_THREADS threads, each scoring SCAN_ROWS /
+# SCAN_THREADS rows at a time. Two is the one thread count measured to pay
+# off (on 2 CPUs, beside a one-thread BLAS).
+SCAN_THREADS = 2
+# The variables that set the BLAS library's thread count when it loads.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _cpus() -> int:
@@ -48,6 +54,19 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+def _scan_threads(environ, cpus: int) -> int:
+    """Pass 1's thread count: SCAN_THREADS (at most `cpus`) when `environ`
+    holds BLAS at one thread (some thread variable set, and every one set
+    is 1), else 1, as BLAS's own threads already use the CPUs."""
+    values = [environ.get(var, "").strip() for var in BLAS_THREAD_ENV]
+    serial = any(values) and all(v in ("", "1") for v in values)
+    return min(SCAN_THREADS, cpus) if serial else 1
+
+
+# read once, as the BLAS library read the same variables when numpy loaded
+SCAN_WORKERS = _scan_threads(os.environ, _cpus())
 
 
 def _scan_range(scan, block, maxima, start, stop, step) -> None:
@@ -71,21 +90,22 @@ def _group_maxima(scan: np.ndarray, block: np.ndarray, workers: int | None = Non
     """(ceil(N/GROUP), B) maxima of the scan scores of every GROUP rows of
     `scan` for each query of `block`.
 
-    The chunks are split into `workers` contiguous ranges, at most one per
-    chunk (by default one per CPU the process may run on, at most
-    SCAN_ROWS / GROUP); the calling thread scans the first range and a
-    worker thread each other one, each writing only its own rows of the
-    maxima. Every thread scores SCAN_ROWS / CPUs rows at a time (in whole
-    groups), so that the threads' buffers together hold about one chunk's
-    scores. That row count does not depend on `workers`, so neither does
-    any product (BLAS can round a row's scores differently in a product of
-    another row count) nor any maximum.
+    The SCAN_ROWS chunks are split into `workers` (by default SCAN_WORKERS)
+    contiguous ranges, at most one per chunk; the calling thread scans the
+    first range and a worker thread each other one, each writing only its
+    own rows of the maxima.
+
+    Every thread, however many run, scores SCAN_ROWS / SCAN_THREADS rows
+    (in whole groups) at a time. So every product has the same row count
+    (BLAS can round a row's scores differently in a product of another row
+    count) and the maxima do not depend on `workers`. Up to SCAN_THREADS
+    threads, their score buffers together hold at most one chunk's scores,
+    which bounds the memory pass 1 allocates.
     """
     n = scan.shape[0]
-    cpus = min(_cpus(), SCAN_ROWS // GROUP)
-    step = SCAN_ROWS // cpus // GROUP * GROUP
+    step = max(SCAN_ROWS // SCAN_THREADS // GROUP, 1) * GROUP
     chunks = -(-n // SCAN_ROWS)
-    workers = min(workers or cpus, chunks)
+    workers = min(workers or SCAN_WORKERS, chunks)
     maxima = np.empty((-(-n // GROUP), block.shape[0]), dtype=scan.dtype)
     if workers == 1:
         _scan_range(scan, block, maxima, 0, n, step)
@@ -120,11 +140,12 @@ def exact_top(
 
     1. `scan` is scored against the block SCAN_ROWS rows at a time, and each
        chunk is kept only as its per-query maximum over every GROUP rows.
-       The chunks are split into contiguous ranges, one per CPU the process
-       may run on (at most one per chunk), scanned at once: the calling
-       thread scans one range and worker threads the others, on top of any
-       threads the BLAS library runs. The calling thread alone takes each
-       query's bound from the maxima and runs pass 2.
+       When BLAS runs one thread (by its thread variables) and the process
+       may run on 2 or more CPUs, the chunks are split into two contiguous
+       ranges scanned at once, one by the calling thread and one by a
+       worker thread; otherwise the calling thread scans them all, and
+       BLAS's own threads share out each product. The calling thread alone
+       takes each query's bound from the maxima and runs pass 2.
     2. For each query, the rows of the groups whose maximum is within the
        margin of the bound (below) are scored again from `scan`, SCAN_ROWS
        rows at a time. Those within the margin of their k-th score are the

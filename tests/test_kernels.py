@@ -1,6 +1,8 @@
 import functools
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -309,8 +311,43 @@ def test_traced_functions_run_on_the_calling_thread_only(monkeypatch, ranged):
                 if value is func:
                     monkeypatch.setattr(loaded, attr, wrapper)
     monkeypatch.setattr(kernels, "_scan_range", recording("scan", kernels._scan_range))
-    monkeypatch.setattr(kernels, "_cpus", lambda: 3)
+    monkeypatch.setattr(kernels, "SCAN_WORKERS", kernels.SCAN_THREADS)
     retrieve_many(store, raw[:40], 9)
-    # three ranges, scanned on more than one thread (a pool may reuse one)
-    assert len(threads["scan"]) == 3 and len(set(threads["scan"])) > 1
+    # two ranges, one scanned on the calling thread and one on a worker
+    assert len(threads["scan"]) == 2 and len(set(threads["scan"])) == 2
     assert threads["span"] and set(threads["span"]) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize(
+    "environ,cpus,threads",
+    [
+        ({}, 2, 1),  # BLAS at its own thread count
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1 "}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 64, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),  # 0 leaves BLAS at its default
+        ({"OPENBLAS_NUM_THREADS": ""}, 2, 1),
+    ],
+)
+def test_scan_threads_only_beside_one_blas_thread(environ, cpus, threads):
+    assert kernels._scan_threads(environ, cpus) == threads
+
+
+@pytest.mark.parametrize("value,workers", [(None, 1), ("1", 2)])
+def test_scan_workers_read_at_import(value, workers):
+    """A process whose BLAS thread variables hold BLAS at one thread scans
+    on two threads, any other on one."""
+    if kernels._cpus() < 2 and workers > 1:
+        pytest.skip("one CPU")
+    environ = {k: v for k, v in os.environ.items() if k not in kernels.BLAS_THREAD_ENV}
+    if value is not None:
+        environ["OPENBLAS_NUM_THREADS"] = value
+    environ["PYTHONPATH"] = str(Path(kernels.__file__).resolve().parents[1])
+    got = subprocess.run(
+        [sys.executable, "-c", "from negsup import kernels; print(kernels.SCAN_WORKERS)"],
+        env=environ, capture_output=True, text=True, check=True,
+    )
+    assert got.stdout.strip() == str(workers)

@@ -44,22 +44,32 @@ from .validation import check_output, check_path, json_lines, read_json
 # Config keys naming input files; the flag of the same name overrides each.
 CONFIG_PATH_KEYS = ("vocab", "synonyms", "weights", "aux_embeddings")
 
-# `negsup run` flag dest -> (sub-config or None, config JSON key).
+# `negsup run` flag dest -> (sub-config or None, config JSON key, flag,
+# add_argument keywords): every flag that overrides a config key, declared
+# once, so none is parsed and then ignored.
 RUN_FLAG_KEYS = {
-    "mode": (None, "mode"),
-    "enable_sir": (None, "enable_sir"),
-    "enable_sif": (None, "enable_sif"),
-    "enable_nef": (None, "enable_nef"),
-    "enable_as": (None, "enable_as"),
-    "tau_sim": (None, "tau_sim"),
-    "top_m": (None, "top_m"),
-    "seed": (None, "seed"),
-    "tau_quality": ("fusion", "tau_quality"),
-    "fusion_strategy": ("fusion", "strategy"),
-    "alpha": ("fusion", "alpha"),
-    "tau_neg": ("suppression", "tau_neg"),
-    "lam": ("suppression", "lambda"),
-    "suppression_strategy": ("suppression", "strategy"),
+    "mode": (None, "mode", "--mode", {"choices": ("training", "inference")}),
+    "enable_sir": (None, "enable_sir", "--no-sir", {
+        "action": "store_false", "help": "text-query retrieval instead of the synthetic-image query"
+    }),
+    "enable_sif": (None, "enable_sif", "--no-sif", {
+        "action": "store_false", "help": "disable synthetic/text embedding fusion"
+    }),
+    "enable_nef": (None, "enable_nef", "--no-nef", {
+        "action": "store_false", "help": "disable negative-entity filtering"
+    }),
+    "enable_as": (None, "enable_as", "--no-as", {
+        "action": "store_false", "help": "disable attention-level suppression"
+    }),
+    "tau_sim": (None, "tau_sim", "--tau-sim", {"type": float}),
+    "top_m": (None, "top_m", "--top-m", {"type": int}),
+    "seed": (None, "seed", "--seed", {"type": int}),
+    "tau_quality": ("fusion", "tau_quality", "--tau-quality", {"type": float}),
+    "fusion_strategy": ("fusion", "strategy", "--fusion-strategy", {}),
+    "alpha": ("fusion", "alpha", "--alpha", {"type": float}),
+    "tau_neg": ("suppression", "tau_neg", "--tau-neg", {"type": float}),
+    "lam": ("suppression", "lambda", "--lambda", {"type": float}),
+    "suppression_strategy": ("suppression", "strategy", "--suppression-strategy", {}),
 }
 
 
@@ -106,7 +116,7 @@ def cmd_retrieve(args) -> int:
 def _build_config(args, file_data: dict) -> PipelineConfig:
     """The file's config JSON with each given flag written over its key."""
     data = dict(file_data)
-    for dest, (section, key) in RUN_FLAG_KEYS.items():
+    for dest, (section, key, _, _) in RUN_FLAG_KEYS.items():
         value = getattr(args, dest)
         if value is None:
             continue
@@ -235,22 +245,6 @@ def cmd_eval_retrieval(args) -> int:
     return 0
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-sir", dest="enable_sir", action="store_false", default=None, help="text-query retrieval instead of the synthetic-image query")
-    parser.add_argument("--no-sif", dest="enable_sif", action="store_false", default=None, help="disable synthetic/text embedding fusion")
-    parser.add_argument("--no-nef", dest="enable_nef", action="store_false", default=None, help="disable negative-entity filtering")
-    parser.add_argument("--no-as", dest="enable_as", action="store_false", default=None, help="disable attention-level suppression")
-    parser.add_argument("--tau-sim", type=float, default=None)
-    parser.add_argument("--tau-quality", type=float, default=None)
-    parser.add_argument("--tau-neg", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--fusion-strategy", default=None)
-    parser.add_argument("--suppression-strategy", default=None)
-    parser.add_argument("--top-m", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negsup",
@@ -274,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_retr.set_defaults(func=cmd_retrieve)
 
     p_run = sub.add_parser("run", help="batch pipeline over JSON-lines instances")
-    p_run.add_argument("--mode", choices=("training", "inference"), default=None)
     p_run.add_argument("--store", required=True)
     p_run.add_argument("--config", default=None, help="JSON config (flags override it)")
     p_run.add_argument("--input", required=True, help="JSON-lines instances")
@@ -284,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--synonyms", default=None, help="synonym TSV file")
     p_run.add_argument("--weights", default=None, help="attention weights file")
     p_run.add_argument("--aux-embeddings", default=None, help="embedding file for image/synthetic keys")
-    _add_run_flags(p_run)
+    for dest, (_, _, flag, options) in RUN_FLAG_KEYS.items():
+        p_run.add_argument(flag, dest=dest, default=None, **options)
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluation reports")

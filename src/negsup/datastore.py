@@ -65,8 +65,6 @@ class Hit:
     id: str
     caption: str
     score: float
-    # the hit's store row; None for a hit ranked outside a store
-    row: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -242,7 +240,7 @@ def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[Retriev
     results = []
     at = 0
     for top in tops:
-        hits = tuple(Hit(store.ids[i], store.captions[i], score, i) for score, i in top)
+        hits = tuple(Hit(store.ids[i], store.captions[i], score) for score, i in top)
         results.append(RetrievalResult(hits, vectors[at : at + len(hits)]))
         at += len(hits)
     return results
@@ -391,7 +389,7 @@ def _read_captions(path, ids: Texts) -> Texts:
     return Texts.of([captions[rid] for rid in keys])
 
 
-def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
+def ingest_datastore(captions_path, embeddings_path) -> Datastore:
     """Build a datastore from a caption file and a parallel embedding file.
 
     The embedding file is read first, and only its rows are kept, as
@@ -401,7 +399,7 @@ def ingest_datastore(captions_path, embeddings_path, format=None) -> Datastore:
     well (see Datastore). The store's unit rows (see _derive) equal
     those of build_datastore(load_embedding_file(...).items()) bit for bit.
     """
-    ids, rows = read_vector_file(embeddings_path, format=format)
+    ids, rows = read_vector_file(embeddings_path)
     if not ids.ascending:  # save_datastore writes them in order
         keys = list(ids)
         order = sorted(range(len(keys)), key=keys.__getitem__)

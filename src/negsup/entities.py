@@ -2,18 +2,20 @@
 
 Extraction is vocabulary-driven whole-token matching: surface forms
 (canonical terms plus synonyms) match contiguous token runs, longest run
-first, and map to their canonical term. Zero-shot classification ranks
-the vocabulary for many images at once with kernels.exact_top
-(classify_many; classify_image_entities is its one-image case). Filtering
-partitions candidate entities into positive/negative sets, either against
-ground-truth key entities (training) or by embedding similarity to the
-image (inference).
+first, and map to their canonical term. An EntityIndex holds a
+vocabulary's entity-description vectors under one entity source, and is
+the one entity argument of classification and inference filtering.
+Zero-shot classification ranks the index's terms for many images at once
+with kernels.exact_top (classify_many; classify_image_entities is its
+one-image case). Filtering partitions candidate entities into
+positive/negative sets, either against ground-truth key entities
+(training) or by embedding similarity to the image (inference).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -109,13 +111,7 @@ class EntitySets:
             raise InvariantError("negative is not a subset of filtered")
 
     def to_json_dict(self) -> dict:
-        return {
-            "key": sorted(self.key),
-            "candidates": sorted(self.candidates),
-            "filtered": sorted(self.filtered),
-            "positive": sorted(self.positive),
-            "negative": sorted(self.negative),
-        }
+        return {f.name: sorted(getattr(self, f.name)) for f in fields(self)}
 
 
 def longest_runs(runs: Iterable[tuple[str, ...]]) -> dict[str, int]:
@@ -165,7 +161,8 @@ class EntityIndex:
     once: the first request embeds it, later ones reuse the read-only
     vector. Embedding is lazy, so a source may lack the vectors of terms a
     run never scores; only classification stacks all of them, on first use.
-    Without a vocabulary the index only memoizes vectors and ranks nothing.
+    Without a vocabulary the index only memoizes vectors: classification
+    rejects it as an empty vocabulary, and inference filtering uses it.
     """
 
     def __init__(self, source: EmbeddingSource, vocab: EntityVocabulary | None = None):
@@ -192,50 +189,30 @@ class EntityIndex:
         return self._rows
 
 
-def index_for(
-    source: EmbeddingSource,
-    vocab: EntityVocabulary | None = None,
-    index: EntityIndex | None = None,
-) -> EntityIndex:
-    """`index`, checked against the source (and vocabulary) it must serve;
-    a throwaway index when none is given."""
-    if index is None:
-        return EntityIndex(source, vocab)
-    if index.source is not source or (vocab is not None and index.vocab is not vocab):
-        raise ValueError("entity index was built for another source or vocabulary")
-    return index
-
-
 def _check_width(vec: np.ndarray, img: np.ndarray) -> None:
     # every vector of one source has the same width, so one check per call
     if vec.shape[0] != img.shape[0]:
         raise DimMismatch(f"entity dim {vec.shape[0]} != image dim {img.shape[0]}")
 
 
-def classify_many(
-    images,
-    vocab: EntityVocabulary,
-    source: EmbeddingSource,
-    top_m: int,
-    index: EntityIndex | None = None,
-) -> list[list[str]]:
-    """Vocabulary terms ranked by cosine to each image embedding, best first.
+def classify_many(images, index: EntityIndex, top_m: int) -> list[list[str]]:
+    """The index's vocabulary terms ranked by cosine to each image
+    embedding, best first.
 
     Each term scores via its templated description embedding, ranked by
     kernels.exact_top over the index's float64 term matrix, which is both
-    the unit rows and the scan copy, in one call for all images; terms are sorted, so ties
-    break by ascending term. Returns the top min(top_m, |vocab|) terms
-    of each image, in order; no images, no result, whatever the vocabulary.
-    `index` reuses the description embeddings across calls.
+    the unit rows and the scan copy, in one call for all images; terms are
+    sorted, so ties break by ascending term. Returns the top
+    min(top_m, |vocab|) terms of each image, in order; no images, no
+    result, whatever the vocabulary.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
     images = list(images)
     if not images:
         return []
-    if not vocab.canonical:
+    if not index.terms:
         raise EmptyInput("vocabulary is empty")
-    index = index_for(source, vocab, index)
     imgs = [l2_normalize(image) for image in images]
     rows = index.rows()
     for img in imgs:
@@ -246,15 +223,9 @@ def classify_many(
     ]
 
 
-def classify_image_entities(
-    image_emb,
-    vocab: EntityVocabulary,
-    source: EmbeddingSource,
-    top_m: int,
-    index: EntityIndex | None = None,
-) -> list[str]:
+def classify_image_entities(image_emb, index: EntityIndex, top_m: int) -> list[str]:
     """The terms classify_many ranks for one image embedding."""
-    return classify_many([image_emb], vocab, source, top_m, index)[0]
+    return classify_many([image_emb], index, top_m)[0]
 
 
 def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets:
@@ -267,17 +238,16 @@ def filter_inference(
     key: Iterable[str],
     candidates: Iterable[str],
     image_emb,
-    source: EmbeddingSource,
+    index: EntityIndex,
     tau_sim: float = 0.2,
-    index: EntityIndex | None = None,
 ) -> EntitySets:
-    """Inference-mode partition: filtered entities whose embedding similarity
-    to the image strictly exceeds tau_sim join the positive set; the rest
-    are negative. `index` reuses the description embeddings across calls.
+    """Inference-mode partition: filtered entities whose description
+    embedding (from `index`, whatever its vocabulary) has a similarity to
+    the image strictly above tau_sim join the positive set; the rest are
+    negative.
     """
     if not (-1.0 <= tau_sim <= 1.0) or math.isnan(tau_sim):
         raise ValueError(f"tau_sim must be in [-1, 1], got {tau_sim}")
-    index = index_for(source, None, index)
     key, candidates = frozenset(key), frozenset(candidates)
     img = l2_normalize(image_emb)
     vectors = {term: index.vector(term) for term in candidates - key}

@@ -150,8 +150,10 @@ def exact_top(
        margin of the bound (below) are scored again from `scan`, SCAN_ROWS
        rows at a time. Those within the margin of their k-th score are the
        query's candidates. The block's candidates are fetched from
-       `unit_rows` SCAN_ROWS rows at a time and re-scored in float64; each
-       query's are sorted and cut to k.
+       `unit_rows` SCAN_ROWS rows at a time and re-scored in float64 as
+       one stack of (1, d) @ (d, 1) products per fetch, which runs the
+       per-row BLAS dot of np.dot(row, query), bit for bit; each query's
+       are sorted and cut to k.
 
     The margin: for unit vectors, a dot product in a precision with unit
     roundoff u = eps/2 is off by at most (d+2)*u (d*u from the sum, 2*u
@@ -211,13 +213,14 @@ def exact_top(
             cutoff = float(np.partition(scores, m - k)[m - k]) - margin if k < m else -np.inf
             picked.append(rows[scores >= cutoff])
         rows = np.concatenate(picked)
-        owner = np.repeat(np.arange(len(batch)), [p.shape[0] for p in picked]).tolist()
-        exact = []
-        for i in range(0, rows.shape[0], SCAN_ROWS):
-            exact += [
-                -float(np.dot(row, batch[q]))
-                for row, q in zip(unit_rows(rows[i : i + SCAN_ROWS]), owner[i : i + SCAN_ROWS])
-            ]
+        owner = np.repeat(np.arange(len(batch)), [p.shape[0] for p in picked])
+        units = np.asarray(batch, dtype=np.float64)
+        # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
+        exact = (-np.concatenate([
+            (unit_rows(rows[i : i + SCAN_ROWS])[:, None, :]
+             @ units[owner[i : i + SCAN_ROWS], :, None])[:, 0, 0]
+            for i in range(0, rows.shape[0], SCAN_ROWS)
+        ])).tolist()
         at = 0
         for p in picked:
             scored = sorted(zip(exact[at : at + p.shape[0]], p.tolist()))

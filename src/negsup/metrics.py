@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .entities import EntityVocabulary, extract_entities
 from .errors import EmptyInput, FormatError, InvariantError, NoGroundTruth
-from .validation import json_lines
+from .validation import config_to_json, json_lines
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,7 @@ class EvalReport:
                 raise InvariantError(f"{name}={value} outside [0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "chair_s": self.chair_s,
-            "chair_i": self.chair_i,
-            "recall": self.recall,
-            "total_hallucinations": self.total_hallucinations,
-            "retrieval_sourced": self.retrieval_sourced,
-            "model_sourced": self.model_sourced,
-            "ratio_retrieval_sourced": self.ratio_retrieval_sourced,
-        }
+        return config_to_json(self)
 
 
 def _require_instances(instances: Sequence[EvalInstance]) -> None:

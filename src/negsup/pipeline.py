@@ -1,11 +1,14 @@
 """End-to-end orchestration of the two phase flows.
 
 A Run holds a run's fixed inputs and makes its weights and entity index
-once; both phases run its one flow (Run.contexts). Training queries with
-the caption's (gated, optionally fused) synthetic-image embedding, takes
-the caption's own entities as the key and splits against them. Inference
-queries with the image embedding, takes the key from zero-shot
-classification and splits by embedding similarity. run_batch runs the
+once; both phases run its one flow (Run.contexts). Run is the one place an
+EntityIndex meets the sources: it builds EntityIndex(sources.entity,
+vocab) or checks a given one against them, and hands the entity stages
+the index alone. Training queries with the caption's (gated, optionally
+fused) synthetic-image embedding, takes the caption's own entities as the
+key and splits against them. Inference queries with the image embedding,
+takes the key from zero-shot classification and splits by embedding
+similarity. run_batch runs the
 flow for many instances at once; run_training_instance and
 run_inference_instance are its one-instance case, without the gate.
 
@@ -36,7 +39,6 @@ from .entities import (
     extract_entities,
     filter_inference,
     filter_training,
-    index_for,
     longest_runs,
     match_runs,
 )
@@ -242,9 +244,10 @@ class Run:
     """A run's fixed inputs, set up once for all its instances: the store,
     vocabulary, sources and config; the attention weights (Xavier weights
     from config.seed unless given); the EntityIndex of (sources.entity,
-    vocab), so each term is embedded at most once per run; and the source
-    of the instances' key vectors (`keys`, else the text source, which
-    hashes each key string as a stand-in vector)."""
+    vocab), so each term is embedded at most once per run (a given `index`
+    built for another source or vocabulary is a ValueError); and the
+    source of the instances' key vectors (`keys`, else the text source,
+    which hashes each key string as a stand-in vector)."""
 
     def __init__(
         self, store: Datastore, vocab: EntityVocabulary, sources: SourceBundle,
@@ -260,7 +263,11 @@ class Run:
         self.sources = sources
         self.config = config
         self.weights = weights
-        self.index = index_for(sources.entity, vocab, index)
+        if index is None:
+            index = EntityIndex(sources.entity, vocab)
+        elif index.source is not sources.entity or index.vocab is not vocab:
+            raise ValueError("entity index was built for another source or vocabulary")
+        self.index = index
         self.hashes_keys = keys is None
         self.keys = sources.text if keys is None else keys
 
@@ -279,11 +286,11 @@ class Run:
         the features then attend to the retrieved captions and the negatives
         are suppressed.
         """
-        config, vocab, entity = self.config, self.vocab, self.sources.entity
+        config, vocab = self.config, self.vocab
         retrievals = retrieve_many(self.store, [query for _, query, _ in items], config.retrieval_k)
         if mode == MODE_INFERENCE:
             key_terms = classify_many(
-                [features for _, _, features in items], vocab, entity, config.top_m, self.index
+                [features for _, _, features in items], self.index, config.top_m
             )
         else:
             key_terms = [extract_entities(caption, vocab) for caption, _, _ in items]
@@ -295,7 +302,7 @@ class Run:
                 entity_sets = filter_training(key, candidates)
             else:
                 entity_sets = filter_inference(
-                    key, candidates, features, entity, config.tau_sim, self.index
+                    key, candidates, features, self.index, config.tau_sim
                 )
             yield self._finish(as_prefix(features), retrieval, entity_sets)
 

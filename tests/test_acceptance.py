@@ -32,7 +32,7 @@ from negsup.embedding import (
     load_embedding_file,
     write_embedding_file,
 )
-from negsup.entities import filter_inference, filter_training
+from negsup.entities import EntityIndex, filter_inference, filter_training
 from negsup.errors import EmptyInput
 from negsup.fusion import (
     FusionConfig,
@@ -132,7 +132,7 @@ def test_criterion_2_set_algebra_oracle():
             assert trained.negative == neg
 
             tau = float(rng.uniform(-1.0, 1.0))
-            inferred = filter_inference(key, candidates, image, source, tau)
+            inferred = filter_inference(key, candidates, image, EntityIndex(source), tau)
             inferred.check()
             filt, pos, neg = _exhaustive_partition(
                 key,
@@ -145,7 +145,7 @@ def test_criterion_2_set_algebra_oracle():
 
             if trial % 5 == 0:
                 ladder = [
-                    filter_inference(key, candidates, image, source, t)
+                    filter_inference(key, candidates, image, EntityIndex(source), t)
                     for t in tau_ladder
                 ]
                 for lo, hi in zip(ladder, ladder[1:]):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -471,6 +472,15 @@ class TestRunFlagKeys:
             )
             covered |= {dest for dest in cli.RUN_FLAG_KEYS if getattr(args, dest) is not None}
         assert covered == set(cli.RUN_FLAG_KEYS)
+
+
+def test_every_run_option_is_a_config_flag_or_a_file():
+    # an override flag missing from RUN_FLAG_KEYS would be parsed and ignored
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in commands.choices["run"]._actions if a.dest != "help"}
+    files = {"store", "config", "input", "out", "report", *cli.CONFIG_PATH_KEYS}
+    assert dests - set(cli.RUN_FLAG_KEYS) == files
 
 
 class TestNonStringInstanceFields:

@@ -719,7 +719,6 @@ class TestCompactStore:
         want = retrieve_many(built, queries, 9)
         for a, b in zip(got, want):
             assert _bits(a) == _bits(b)
-            assert [h.row for h in a.hits] == [int(h.id[1:]) for h in a.hits]
             assert a.vectors.tobytes() == b.vectors.tobytes()
             assert a.vectors.tobytes() == np.stack([built.vector_of(h.id) for h in a.hits]).tobytes()
 

@@ -102,13 +102,13 @@ class TestClassify:
         src = HashSource(dim=32, seed=7)
         vocab = EntityVocabulary(["dog", "cat"])
         image = embed_entity(src, "dog")
-        assert classify_image_entities(image, vocab, src, top_m=1) == ["dog"]
+        assert classify_image_entities(image, EntityIndex(src, vocab), top_m=1) == ["dog"]
 
     def test_top_m_covers_whole_vocab(self):
         src = HashSource(dim=32, seed=7)
         vocab = EntityVocabulary(["dog", "cat", "car"])
         image = embed_entity(src, "car")
-        ranked = classify_image_entities(image, vocab, src, top_m=10)
+        ranked = classify_image_entities(image, EntityIndex(src, vocab), top_m=10)
         assert sorted(ranked) == ["car", "cat", "dog"]
         assert ranked[0] == "car"
 
@@ -122,18 +122,18 @@ class TestClassify:
         oracle = sorted(
             terms, key=lambda t: (-float(embed_entity(src, t) @ image), t)
         )
-        assert classify_image_entities(image, vocab, src, top_m=4) == oracle[:4]
+        assert classify_image_entities(image, EntityIndex(src, vocab), top_m=4) == oracle[:4]
 
     def test_dim_mismatch(self):
         src = HashSource(dim=8, seed=0)
         vocab = EntityVocabulary(["dog"])
         with pytest.raises(DimMismatch):
-            classify_image_entities(np.ones(4), vocab, src, top_m=1)
+            classify_image_entities(np.ones(4), EntityIndex(src, vocab), top_m=1)
 
     def test_bad_top_m(self):
         src = HashSource(dim=8, seed=0)
         with pytest.raises(ValueError):
-            classify_image_entities(np.ones(8), EntityVocabulary(["dog"]), src, top_m=0)
+            classify_image_entities(np.ones(8), EntityIndex(src, EntityVocabulary(["dog"])), top_m=0)
 
 
 def _ranking_oracle(image, terms, source):
@@ -171,7 +171,7 @@ class TestEntityIndex:
             image = rng.normal(size=4)
             oracle = _ranking_oracle(image, terms, src)
             for top_m in (1, 3, 17, 40):
-                assert classify_image_entities(image, vocab, src, top_m, index) == oracle[:top_m]
+                assert classify_image_entities(image, index, top_m) == oracle[:top_m]
 
     def test_shared_file_vectors_match_oracle(self):
         rng = np.random.default_rng(12)
@@ -184,10 +184,10 @@ class TestEntityIndex:
         index = EntityIndex(src, vocab)
         for image in (shared, other, -shared, rng.normal(size=6)):
             oracle = _ranking_oracle(image, terms, src)
-            assert classify_image_entities(image, vocab, src, 6, index) == oracle
-            assert classify_image_entities(image, vocab, src, 2, index) == oracle[:2]
+            assert classify_image_entities(image, index, 6) == oracle
+            assert classify_image_entities(image, index, 2) == oracle[:2]
         # the four terms sharing the image's vector tie and come in term order
-        assert classify_image_entities(shared, vocab, src, 4, index) == [
+        assert classify_image_entities(shared, index, 4) == [
             "ant", "bee", "moth", "zebra"
         ]
 
@@ -203,10 +203,10 @@ class TestEntityIndex:
         for _ in range(40):
             image = rng.normal(size=24)
             oracle = _ranking_oracle(image, terms, src)
-            assert classify_image_entities(image, vocab, src, 30, index) == oracle
+            assert classify_image_entities(image, index, 30) == oracle
             # below |V| a partition cuts the ranking, often inside a tie
             for top_m in range(1, 31):
-                assert classify_image_entities(image, vocab, src, top_m, index) == (
+                assert classify_image_entities(image, index, top_m) == (
                     oracle[:top_m]
                 )
 
@@ -218,8 +218,8 @@ class TestEntityIndex:
         rng = np.random.default_rng(13)
         for _ in range(5):
             image = rng.normal(size=16)
-            classify_image_entities(image, vocab, src, 3, index)
-            filter_inference({"thing0"}, {"thing1", "thing2", "other"}, image, src, 0.1, index)
+            classify_image_entities(image, index, 3)
+            filter_inference({"thing0"}, {"thing1", "thing2", "other"}, image, index, 0.1)
         assert src.calls == len(terms) + 1  # "other" is not in the vocabulary
 
     def test_filter_inference_matches_throwaway_index(self):
@@ -230,8 +230,8 @@ class TestEntityIndex:
             image = rng.normal(size=8)
             key, candidates = {"dog"}, {"dog", "kite", "ball", "cat"}
             for tau in (-0.5, 0.0, 0.3):
-                assert filter_inference(key, candidates, image, src, tau, index) == (
-                    filter_inference(key, candidates, image, src, tau)
+                assert filter_inference(key, candidates, image, index, tau) == (
+                    filter_inference(key, candidates, image, EntityIndex(src), tau)
                 )
 
     def test_vectors_are_read_only(self):
@@ -247,28 +247,17 @@ class TestEntityIndex:
         index = EntityIndex(src, vocab)
         assert index.vector("dog").shape == (4,)
         with pytest.raises(UnknownKey):
-            classify_image_entities(np.ones(4), vocab, src, 1, index)
+            classify_image_entities(np.ones(4), index, 1)
 
     def test_dim_mismatch_with_filled_index(self):
         src = HashSource(dim=8, seed=0)
         vocab = EntityVocabulary(["dog", "cat"])
         index = EntityIndex(src, vocab)
-        classify_image_entities(np.ones(8), vocab, src, 1, index)
+        classify_image_entities(np.ones(8), index, 1)
         with pytest.raises(DimMismatch):
-            classify_image_entities(np.ones(4), vocab, src, 1, index)
+            classify_image_entities(np.ones(4), index, 1)
         with pytest.raises(DimMismatch):
-            filter_inference(set(), {"dog"}, np.ones(4), src, 0.0, index)
-
-    def test_index_for_another_source_or_vocab_rejected(self):
-        src = HashSource(dim=8, seed=0)
-        vocab = EntityVocabulary(["dog"])
-        index = EntityIndex(src, vocab)
-        with pytest.raises(ValueError):
-            classify_image_entities(np.ones(8), EntityVocabulary(["dog"]), src, 1, index)
-        with pytest.raises(ValueError):
-            classify_image_entities(np.ones(8), vocab, HashSource(dim=8, seed=0), 1, index)
-        with pytest.raises(ValueError):
-            filter_inference(set(), {"dog"}, np.ones(8), HashSource(dim=8, seed=0), 0.0, index)
+            filter_inference(set(), {"dog"}, np.ones(4), index, 0.0)
 
 
 class TestClassifyMany:
@@ -285,19 +274,19 @@ class TestClassifyMany:
         images = [rng.normal(size=24) for _ in range(20)] + [base[3], -base[7]]
         oracles = [_ranking_oracle(image, terms, src) for image in images]
         for top_m in (1, 3, 4, 5, 9, 300):
-            ranked = classify_many(images, vocab, src, top_m, index)
+            ranked = classify_many(images, index, top_m)
             assert ranked == [
-                classify_image_entities(image, vocab, src, top_m, index) for image in images
+                classify_image_entities(image, index, top_m) for image in images
             ]
             assert ranked == [oracle[:top_m] for oracle in oracles]
 
     def test_no_images(self):
         src = HashSource(dim=8, seed=0)
-        assert classify_many([], EntityVocabulary([]), src, 3) == []
+        assert classify_many([], EntityIndex(src, EntityVocabulary([])), 3) == []
         with pytest.raises(ValueError):
-            classify_many([], EntityVocabulary(["dog"]), src, 0)
+            classify_many([], EntityIndex(src, EntityVocabulary(["dog"])), 0)
         with pytest.raises(EmptyInput):
-            classify_many([np.ones(8)], EntityVocabulary([]), src, 3)
+            classify_many([np.ones(8)], EntityIndex(src, EntityVocabulary([])), 3)
 
 
 class TestFilterTraining:
@@ -324,14 +313,14 @@ class TestFilterInference:
     def test_tau_minus_one_passes_everything(self):
         src = HashSource(dim=16, seed=4)
         image = embed_entity(src, "dog")
-        sets = filter_inference({"dog"}, {"dog", "kite", "ball"}, image, src, -1.0)
+        sets = filter_inference({"dog"}, {"dog", "kite", "ball"}, image, EntityIndex(src), -1.0)
         assert sets.positive == {"dog", "kite", "ball"}
         assert sets.negative == set()
 
     def test_tau_one_passes_nothing(self):
         src = HashSource(dim=16, seed=4)
         image = embed_entity(src, "dog")
-        sets = filter_inference({"dog"}, {"dog", "kite", "ball"}, image, src, 1.0)
+        sets = filter_inference({"dog"}, {"dog", "kite", "ball"}, image, EntityIndex(src), 1.0)
         assert sets.positive == {"dog"}
         assert sets.negative == {"kite", "ball"}
 
@@ -339,7 +328,7 @@ class TestFilterInference:
         src = HashSource(dim=32, seed=5)
         image = embed_entity(src, "frisbee")
         sets = filter_inference(
-            {"dog"}, {"dog", "frisbee", "kite"}, image, src, tau_sim=0.5
+            {"dog"}, {"dog", "frisbee", "kite"}, image, EntityIndex(src), tau_sim=0.5
         )
         assert "frisbee" in sets.positive  # cosine with itself is 1 > 0.5
         kite_cos = float(embed_entity(src, "kite") @ image)
@@ -352,12 +341,12 @@ class TestFilterInference:
     def test_tau_out_of_range(self):
         src = HashSource(dim=8, seed=0)
         with pytest.raises(ValueError):
-            filter_inference(set(), set(), embed_entity(src, "dog"), src, 1.5)
+            filter_inference(set(), set(), embed_entity(src, "dog"), EntityIndex(src), 1.5)
 
     def test_dim_mismatch(self):
         src = HashSource(dim=8, seed=0)
         with pytest.raises(DimMismatch):
-            filter_inference(set(), {"dog"}, np.ones(4), src, 0.0)
+            filter_inference(set(), {"dog"}, np.ones(4), EntityIndex(src), 0.0)
 
 
 _terms = st.sets(
@@ -377,7 +366,7 @@ class TestSetAlgebraProperties:
     def test_inference_invariants(self, key, candidates, tau):
         src = HashSource(dim=16, seed=6)
         image = l2_normalize(np.arange(1.0, 17.0))
-        sets = filter_inference(key, candidates, image, src, tau)
+        sets = filter_inference(key, candidates, image, EntityIndex(src), tau)
         sets.check()
 
     @given(key=_terms, candidates=_terms)
@@ -387,7 +376,7 @@ class TestSetAlgebraProperties:
         image = l2_normalize(np.arange(1.0, 17.0))
         ladder = [-1.0, -0.5, 0.0, 0.5, 1.0]
         results = [
-            filter_inference(key, candidates, image, src, tau) for tau in ladder
+            filter_inference(key, candidates, image, EntityIndex(src), tau) for tau in ladder
         ]
         for lo, hi in zip(results, results[1:]):
             assert hi.positive <= lo.positive
@@ -401,7 +390,7 @@ class TestSetAlgebraProperties:
         src = HashSource(dim=16, seed=8)
         image = l2_normalize(np.arange(1.0, 17.0))
         trained = filter_training(key, candidates)
-        inferred = filter_inference(key, candidates, image, src, 1.0)
+        inferred = filter_inference(key, candidates, image, EntityIndex(src), 1.0)
         assert trained.positive == inferred.positive
         assert trained.negative == inferred.negative
 

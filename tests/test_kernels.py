@@ -66,6 +66,23 @@ def test_dot_scores_block_rows_match_single_queries():
         )
 
 
+@pytest.mark.parametrize(
+    "d", [1, 2, 3, 4, 5, 7, 8, 12, 16, 24, 31, 32, 33, 48, 64, 96, 100, 127, 128, 256, 512, 768]
+)
+def test_rescore_equals_per_row_dot(d):
+    """exact_top's stacked float64 re-score gives each row the bits of
+    np.dot(row, query), across re-score chunks and query boundaries."""
+    rng = np.random.default_rng(d)
+    n = kernels.SCAN_ROWS + 76
+    matrix = np.stack([l2_normalize(v) for v in rng.normal(size=(n, d))])
+    queries = [l2_normalize(v) for v in rng.normal(size=(3, d))]
+    # k = n re-scores every row of every query, 3 * n rows in all
+    for query, top in zip(queries, kernels.exact_top(matrix.__getitem__, matrix, queries, n)):
+        expected = sorted((-float(np.dot(row, query)), i) for i, row in enumerate(matrix))
+        assert np.array([s for s, _ in top]).tobytes() == np.array([-s for s, _ in expected]).tobytes()
+        assert [i for _, i in top] == [i for _, i in expected]
+
+
 def test_backend_name_matches_flag():
     assert kernels.backend() == "numpy"
 

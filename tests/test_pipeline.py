@@ -663,6 +663,21 @@ class TestBatchEntityIndex:
                 _config(mode="inference"), index=index,
             )
 
+    def test_index_for_another_source_rejected(self, store, vocab, source):
+        # an equal source is not the run's entity source
+        index = EntityIndex(HashSource(dim=DIM, seed=SEED), vocab)
+        with pytest.raises(ValueError):
+            run_training_instance(
+                CAPTIONS["c01"], embed_text(source, CAPTIONS["c01"]), store, vocab,
+                source_bundle(source), _config(), index=index,
+            )
+        bundle = source_bundle(source)
+        context = run_training_instance(
+            CAPTIONS["c01"], embed_text(source, CAPTIONS["c01"]), store, vocab, bundle,
+            _config(), index=EntityIndex(bundle.entity, vocab),
+        )
+        context.check()
+
 
 def _seventy_instances(mode):
     rng = np.random.default_rng(31)
@@ -925,7 +940,7 @@ def _set_up_calls(tree):
 def test_run_set_up_happens_only_in_run_init():
     source = Path(pipeline_mod.__file__).read_text(encoding="utf-8")
     assert _set_up_calls(ast.parse(source)) == {
-        ("default_weights", "Run.__init__"), ("index_for", "Run.__init__")
+        ("default_weights", "Run.__init__"), ("EntityIndex", "Run.__init__")
     }
 
 

@@ -198,26 +198,33 @@ def evaluate(instances: Sequence[EvalInstance]) -> EvalReport:
 # supplied vocabulary; entity arrays are canonicalized through it.
 
 
+def is_entity_json(value) -> bool:
+    """Whether `value` has a form entity_set_from_json reads: a string or an
+    array of strings."""
+    return isinstance(value, str) or (
+        isinstance(value, list) and all(isinstance(item, str) for item in value)
+    )
+
+
 def entity_set_from_json(value, vocab: EntityVocabulary | None, field_name: str) -> frozenset[str]:
+    if not is_entity_json(value):
+        raise FormatError(f"{field_name!r} must be a string or an array of strings")
     if isinstance(value, str):
         if vocab is None:
             raise FormatError(
                 f"{field_name!r} is a caption string; a vocabulary is required"
             )
         return frozenset(extract_entities(value, vocab))
-    if isinstance(value, list):
-        if all(isinstance(item, str) for item in value):
-            joined: set[str] = set()
-            for item in value:
-                # heuristically: multi-token items with a vocabulary are captions
-                if vocab is not None and item.strip().lower() not in vocab.synonyms:
-                    joined |= extract_entities(item, vocab)
-                elif vocab is not None:
-                    joined.add(vocab.canonicalize(item))
-                else:
-                    joined.add(item.strip().lower())
-            return frozenset(joined)
-    raise FormatError(f"{field_name!r} must be a string or an array of strings")
+    joined: set[str] = set()
+    for item in value:
+        # heuristically: multi-token items with a vocabulary are captions
+        if vocab is not None and item.strip().lower() not in vocab.synonyms:
+            joined |= extract_entities(item, vocab)
+        elif vocab is not None:
+            joined.add(vocab.canonicalize(item))
+        else:
+            joined.add(item.strip().lower())
+    return frozenset(joined)
 
 
 def instance_from_json(obj: dict, vocab: EntityVocabulary | None) -> EvalInstance:

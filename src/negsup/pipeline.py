@@ -53,6 +53,7 @@ from .fusion import (
     map_to_prefix,
     xavier_weights,
 )
+from .metrics import is_entity_json
 from .suppression import (
     SuppressionConfig,
     SuppressionReport,
@@ -181,8 +182,11 @@ class GenerationContext:
             raise InvariantError("suppression scores do not cover the prefix")
 
     def to_json_dict(self) -> dict:
+        """The context's JSON object. Its "prefix" is the suppressed prefix
+        itself, an (L, d) float64 array, which validation.json_line writes
+        as base64 of its float64 bytes."""
         return {
-            "prefix": self.suppressed_prefix.tolist(),
+            "prefix": self.suppressed_prefix,
             "prompt": self.positive_prompt,
             "entities": self.entity_sets.to_json_dict(),
             "retrieval": self.retrieval.to_json_dict(),
@@ -506,6 +510,10 @@ def standin_decode(
 
 @dataclass(frozen=True)
 class BatchResult:
+    """run_batch's outputs, one JSON object per kept instance, whose
+    ["context"]["prefix"] is an (L, d) float64 array in memory (see
+    GenerationContext.to_json_dict); and its skipped instances."""
+
     outputs: list[dict]
     skipped: list[dict]
     # instances whose key string was hashed, for want of a key store
@@ -515,8 +523,9 @@ class BatchResult:
 def _check_instances(instances: Sequence[dict], mode: str) -> None:
     """FormatError for the first fault of the instances, before any of them
     is processed: an "id" that is missing, not a string or repeated; then a
-    text field of the mode that is not a string, or a missing or blank
-    "caption" (training) or "image_key" (inference)."""
+    text field of the mode that is not a string, a missing or blank
+    "caption" (training) or "image_key" (inference), or "references" that
+    `eval` would not read (see metrics.is_entity_json)."""
     seen: set[str] = set()
     for number, obj in enumerate(instances, 1):
         if not isinstance(obj, dict) or "id" not in obj:
@@ -534,6 +543,11 @@ def _check_instances(instances: Sequence[dict], mode: str) -> None:
                 raise FormatError(f'instance {obj["id"]!r}: "{name}" must be a string, got {value!r}')
         if not (obj.get(fields[0]) or "").strip():
             raise FormatError(f'{mode} instance {obj["id"]!r} needs a non-empty "{fields[0]}"')
+        if "references" in obj and not is_entity_json(obj["references"]):
+            raise FormatError(
+                f'instance {obj["id"]!r}: "references" must be a string or an array'
+                f' of strings, got {obj["references"]!r}'
+            )
 
 
 def run_batch(

@@ -15,10 +15,16 @@ EncodingError naming the file and line), lines ended by "\n" or "\r\n"
 only, blank lines skipped, lines numbered as in the file. Every
 file is written through write_file, which replaces a file only once the
 new one is whole. Both binary formats begin with HEADER (read_header).
+
+A JSON line is written by json_line, which writes a 2-D float64 array as
+{"shape": [L, d], "f64": <base64 of its little-endian float64 bytes, row
+by row>}, so every bit of every value is kept; array_from_json reads one
+back.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import json
@@ -28,6 +34,8 @@ import os
 import secrets
 import struct
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import EncodingError, FormatError, IoError
 
@@ -220,7 +228,48 @@ def check_output(path, name: str) -> None:
         raise IoError(f"{name} {path!r}: no directory {directory!r}")
 
 
+def _encode_array(value):
+    """json's `default` hook: a 2-D float64 array as {"shape", "f64"}, else
+    json's usual TypeError."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2:
+        data = np.ascontiguousarray(value, dtype="<f8").tobytes()
+        return {"shape": list(value.shape), "f64": base64.b64encode(data).decode("ascii")}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_line(obj) -> str:
+    """`obj` as one sorted-key JSON line, "\n" included; a 2-D float64
+    array in it is written in the form array_from_json reads."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, default=_encode_array) + "\n"
+
+
+def array_from_json(value, name: str) -> np.ndarray:
+    """The float64 array that json_line wrote as `value`. FormatError,
+    naming `name`, unless its "shape" is two positive integers and its "f64"
+    is valid base64 of exactly that many finite float64 values."""
+    if not isinstance(value, dict) or set(value) != {"shape", "f64"}:
+        raise FormatError(f'{name} must be an object of "shape" and "f64", got {value!r:.80}')
+    shape, payload = value["shape"], value["f64"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape)
+    ):
+        raise FormatError(f"{name}: shape must be two positive integers, got {shape!r}")
+    try:
+        data = base64.b64decode(payload, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise FormatError(f"{name}: invalid base64: {exc}") from None
+    if len(data) != shape[0] * shape[1] * 8:
+        raise FormatError(
+            f"{name}: {len(data)} bytes, but shape {shape} needs {shape[0] * shape[1] * 8}"
+        )
+    array = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(array).all():
+        raise FormatError(f"{name}: non-finite value")
+    return array
+
+
 def write_jsonl(path, objects: Iterable[dict]) -> None:
-    """Write one sorted-key JSON object per line, UTF-8, through write_file."""
-    lines = (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n" for obj in objects)
-    write_file(path, (line.encode("utf-8") for line in lines))
+    """Write each object as a json_line, UTF-8, through write_file."""
+    write_file(path, (json_line(obj).encode("utf-8") for obj in objects))

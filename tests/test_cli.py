@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import negsup
-from negsup import cli, pipeline
+from negsup import cli, kernels, pipeline
 from negsup.embedding import HashSource, embed_text, write_embedding_file
 from negsup.errors import InvariantError
 from negsup.fusion import write_weights_file, xavier_weights
+from negsup.validation import array_from_json
 
 
 @pytest.fixture()
@@ -120,12 +122,13 @@ def _store(corpus):
 
 
 def _child_run(
-    tmp_path, captions, vocab, synonyms, inputs, mode="training", hash_seed=None,
+    tmp_path, captions, vocab, synonyms, inputs, mode="training", env=None,
     extra_args=(),
 ) -> bytes:
     """`negsup run` in a child process on a store of `captions` (id → text,
     embedded with a HashSource), the `vocab` and `synonyms` file texts and
-    the `inputs` instance objects; the bytes of its out.jsonl."""
+    the `inputs` instance objects, with the environment variables of `env`
+    set (or, where the value is None, removed); the bytes of its out.jsonl."""
     tmp_path.mkdir(exist_ok=True)
     src = HashSource(dim=16, seed=3)
     (tmp_path / "captions.tsv").write_text(
@@ -139,15 +142,18 @@ def _child_run(
     (tmp_path / "synonyms.tsv").write_text(synonyms)
     (tmp_path / "input.jsonl").write_text("".join(json.dumps(o) + "\n" for o in inputs))
     store = _store(tmp_path)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(negsup.__file__)))
-    if hash_seed is not None:
-        env["PYTHONHASHSEED"] = hash_seed
+    child_env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(negsup.__file__)))
+    for name, value in (env or {}).items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
     subprocess.run(
         [sys.executable, "-m", "negsup.cli", "run", "--mode", mode,
          "--store", store, "--input", tmp_path / "input.jsonl",
          "--out", tmp_path / "out.jsonl", "--vocab", tmp_path / "vocab.txt",
          "--synonyms", tmp_path / "synonyms.tsv", *extra_args],
-        env=env, timeout=60, check=True, capture_output=True,
+        env=child_env, timeout=60, check=True, capture_output=True,
     )
     return (tmp_path / "out.jsonl").read_bytes()
 
@@ -367,7 +373,7 @@ class TestWeightsFile:
             assert "prefix_length 6" in capsys.readouterr().err
             return
         out = json.loads((corpus / "out.jsonl").read_text().splitlines()[0])
-        assert len(out["context"]["prefix"]) == 2
+        assert array_from_json(out["context"]["prefix"], "prefix").shape == (2, 24)
 
 
 class TestRunConfigTypes:
@@ -829,7 +835,7 @@ class TestHashSeedIndependence:
             "dog\nhot dog\nfire hydrant\nteddy bear\nbear\nbench\npark\nstreet\n",
             "dog\tpuppy,doggy\nfire hydrant\thydrant\nteddy bear\tteddy\nhot dog\thotdog\n",
             [{"id": f"i{n}", field: text} for n, text in enumerate(self.INPUTS)],
-            mode, hash_seed, ["--top-m", "3", "--tau-neg", "0.1"],
+            mode, {"PYTHONHASHSEED": hash_seed}, ["--top-m", "3", "--tau-neg", "0.1"],
         )
 
     @pytest.mark.parametrize("mode", ["training", "inference"])
@@ -839,3 +845,45 @@ class TestHashSeedIndependence:
         outputs = [json.loads(line) for line in first.splitlines()]
         assert len(outputs) == len(self.INPUTS)
         assert any(out["context"]["entities"]["negative"] for out in outputs)
+
+
+class TestScanThreadIndependence:
+    """`negsup run` writes the same bytes with BLAS held at one thread, where
+    pass 1 of the scan runs on up to kernels.SCAN_THREADS threads (given the
+    CPUs), and with the BLAS thread variables unset, where it runs on one.
+    The store has more than 2 * kernels.SCAN_ROWS rows, so the scan's ranges
+    split."""
+
+    NOUNS = ["dog", "cat", "frisbee", "kite", "bench", "park", "bird", "horse", "boat", "bike"]
+    VERBS = ["sits near", "runs past", "sleeps by", "waits for", "plays with", "looks at"]
+    PLACES = ["on the grass", "in the park", "by the lake", "on the road", "at the beach"]
+    ROWS = 2 * kernels.SCAN_ROWS + 500
+    INSTANCES = 60
+
+    def _texts(self, rng, n):
+        return [
+            f"a {rng.choice(self.NOUNS)} {rng.choice(self.VERBS)} a {rng.choice(self.NOUNS)}"
+            f" {rng.choice(self.PLACES)}"
+            for _ in range(n)
+        ]
+
+    def _child_run(self, tmp_path, mode, blas_env) -> bytes:
+        rng = np.random.default_rng(23)
+        captions = {f"c{i:04d}": text for i, text in enumerate(self._texts(rng, self.ROWS))}
+        field = "caption" if mode == "training" else "image_key"
+        inputs = [
+            {"id": f"i{n:02d}", field: text}
+            for n, text in enumerate(self._texts(rng, self.INSTANCES))
+        ]
+        env = {name: None for name in kernels.BLAS_THREAD_ENV}
+        env.update(blas_env)
+        return _child_run(
+            tmp_path, captions, "\n".join(self.NOUNS) + "\n", "dog\tpuppy\n", inputs, mode,
+            env, ["--top-m", "3", "--tau-neg", "0.1"],
+        )
+
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_same_bytes_with_blas_capped_and_unset(self, tmp_path, mode):
+        capped = self._child_run(tmp_path / "capped", mode, {"OPENBLAS_NUM_THREADS": "1"})
+        assert capped == self._child_run(tmp_path / "unset", mode, {})
+        assert len(capped.splitlines()) == self.INSTANCES

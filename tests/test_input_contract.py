@@ -64,6 +64,22 @@ ROWS = {
         ("bad_aux.jsonl", b'{"key": "a", "vector": [1.0, 0.0]}\n{"key": "b", "vector": "x"}\n'),
         ["bad_aux.jsonl", "line 2", "vector"], ("retrieve_many",),
     ),
+    "references_a_number": (
+        {"--input": "{d}/bad.jsonl"},
+        ("bad.jsonl", b'{"id": "t1", "caption": "a dog"}\n{"id": "t2", "caption": "a cat",'
+                      b' "references": 5}\n'),
+        ["'t2'", '"references"', "a string or an array of strings"], ("retrieve_many",),
+    ),
+    "references_null": (
+        {"--input": "{d}/bad.jsonl"},
+        ("bad.jsonl", b'{"id": "t1", "caption": "a dog", "references": null}\n'),
+        ["'t1'", '"references"', "None"], ("retrieve_many",),
+    ),
+    "references_not_strings": (
+        {"--mode": "inference", "--input": "{d}/bad.jsonl"},
+        ("bad.jsonl", b'{"id": "i1", "image_key": "a dog", "references": ["a dog", 1]}\n'),
+        ["'i1'", '"references"', "['a dog', 1]"], ("retrieve_many",),
+    ),
     "key_missing_from_aux_embeddings": (
         {"--mode": "inference", "--input": "{d}/keyed.jsonl", "--aux-embeddings": "{d}/aux.jsonl"},
         ("keyed.jsonl", b'{"id": "t1", "image_key": "a dog"}\n'),

@@ -30,6 +30,7 @@ from negsup.pipeline import (
     write_jsonl,
 )
 from negsup.suppression import SuppressionConfig, SuppressionReport, suppress
+from negsup.validation import array_from_json, json_line
 
 DIM = 32
 SEED = 7
@@ -518,15 +519,19 @@ class TestRunBatch:
         bundle = source_bundle(source)
         first = run_batch(instances, store, vocab, bundle, config)
         second = run_batch(instances, store, vocab, bundle, config)
-        blob_a = json.dumps([o for o in first.outputs], sort_keys=True)
-        blob_b = json.dumps([o for o in second.outputs], sort_keys=True)
-        assert blob_a == blob_b
+        assert _lines(first.outputs) == _lines(second.outputs)
         out = first.outputs[0]
         assert set(out) == {"id", "generated", "retrieved", "context", "references"}
         assert out["references"] == [CAPTIONS["c01"]]
         assert first.outputs[1]["references"] == ["a cat resting"]
         ctx = out["context"]
         assert set(ctx) == {"prefix", "prompt", "entities", "retrieval", "suppression"}
+
+
+def _lines(outputs):
+    """The out.jsonl text of `outputs`: exact in every value, so equal text
+    means equal outputs."""
+    return "".join(json_line(obj) for obj in outputs)
 
 
 def _per_instance_outputs(instances, store, vocab, sources, config, keys=None):
@@ -606,7 +611,7 @@ class TestBatchEntityIndex:
         batch = run_batch(instances, store, vocab, bundle, config, None, keys)
         assert batch.skipped == []
         expected = _per_instance_outputs(instances, store, vocab, bundle, config, keys)
-        assert json.dumps(batch.outputs, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert _lines(batch.outputs) == _lines(expected)
         assert any(o["context"]["entities"]["negative"] for o in batch.outputs) == (
             overrides.get("enable_nef", True)
         )
@@ -642,7 +647,7 @@ class TestBatchEntityIndex:
             instances, store, extended, SourceBundle(source, entity=partial), config
         )
         with_full = run_batch(instances, store, extended, SourceBundle(source, entity=full), config)
-        assert with_partial.outputs == with_full.outputs
+        assert _lines(with_partial.outputs) == _lines(with_full.outputs)
         assert any(o["context"]["entities"]["negative"] for o in with_partial.outputs)
         with pytest.raises(UnknownKey):
             run_batch(
@@ -727,7 +732,27 @@ class TestBatchedRetrieval:
         bundle = source_bundle(source)
         batch = run_batch(instances, store, vocab, bundle, config)
         expected = _per_instance_outputs(instances, store, vocab, bundle, config)
-        assert json.dumps(batch.outputs, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert _lines(batch.outputs) == _lines(expected)
+
+
+class TestPrefixEncoding:
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_written_prefix_is_the_suppressed_prefix(self, store, vocab, source, mode):
+        # the decoded line's prefix is the context's array, and also the
+        # values that the repr of its floats held before
+        config = _config(mode=mode, tau_sim=0.1, top_m=3, fusion=FusionConfig(tau_quality=0.3))
+        result = run_batch(_seventy_instances(mode), store, vocab, source_bundle(source), config)
+        assert any(out["context"]["suppression"]["selected"] for out in result.outputs)
+        for out in result.outputs:
+            prefix = out["context"]["prefix"]
+            assert prefix.shape == (config.prefix_length, DIM)
+            written = json.loads(json_line(out))
+            decoded = array_from_json(written["context"].pop("prefix"), "prefix")
+            assert np.array_equal(decoded.view(np.uint64), prefix.view(np.uint64))
+            as_lists = np.array(json.loads(json.dumps(prefix.tolist())))
+            assert np.array_equal(decoded.view(np.uint64), as_lists.view(np.uint64))
+            rest = {**out, "context": {k: v for k, v in out["context"].items() if k != "prefix"}}
+            assert written == json.loads(json.dumps(rest))
 
 
 class TestWriteJsonl:

@@ -1,7 +1,11 @@
+import base64
+import json
+
+import numpy as np
 import pytest
 
 from negsup.errors import FormatError, IoError
-from negsup.validation import json_lines, read_json, read_lines
+from negsup.validation import array_from_json, json_line, json_lines, read_json, read_lines
 
 
 class TestReadLines:
@@ -64,3 +68,64 @@ class TestReadJson:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             read_json(tmp_path / "nope.json", "config file")
+
+
+def _bits(array):
+    return array.view(np.uint64)
+
+
+class TestArrayJson:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            # L = 1: signed zeros, the smallest subnormal, a subnormal, the extremes
+            np.array([[-0.0, 0.0, 5e-324, -7.4e-309, 1e308, -1.7976931348623157e308]]),
+            np.random.default_rng(3).standard_normal((4, 7)),
+            np.random.default_rng(4).standard_normal((7, 4)).T,  # not C-contiguous
+        ],
+    )
+    def test_round_trip_keeps_every_bit(self, array):
+        value = json.loads(json_line({"prefix": array}))["prefix"]
+        assert value["shape"] == list(array.shape)
+        back = array_from_json(value, "prefix")
+        assert back.dtype == np.float64 and back.shape == array.shape
+        assert np.array_equal(_bits(back), _bits(array))
+        assert np.array_equal(_bits(back), _bits(np.array(json.loads(json.dumps(array.tolist())))))
+
+    @pytest.mark.parametrize(
+        "value", [np.ones((2, 3), dtype=np.float32), np.ones((2, 3), dtype=int), np.ones(3)]
+    )
+    def test_other_arrays_are_not_serializable(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_line({"prefix": value})
+
+    GOOD = {"shape": [2, 3], "f64": base64.b64encode(np.ones(6).tobytes()).decode("ascii")}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"f64": "AAAA*AAA"}, "invalid base64"),
+            ({"f64": GOOD["f64"][:-3]}, "invalid base64"),
+            ({"f64": base64.b64encode(np.ones(5).tobytes()).decode("ascii")}, "40 bytes"),
+            ({"f64": 5}, "invalid base64"),
+            ({"shape": [3, 3]}, "needs 72"),
+            ({"shape": [6]}, "two positive integers"),
+            ({"shape": [0, 3]}, "two positive integers"),
+            ({"shape": [2, True]}, "two positive integers"),
+            ({"shape": [2.0, 3]}, "two positive integers"),
+            ({"f64": base64.b64encode(np.array([1, 2, np.nan, 4, 5, 6.0]).tobytes()).decode()},
+             "non-finite"),
+            ({"f64": base64.b64encode(np.array([1, 2, 3, 4, 5, -np.inf]).tobytes()).decode()},
+             "non-finite"),
+            ({"extra": 1}, "object of"),
+        ],
+    )
+    def test_malformed_value_is_a_format_error(self, change, message):
+        assert array_from_json(self.GOOD, "prefix").tolist() == [[1.0] * 3] * 2
+        with pytest.raises(FormatError, match=f"prefix.*{message}"):
+            array_from_json({**self.GOOD, **change}, "prefix")
+
+    @pytest.mark.parametrize("value", [[[1.0, 2.0]], None, "AAAA"])
+    def test_not_an_object_is_a_format_error(self, value):
+        with pytest.raises(FormatError, match="prefix must be an object"):
+            array_from_json(value, "prefix")

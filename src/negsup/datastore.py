@@ -315,14 +315,15 @@ def save_datastore(store: Datastore, directory) -> None:
 
 
 def read_caption_file(path) -> dict[str, str]:
-    """Read an id<TAB>caption file into an id -> caption mapping."""
+    """Read an id<TAB>caption file into an id -> caption mapping; a line
+    without a tab or with a repeated id is an error naming the file and it."""
     captions: dict[str, str] = {}
     for lineno, line in read_lines(path):
         if "\t" not in line:
-            raise FormatError(f"line {lineno}: expected 'id<TAB>caption'")
+            raise FormatError(f"{os.fspath(path)}: line {lineno}: expected 'id<TAB>caption'")
         rid, caption = line.split("\t", 1)
         if rid in captions:
-            raise DuplicateId(f"line {lineno}: duplicate id {rid!r}")
+            raise DuplicateId(f"{os.fspath(path)}: line {lineno}: duplicate id {rid!r}")
         captions[rid] = caption
     return captions
 

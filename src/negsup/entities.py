@@ -2,7 +2,8 @@
 
 Extraction is vocabulary-driven whole-token matching: surface forms
 (canonical terms plus synonyms) match contiguous token runs, longest run
-first, and map to their canonical term. An EntityIndex holds a
+first, and map to their canonical term (extract_entities of a caption,
+entities_in of its tokens when they are already made). An EntityIndex holds a
 vocabulary's entity-description vectors under one entity source, and is
 the one entity argument of classification and inference filtering.
 Zero-shot classification ranks the index's terms for many images at once
@@ -15,6 +16,7 @@ positive/negative sets, either against ground-truth key entities
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -129,29 +131,32 @@ def match_runs(
 ) -> Iterator[tuple[int, int, str]]:
     """(start, stop, canonical) of each run of `runs` in `tokens`, scanned
     left to right with the longest run first at each position, so "hot
-    dog" hides the "dog" inside it. `longest` is longest_runs(runs): a
-    token that starts no run costs one lookup."""
-    i = 0
+    dog" hides the "dog" inside it. `longest` is longest_runs(runs): only
+    the tokens that start a run are visited."""
     n = len(tokens)
-    while i < n:
-        for stop in range(min(i + longest.get(tokens[i], 0), n), i, -1):
-            target = runs.get(tuple(tokens[i:stop]))
+    i = 0  # the first token not inside a run already matched
+    for start in [j for j, token in enumerate(tokens) if token in longest]:
+        if start < i:
+            continue
+        for stop in range(min(start + longest[tokens[start]], n), start, -1):
+            target = runs.get(tuple(tokens[start:stop]))
             if target is not None:
-                yield i, stop, target
+                yield start, stop, target
                 i = stop
                 break
-        else:
-            i += 1
+
+
+def entities_in(tokens: Sequence[str], vocab: EntityVocabulary) -> set[str]:
+    """extract_entities of a caption's tokens (see embedding.tokenize)."""
+    if not vocab.canonical:
+        raise EmptyInput("vocabulary is empty")
+    return {target for _, _, target in match_runs(tokens, vocab.runs, vocab.longest)}
 
 
 def extract_entities(caption: str, vocab: EntityVocabulary) -> set[str]:
     """Canonical terms whose surface forms occur in `caption` as whole
     token runs (see match_runs)."""
-    if not vocab.canonical:
-        raise EmptyInput("vocabulary is empty")
-    return {
-        target for _, _, target in match_runs(tokenize(caption), vocab.runs, vocab.longest)
-    }
+    return entities_in(tokenize(caption), vocab)
 
 
 class EntityIndex:
@@ -264,19 +269,21 @@ def filter_inference(
 # in both.
 
 
-def _content_lines(path) -> list[str]:
-    lines = (line.strip() for _, line in read_lines(path))
-    return [line for line in lines if not line.startswith("#")]
+def _content_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each content line of the file."""
+    lines = ((lineno, line.strip()) for lineno, line in read_lines(path))
+    return [(lineno, line) for lineno, line in lines if not line.startswith("#")]
 
 
 def load_vocabulary(vocab_path, synonyms_path=None) -> EntityVocabulary:
-    canonical = _content_lines(vocab_path)
+    canonical = [line for _, line in _content_lines(vocab_path)]
     synonyms: dict[str, str] = {}
     if synonyms_path is not None:
-        for line in _content_lines(synonyms_path):
+        for lineno, line in _content_lines(synonyms_path):
             if "\t" not in line:
                 raise FormatError(
-                    f"synonym line {line!r}: expected 'canonical<TAB>syn1,syn2,...'"
+                    f"{os.fspath(synonyms_path)}: line {lineno}: synonym line {line!r}:"
+                    " expected 'canonical<TAB>syn1,syn2,...'"
                 )
             target, rest = line.split("\t", 1)
             for surface in rest.split(","):

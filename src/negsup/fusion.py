@@ -4,6 +4,13 @@ network.
 
 Prefix features are plain (L, d) float64 arrays. Projection matrices act
 on column vectors (token_out = M @ token_in), stored row-major.
+
+Cross-attention and the prefix map also run over stacks of b instances,
+(b, L, d) features and (b, k, d) retrieved embeddings (fuse_stack,
+map_stack), as the pipeline runs them a chunk at a time. Every product is
+a 3-D np.matmul, one BLAS call per instance with the instance's own
+shapes, so each slice equals the one-instance fuse_retrieval and
+map_to_prefix bit for bit; those two are the stacks' b = 1 case.
 """
 
 from __future__ import annotations
@@ -183,6 +190,51 @@ def as_prefix(values) -> np.ndarray:
     return arr
 
 
+def as_prefixes(values) -> np.ndarray:
+    """as_prefix for a stack of b instances' features: a finite (b, L, d)
+    float64 array with L, d >= 1."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] < 1:
+        raise DimMismatch(f"expected (b, L, d) features, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise FormatError("prefix features contain non-finite values")
+    return arr
+
+
+def fuse_stack(tokens, retrieved, weights: AttentionWeights) -> tuple[np.ndarray, np.ndarray]:
+    """fuse_retrieval for a stack of b instances: (b, L, d) input tokens
+    over (b, k, d) retrieved embeddings give the (b, L, d) features and
+    the (b, L, k) softmax weights.
+
+    Each projection and attention product is a 3-D np.matmul, which calls
+    BLAS once per instance with the instance's own shapes, so every slice
+    equals its one-instance call bit for bit. A (b*k, d) @ (d, d) product
+    of the flattened stack would not: BLAS rounds a row's sums by the
+    shape of the whole product.
+    """
+    tokens = as_prefixes(tokens)
+    retrieved = np.asarray(retrieved, dtype=np.float64)
+    if retrieved.ndim != 3 or retrieved.shape[0] != tokens.shape[0]:
+        raise DimMismatch(
+            f"expected ({tokens.shape[0]}, k, d) retrieved embeddings, got shape {retrieved.shape}"
+        )
+    if retrieved.shape[1] == 0:
+        raise EmptyRetrieval("fuse_retrieval needs at least one retrieved embedding")
+    if tokens.shape[2] != weights.dim:
+        raise DimMismatch(
+            f"input token dim {tokens.shape[2]} != weights dim {weights.dim}"
+        )
+    if retrieved.shape[2] != weights.dim:
+        raise DimMismatch(
+            f"retrieved dim {retrieved.shape[2]} != weights dim {weights.dim}"
+        )
+    queries = tokens @ weights.q_proj.T
+    keys = retrieved @ weights.k_proj.T
+    values = retrieved @ weights.v_proj.T
+    attn_out, attn = kernels.attention_core(queries, keys, values)
+    return tokens + attn_out, attn
+
+
 def fuse_retrieval(
     fused_input,
     retrieved_embs,
@@ -190,7 +242,8 @@ def fuse_retrieval(
     return_attention: bool = False,
 ):
     """Cross-attend input tokens (queries) over retrieved embeddings (keys and
-    values) and add the attention output back onto the input tokens.
+    values) and add the attention output back onto the input tokens: the
+    one-instance case of fuse_stack.
 
     With `return_attention` the (L, n_retrieved) softmax weight rows are
     returned alongside the features.
@@ -199,27 +252,34 @@ def fuse_retrieval(
     retrieved = np.atleast_2d(np.asarray(retrieved_embs, dtype=np.float64))
     if retrieved.size == 0:
         raise EmptyRetrieval("fuse_retrieval needs at least one retrieved embedding")
-    if tokens.shape[1] != weights.dim:
-        raise DimMismatch(
-            f"input token dim {tokens.shape[1]} != weights dim {weights.dim}"
-        )
-    if retrieved.shape[1] != weights.dim:
-        raise DimMismatch(
-            f"retrieved dim {retrieved.shape[1]} != weights dim {weights.dim}"
-        )
-    queries = np.ascontiguousarray(tokens @ weights.q_proj.T)
-    keys = np.ascontiguousarray(retrieved @ weights.k_proj.T)
-    values = np.ascontiguousarray(retrieved @ weights.v_proj.T)
-    attn_out, attn = kernels.attention_core(queries, keys, values)
-    out = tokens + attn_out
+    out, attn = fuse_stack(tokens[None], retrieved[None], weights)
     if return_attention:
-        return out, attn
-    return out
+        return out[0], attn[0]
+    return out[0]
+
+
+def map_stack(tokens, weights: AttentionWeights) -> np.ndarray:
+    """map_to_prefix for a stack of b instances: (b, L, d) features give
+    the (b, out_tokens, d) prefixes, each slice equal to its one-instance
+    map bit for bit (one np.matmul of a (rows, cols) map by (cols, 1)
+    columns runs BLAS's per-column matrix-vector product)."""
+    tokens = as_prefixes(tokens)
+    b, n, d = tokens.shape
+    if n == 1:
+        mapped = np.matmul(weights.one_token_map, tokens.transpose(0, 2, 1))
+    else:
+        if n * d != weights.map_proj.shape[1]:
+            raise DimMismatch(
+                f"flattened features have {n * d} values, map_proj expects "
+                f"{weights.map_proj.shape[1]}"
+            )
+        mapped = np.matmul(weights.map_proj, tokens.reshape(b, n * d, 1))
+    return mapped.reshape(b, weights.out_tokens, weights.dim)
 
 
 def map_to_prefix(attn_out, weights: AttentionWeights) -> np.ndarray:
     """Apply the mapping network to the flattened features, producing the
-    (out_tokens, d) prefix.
+    (out_tokens, d) prefix: the one-instance case of map_stack.
 
     One token is read as the first of in_tokens, the others zero, and
     multiplied by one_token_map alone. That equals the product of the
@@ -229,16 +289,7 @@ def map_to_prefix(attn_out, weights: AttentionWeights) -> np.ndarray:
     the dimensions in use), but not for an odd d, where the prefix can
     differ from the padded product in its last bits.
     """
-    tokens = as_prefix(attn_out)
-    if tokens.shape[0] == 1:
-        return (weights.one_token_map @ tokens[0]).reshape(weights.out_tokens, weights.dim)
-    flat = tokens.reshape(-1)
-    if flat.shape[0] != weights.map_proj.shape[1]:
-        raise DimMismatch(
-            f"flattened features have {flat.shape[0]} values, map_proj expects "
-            f"{weights.map_proj.shape[1]}"
-        )
-    return (weights.map_proj @ flat).reshape(weights.out_tokens, weights.dim)
+    return map_stack(as_prefix(attn_out)[None], weights)[0]
 
 
 # --- weights file ------------------------------------------------------------

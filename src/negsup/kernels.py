@@ -17,6 +17,10 @@ Kernels are deterministic for fixed inputs:
                        calling thread and one by a worker thread
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
+
+attention_core and negative_scores also take stacks of b instances' arrays,
+(b, rows, d), and stay bit for bit equal to their per-instance 2-D calls:
+a 3-D np.matmul calls BLAS once per slice, with the slice's own shape.
 """
 
 from __future__ import annotations
@@ -230,11 +234,12 @@ def exact_top(
 
 
 def _scaled_softmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-softmax of a b^T / sqrt(d), max-shifted for stability."""
-    logits = (a @ b.T) / math.sqrt(a.shape[1])
-    logits = logits - logits.max(axis=1, keepdims=True)
+    """Row-softmax of a b^T / sqrt(d), max-shifted for stability (of each
+    slice's pair, for stacks)."""
+    logits = (a @ np.swapaxes(b, -1, -2)) / math.sqrt(a.shape[-1])
+    logits = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def attention_core(queries, keys, values):
@@ -252,11 +257,12 @@ def negative_scores(prefix, negatives):
 
     Each negative vector attends over the prefix tokens (softmax across
     tokens); a token's score is the largest weight any negative puts on it.
-    No negatives => all-zero scores.
+    No negatives => all-zero scores. Stacks of (b, L, d) prefixes and
+    (b, n, d) negatives give (b, L) scores.
     """
-    if negatives.shape[0] == 0:
-        return np.zeros(prefix.shape[0])
-    return _scaled_softmax(negatives, prefix).max(axis=0)
+    if negatives.shape[-2] == 0:
+        return np.zeros(prefix.shape[:-1])
+    return _scaled_softmax(negatives, prefix).max(axis=-2)
 
 
 def backend() -> str:

@@ -19,6 +19,8 @@ from negsup.entities import (
     filter_inference,
     filter_training,
     load_vocabulary,
+    longest_runs,
+    match_runs,
 )
 from negsup.errors import DimMismatch, EmptyInput, FormatError, UnknownKey
 
@@ -94,6 +96,36 @@ class TestExtract:
     def test_empty_vocab_rejected(self):
         with pytest.raises(EmptyInput):
             extract_entities("anything", EntityVocabulary([]))
+
+
+def _match_runs_oracle(tokens, runs, longest):
+    """match_runs as a scan of every position, longest run first."""
+    i, found = 0, []
+    while i < len(tokens):
+        for stop in range(min(i + longest.get(tokens[i], 0), len(tokens)), i, -1):
+            if tuple(tokens[i:stop]) in runs:
+                found.append((i, stop, runs[tuple(tokens[i:stop])]))
+                i = stop
+                break
+        else:
+            i += 1
+    return found
+
+
+WORDS = ["a", "hot", "dog", "bun", "tv", "set"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3), max_size=6),
+    st.lists(st.sampled_from(WORDS), max_size=12),
+)
+def test_match_runs_equals_the_scan_of_every_position(run_lists, tokens):
+    # overlapping and nested runs ("hot", "hot dog", "hot dog bun"), each
+    # mapped to its own name
+    runs = {tuple(run): " ".join(run) for run in run_lists}
+    longest = longest_runs(runs)
+    assert list(match_runs(tokens, runs, longest)) == _match_runs_oracle(tokens, runs, longest)
 
 
 class TestClassify:

@@ -80,6 +80,10 @@ ROWS = {
         ("bad.jsonl", b'{"id": "i1", "image_key": "a dog", "references": ["a dog", 1]}\n'),
         ["'i1'", '"references"', "['a dog', 1]"], ("retrieve_many",),
     ),
+    "synonyms_without_tab": (
+        {"--synonyms": "{d}/syn.tsv"}, ("syn.tsv", b"# dog puppy\ndog\tpuppy\n\ncat kitty\n"),
+        ["syn.tsv", "line 4", "'cat kitty'", "canonical<TAB>"], SET_UP,
+    ),
     "key_missing_from_aux_embeddings": (
         {"--mode": "inference", "--input": "{d}/keyed.jsonl", "--aux-embeddings": "{d}/aux.jsonl"},
         ("keyed.jsonl", b'{"id": "t1", "image_key": "a dog"}\n'),
@@ -207,6 +211,34 @@ def test_eval_fault_exits_2_naming_the_file_and_line(tmp_path, capsys, row):
     before = _tree(tmp_path)
     argv = ["eval", command, flag, str(tmp_path / "pred.jsonl"),
             "--vocab", str(tmp_path / "vocab.txt")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    for name in names:
+        assert name in err
+    assert _tree(tmp_path) == before
+
+
+# row -> (the --captions file's bytes, strings the message must hold)
+INGEST_ROWS = {
+    "captions_without_tab": (b"c1\ta dog\nc2 a cat\n", ["caps.tsv", "line 2", "'id<TAB>caption'"]),
+    "captions_duplicate_id": (
+        b"c1\ta dog\n\nc1\ta cat\n", ["caps.tsv", "line 3", "duplicate id 'c1'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(INGEST_ROWS))
+def test_ingest_fault_exits_2_naming_the_file_and_line(tmp_path, capsys, row):
+    data, names = INGEST_ROWS[row]
+    (tmp_path / "caps.tsv").write_bytes(data)
+    src = HashSource(dim=8, seed=1)
+    write_embedding_file(
+        tmp_path / "emb.nese", {k: embed_text(src, k) for k in ("c1", "c2")}
+    )
+    before = _tree(tmp_path)
+    argv = ["ingest", "--captions", str(tmp_path / "caps.tsv"),
+            "--embeddings", str(tmp_path / "emb.nese"), "--out", str(tmp_path / "store")]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")

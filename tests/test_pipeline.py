@@ -158,6 +158,21 @@ def source_bundle(source):
     return SourceBundle(source)
 
 
+def _grow_prefix(tokens: np.ndarray, target_len: int) -> np.ndarray:
+    """Zero-pad the token sequence up to the mapping network's input length:
+    the padded input whose product map_to_prefix's one-token product equals
+    (the tests compose the stages with it)."""
+    if tokens.shape[0] > target_len:
+        raise DimMismatch(
+            f"{tokens.shape[0]} tokens exceed the mapping input length {target_len}"
+        )
+    if tokens.shape[0] == target_len:
+        return tokens
+    padded = np.zeros((target_len, tokens.shape[1]))
+    padded[: tokens.shape[0]] = tokens
+    return padded
+
+
 class TestStageToggles:
     def test_sir_off_uses_text_query(self, store, vocab, source):
         caption = CAPTIONS["c05"]
@@ -194,7 +209,7 @@ class TestStageToggles:
         retrieval = retrieve(store, synthetic, k=config.retrieval_k)
         retrieved = np.stack([store.vector_of(h.id) for h in retrieval.hits])
         attn = fuse_retrieval(as_prefix(text_emb), retrieved, weights)
-        grown = pipeline_mod._grow_prefix(attn, weights.in_tokens)
+        grown = _grow_prefix(attn, weights.in_tokens)
         prefix = map_to_prefix(grown, weights)
         key = frozenset(extract_entities(caption, vocab))
         negs = sorted(
@@ -270,7 +285,7 @@ class TestStageToggles:
         weights = xavier_weights(store.dim, config.prefix_length, config.seed)
         retrieved = np.stack([store.vector_of(h.id) for h in ctx.retrieval.hits])
         attn = fuse_retrieval(as_prefix(text_emb), retrieved, weights)
-        grown = pipeline_mod._grow_prefix(attn, weights.in_tokens)
+        grown = _grow_prefix(attn, weights.in_tokens)
         assert np.array_equal(ctx.suppressed_prefix, map_to_prefix(grown, weights))
 
     def test_training_query_override(self, store, vocab, source):
@@ -733,6 +748,31 @@ class TestBatchedRetrieval:
         batch = run_batch(instances, store, vocab, bundle, config)
         expected = _per_instance_outputs(instances, store, vocab, bundle, config)
         assert _lines(batch.outputs) == _lines(expected)
+
+
+class TestChunkIndependence:
+    @pytest.mark.parametrize("enable_nef", [True, False])
+    @pytest.mark.parametrize("enable_as", [True, False])
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_chunk_size_changes_no_byte(
+        self, store, vocab, source, mode, enable_as, enable_nef, monkeypatch
+    ):
+        instances = _seventy_instances(mode)
+        config = _config(
+            mode=mode, tau_sim=0.1, top_m=3, fusion=FusionConfig(tau_quality=0.3),
+            enable_as=enable_as, enable_nef=enable_nef,
+        )
+        bundle = source_bundle(source)
+        lines = set()
+        for chunk in (1, 2, 3, 16, len(instances)):
+            monkeypatch.setattr(pipeline_mod, "CHUNK", chunk)
+            outputs = run_batch(instances, store, vocab, bundle, config).outputs
+            lines.add(_lines(outputs))
+        assert len(lines) == 1
+        assert any(o["context"]["entities"]["negative"] for o in outputs) == enable_nef
+        assert any(o["context"]["suppression"]["selected"] for o in outputs) == (
+            enable_as and enable_nef
+        )
 
 
 class TestPrefixEncoding:

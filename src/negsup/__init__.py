@@ -15,7 +15,6 @@ from .datastore import (
     ingest_datastore,
     load_datastore,
     retrieve,
-    retrieve_many,
     save_datastore,
 )
 from .embedding import (
@@ -34,7 +33,6 @@ from .entities import (
     EntitySets,
     EntityVocabulary,
     classify_image_entities,
-    classify_many,
     extract_entities,
     filter_inference,
     filter_training,
@@ -47,7 +45,6 @@ from .errors import (
     EmptyRetrieval,
     EncodingError,
     FormatError,
-    IndexOutOfRange,
     InvariantError,
     IoError,
     NegsupError,

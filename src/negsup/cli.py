@@ -104,7 +104,7 @@ def cmd_retrieve(args) -> int:
         query = store.vector_of(args.query_key)
     else:
         query = _load_query_vector(args.query_vec)
-    result = retrieve(store, query, args.k)
+    result = retrieve(store, [query], args.k)[0]
     if args.json:
         _emit(result.to_json_dict(), compact=True)
     else:

@@ -14,12 +14,12 @@ rows are the scan themselves when every norm is within float32 eps of 1,
 as in every file save_datastore writes, so such a store holds one
 float32 array; other rows get a separate scan.
 
-Retrieval is exact and batched: retrieve_many ranks all its queries with
+Retrieval is exact and batched: retrieve ranks all its queries with
 kernels.exact_top, which scans `scan` in cache-sized chunks against blocks
 of queries, keeps only per-group maxima to bound each query's k-th score,
 and re-scores the rows near that bound in float64; so a hit's score
-depends only on its row and the query, never on the batch. retrieve is the
-one-query case. brute_force_topk is the independent oracle (per-record
+depends only on its row and the query, never on the batch; one query is
+a batch of one. brute_force_topk is the independent oracle (per-record
 dots, full stable sort).
 """
 
@@ -71,8 +71,8 @@ class Hit:
 class RetrievalResult:
     """Ordered retrieval hits: scores non-increasing, ties by ascending id.
 
-    `vectors` holds the hits' float64 unit rows when retrieve_many made the
-    result, and is not serialized.
+    `vectors` holds the hits' float64 unit rows when retrieve made the
+    result (pipeline.standin_decode reads them), and is not serialized.
     """
 
     hits: tuple[Hit, ...]
@@ -218,14 +218,14 @@ def build_datastore(records: Sequence[tuple[str, str, np.ndarray]]) -> Datastore
     return Datastore(ids, [r[1] for r in rows], unit_rows(ids, [r[2] for r in rows]))
 
 
-def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[RetrievalResult]:
+def retrieve(store: Datastore, queries, k: int = DEFAULT_K) -> list[RetrievalResult]:
     """Exact top-k records by cosine similarity for each query, in order.
 
     Every query is normalized and dimension-checked before the scan, which
-    kernels.exact_top runs over blocks of queries; each result equals
-    retrieve(store, query, k) bit for bit, whatever the batch. The hits'
-    unit rows are fetched from the store in one call for all queries and
-    handed out as each result's `vectors`.
+    kernels.exact_top runs over blocks of queries; each result is the same
+    bit for bit whatever else the batch holds, so `retrieve(store, [query],
+    k)[0]` ranks one query. The hits' unit rows are fetched from the store
+    in one call for all queries and handed out as each result's `vectors`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -244,11 +244,6 @@ def retrieve_many(store: Datastore, queries, k: int = DEFAULT_K) -> list[Retriev
         results.append(RetrievalResult(hits, vectors[at : at + len(hits)]))
         at += len(hits)
     return results
-
-
-def retrieve(store: Datastore, query, k: int = DEFAULT_K) -> RetrievalResult:
-    """Exact top-k records by cosine similarity to `query`."""
-    return retrieve_many(store, [query], k)[0]
 
 
 def brute_force_topk(

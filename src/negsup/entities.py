@@ -7,10 +7,10 @@ entities_in of its tokens when they are already made). An EntityIndex holds a
 vocabulary's entity-description vectors under one entity source, and is
 the one entity argument of classification and inference filtering.
 Zero-shot classification ranks the index's terms for many images at once
-with kernels.exact_top (classify_many; classify_image_entities is its
-one-image case). Filtering partitions candidate entities into
-positive/negative sets, either against ground-truth key entities
-(training) or by embedding similarity to the image (inference).
+with kernels.exact_top (classify_image_entities). Filtering partitions
+candidate entities into positive/negative sets, either against
+ground-truth key entities (training) or by embedding similarity to the
+image (inference).
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def _check_width(vec: np.ndarray, img: np.ndarray) -> None:
         raise DimMismatch(f"entity dim {vec.shape[0]} != image dim {img.shape[0]}")
 
 
-def classify_many(images, index: EntityIndex, top_m: int) -> list[list[str]]:
+def classify_image_entities(images, index: EntityIndex, top_m: int) -> list[list[str]]:
     """The index's vocabulary terms ranked by cosine to each image
     embedding, best first.
 
@@ -226,11 +226,6 @@ def classify_many(images, index: EntityIndex, top_m: int) -> list[list[str]]:
         [index.terms[i] for _, i in top]
         for top in kernels.exact_top(rows.__getitem__, rows, imgs, top_m)
     ]
-
-
-def classify_image_entities(image_emb, index: EntityIndex, top_m: int) -> list[str]:
-    """The terms classify_many ranks for one image embedding."""
-    return classify_many([image_emb], index, top_m)[0]
 
 
 def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets:

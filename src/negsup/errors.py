@@ -46,10 +46,6 @@ class EmptyRetrieval(NegsupError):
     """An operation that needs at least one retrieved item received none."""
 
 
-class IndexOutOfRange(NegsupError):
-    """A token index is outside the valid range."""
-
-
 class NoGroundTruth(NegsupError):
     """Recall is undefined: no ground-truth entities anywhere."""
 

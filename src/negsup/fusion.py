@@ -2,15 +2,16 @@
 mixing, cross-attention over retrieved captions, and the prefix mapping
 network.
 
-Prefix features are plain (L, d) float64 arrays. Projection matrices act
-on column vectors (token_out = M @ token_in), stored row-major.
+An instance's prefix features are an (L, d) float64 array. Projection
+matrices act on column vectors (token_out = M @ token_in), stored
+row-major.
 
-Cross-attention and the prefix map also run over stacks of b instances,
-(b, L, d) features and (b, k, d) retrieved embeddings (fuse_stack,
-map_stack), as the pipeline runs them a chunk at a time. Every product is
-a 3-D np.matmul, one BLAS call per instance with the instance's own
-shapes, so each slice equals the one-instance fuse_retrieval and
-map_to_prefix bit for bit; those two are the stacks' b = 1 case.
+Cross-attention and the prefix map run over stacks of b instances, (b, L,
+d) features and (b, k, d) retrieved embeddings (fuse_retrieval,
+map_to_prefix), as the pipeline runs them a chunk at a time; one
+instance is a stack of one. Every product is a 3-D np.matmul, one BLAS
+call per instance with the instance's own shapes, so each slice equals
+the stack of that instance alone bit for bit.
 """
 
 from __future__ import annotations
@@ -179,19 +180,7 @@ def xavier_weights(dim: int, prefix_len: int, seed: int = 0) -> AttentionWeights
 
 
 def as_prefix(values) -> np.ndarray:
-    """Coerce to a finite (L, d) float64 array with L >= 1."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimMismatch(f"expected (L, d) features, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise FormatError("prefix features contain non-finite values")
-    return arr
-
-
-def as_prefixes(values) -> np.ndarray:
-    """as_prefix for a stack of b instances' features: a finite (b, L, d)
+    """Coerce a stack of b instances' features to a finite (b, L, d)
     float64 array with L, d >= 1."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] < 1:
@@ -201,18 +190,19 @@ def as_prefixes(values) -> np.ndarray:
     return arr
 
 
-def fuse_stack(tokens, retrieved, weights: AttentionWeights) -> tuple[np.ndarray, np.ndarray]:
-    """fuse_retrieval for a stack of b instances: (b, L, d) input tokens
-    over (b, k, d) retrieved embeddings give the (b, L, d) features and
-    the (b, L, k) softmax weights.
+def fuse_retrieval(tokens, retrieved, weights: AttentionWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-attend input tokens (queries) over retrieved embeddings (keys
+    and values) and add the attention output back onto the input tokens:
+    (b, L, d) tokens over (b, k, d) retrieved embeddings give the (b, L, d)
+    features and the (b, L, k) softmax weights.
 
     Each projection and attention product is a 3-D np.matmul, which calls
     BLAS once per instance with the instance's own shapes, so every slice
-    equals its one-instance call bit for bit. A (b*k, d) @ (d, d) product
-    of the flattened stack would not: BLAS rounds a row's sums by the
-    shape of the whole product.
+    equals the call on that instance alone bit for bit. A (b*k, d) @ (d, d)
+    product of the flattened stack would not: BLAS rounds a row's sums by
+    the shape of the whole product.
     """
-    tokens = as_prefixes(tokens)
+    tokens = as_prefix(tokens)
     retrieved = np.asarray(retrieved, dtype=np.float64)
     if retrieved.ndim != 3 or retrieved.shape[0] != tokens.shape[0]:
         raise DimMismatch(
@@ -235,36 +225,25 @@ def fuse_stack(tokens, retrieved, weights: AttentionWeights) -> tuple[np.ndarray
     return tokens + attn_out, attn
 
 
-def fuse_retrieval(
-    fused_input,
-    retrieved_embs,
-    weights: AttentionWeights,
-    return_attention: bool = False,
-):
-    """Cross-attend input tokens (queries) over retrieved embeddings (keys and
-    values) and add the attention output back onto the input tokens: the
-    one-instance case of fuse_stack.
+def map_to_prefix(tokens, weights: AttentionWeights) -> np.ndarray:
+    """Apply the mapping network to each instance's flattened features:
+    (b, L, d) features give the (b, out_tokens, d) prefixes, each slice
+    equal to its instance's map alone bit for bit (one np.matmul of a
+    (rows, cols) map by (cols, 1) columns runs BLAS's per-column
+    matrix-vector product).
 
-    With `return_attention` the (L, n_retrieved) softmax weight rows are
-    returned alongside the features.
+    One token is read as the first of in_tokens, the others zero, and
+    multiplied by one_token_map alone. That equals the product of the
+    zero-padded tokens bit for bit where the BLAS sums each row's first d
+    products alike whatever the row's length. OpenBLAS 0.3.31 does so at
+    the default 4 tokens for every d that is a multiple of 4 (a test checks
+    the dimensions in use), but not for an odd d, where the prefix can
+    differ from the padded product in its last bits.
     """
-    tokens = as_prefix(fused_input)
-    retrieved = np.atleast_2d(np.asarray(retrieved_embs, dtype=np.float64))
-    if retrieved.size == 0:
-        raise EmptyRetrieval("fuse_retrieval needs at least one retrieved embedding")
-    out, attn = fuse_stack(tokens[None], retrieved[None], weights)
-    if return_attention:
-        return out[0], attn[0]
-    return out[0]
-
-
-def map_stack(tokens, weights: AttentionWeights) -> np.ndarray:
-    """map_to_prefix for a stack of b instances: (b, L, d) features give
-    the (b, out_tokens, d) prefixes, each slice equal to its one-instance
-    map bit for bit (one np.matmul of a (rows, cols) map by (cols, 1)
-    columns runs BLAS's per-column matrix-vector product)."""
-    tokens = as_prefixes(tokens)
+    tokens = as_prefix(tokens)
     b, n, d = tokens.shape
+    if d != weights.dim:
+        raise DimMismatch(f"feature dim {d} != weights dim {weights.dim}")
     if n == 1:
         mapped = np.matmul(weights.one_token_map, tokens.transpose(0, 2, 1))
     else:
@@ -275,21 +254,6 @@ def map_stack(tokens, weights: AttentionWeights) -> np.ndarray:
             )
         mapped = np.matmul(weights.map_proj, tokens.reshape(b, n * d, 1))
     return mapped.reshape(b, weights.out_tokens, weights.dim)
-
-
-def map_to_prefix(attn_out, weights: AttentionWeights) -> np.ndarray:
-    """Apply the mapping network to the flattened features, producing the
-    (out_tokens, d) prefix: the one-instance case of map_stack.
-
-    One token is read as the first of in_tokens, the others zero, and
-    multiplied by one_token_map alone. That equals the product of the
-    zero-padded tokens bit for bit where the BLAS sums each row's first d
-    products alike whatever the row's length. OpenBLAS 0.3.31 does so at
-    the default 4 tokens for every d that is a multiple of 4 (a test checks
-    the dimensions in use), but not for an odd d, where the prefix can
-    differ from the padded product in its last bits.
-    """
-    return map_stack(as_prefix(attn_out)[None], weights)[0]
 
 
 # --- weights file ------------------------------------------------------------

@@ -18,9 +18,10 @@ Kernels are deterministic for fixed inputs:
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 
-attention_core and negative_scores also take stacks of b instances' arrays,
-(b, rows, d), and stay bit for bit equal to their per-instance 2-D calls:
-a 3-D np.matmul calls BLAS once per slice, with the slice's own shape.
+attention_core and negative_scores take stacks of b instances' arrays,
+(b, rows, d), as fusion and suppression call them, as well as one
+instance's 2-D arrays. Each slice of a stack equals its 2-D call bit for
+bit: a 3-D np.matmul calls BLAS once per slice, with the slice's own shape.
 """
 
 from __future__ import annotations

@@ -10,15 +10,15 @@ key and splits against them. Inference queries with the image embedding,
 takes the key from zero-shot classification and splits by embedding
 similarity. run_batch runs the
 flow for many instances at once; run_training_instance and
-run_inference_instance are its one-instance case, without the gate.
+run_inference_instance run it for one, without the gate.
 
 After retrieval, instances are finished CHUNK at a time: each retrieved
 caption is tokenized once, for both the candidate entities and the
 decoder, and the dense stage (cross-attention, prefix map) and suppression
-run over the chunk's stacked arrays (fusion.fuse_stack and map_stack,
-suppression.score_stack, select_stack and suppress_stack), each of whose
-rows equals its one-instance product bit for bit, so the chunk size
-changes no output byte.
+run over the chunk's stacked arrays (fusion.fuse_retrieval and
+map_to_prefix, suppression.score_negative_attention, select_tokens and
+suppress), each of whose rows equals that instance's stack alone bit for
+bit, so the chunk size changes no output byte.
 
 A small extractive stand-in decoder closes the loop so hallucination
 metrics are computable without a neural decoder.
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve_many
+from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve
 from .embedding import (
     EmbeddingSource,
     embed_text,
@@ -43,7 +43,7 @@ from .entities import (
     EntityIndex,
     EntitySets,
     EntityVocabulary,
-    classify_many,
+    classify_image_entities,
     entities_in,
     extract_entities,
     filter_inference,
@@ -56,18 +56,18 @@ from .fusion import (
     AttentionWeights,
     FusionConfig,
     clip_score,
+    fuse_retrieval,
     fuse_sif,
-    fuse_stack,
-    map_stack,
+    map_to_prefix,
     xavier_weights,
 )
 from .metrics import is_entity_json
 from .suppression import (
     SuppressionConfig,
     SuppressionReport,
-    score_stack,
-    select_stack,
-    suppress_stack,
+    score_negative_attention,
+    select_tokens,
+    suppress,
 )
 from .validation import (
     check_bool,
@@ -274,13 +274,13 @@ class Run:
         features) items: one context per item, in order, made CHUNK items
         at a time as the caller asks for them.
 
-        All queries are retrieved together (see retrieve_many). The key
+        All queries are retrieved together (see retrieve). The key
         entities are the caption's own in training and, in inference, the
         features' zero-shot classes, ranked for all items together (see
-        classify_many). The entity split is filter_training, filter_inference
-        against tau_sim, or with NEF off EntitySets.split with no negatives;
-        the features then attend to the retrieved captions and the negatives
-        are suppressed.
+        classify_image_entities). The entity split is filter_training,
+        filter_inference against tau_sim, or with NEF off EntitySets.split
+        with no negatives; the features then attend to the retrieved
+        captions and the negatives are suppressed.
         """
         for context, _ in self._finished(mode, items):
             yield context
@@ -288,9 +288,9 @@ class Run:
     def _finished(self, mode: str, items) -> Iterator[tuple[GenerationContext, list[list[str]]]]:
         """contexts() paired with the tokens of each context's hits."""
         config = self.config
-        retrievals = retrieve_many(self.store, [query for _, query, _ in items], config.retrieval_k)
+        retrievals = retrieve(self.store, [query for _, query, _ in items], config.retrieval_k)
         if mode == MODE_INFERENCE:
-            key_terms = classify_many(
+            key_terms = classify_image_entities(
                 [features for _, _, features in items], self.index, config.top_m
             )
         else:
@@ -304,7 +304,7 @@ class Run:
     ) -> list[tuple[GenerationContext, list[list[str]]]]:
         """Finish a chunk of items: each one's entity split (from its hits,
         tokenized once), then the dense stage and suppression over the
-        chunk's stacks, with each stack checked once."""
+        chunk's stacks, each stage checking its stack once per chunk."""
         config, index = self.config, self.index
         hit_tokens, splits, negatives = [], [], []
         for (_, _, features), retrieval, key in zip(items, retrievals, key_terms):
@@ -325,12 +325,13 @@ class Run:
         # each item's features are one input token
         tokens_in = np.stack([features for _, _, features in items])[:, None, :]
         retrieved = np.stack([retrieval.vectors for retrieval in retrievals])
-        prefixes = map_stack(fuse_stack(tokens_in, retrieved, self.weights)[0], self.weights)
-        scores = score_stack(prefixes, negatives)
+        fused = fuse_retrieval(tokens_in, retrieved, self.weights)[0]
+        prefixes = map_to_prefix(fused, self.weights)
+        scores = score_negative_attention(prefixes, negatives)
         if config.enable_as:
-            selected = select_stack(scores, [len(n) for n in negatives], config.suppression)
+            selected = select_tokens(scores, [len(n) for n in negatives], config.suppression)
             lam = config.suppression.lam
-            suppressed = suppress_stack(prefixes, selected, lam)
+            suppressed = suppress(prefixes, selected, lam)
         else:
             selected = np.zeros(scores.shape, dtype=bool)
             lam = 1.0
@@ -399,7 +400,7 @@ class Run:
         for obj, (context, hit_tokens) in zip(kept, self._finished(config.mode, items)):
             out = {
                 "id": obj["id"],
-                "generated": _decode(context, context.retrieval.vectors, hit_tokens, self.vocab),
+                "generated": standin_decode(context, hit_tokens, self.vocab),
                 "retrieved": context.retrieval.captions(),
                 "context": context.to_json_dict(),
             }
@@ -481,33 +482,14 @@ def _delete_negative_tokens(
     return " ".join(kept), len(kept) < len(tokens)
 
 
-def _decode(
-    context: GenerationContext,
-    vectors: np.ndarray,
-    hit_tokens: Sequence[list[str]],
-    vocab: EntityVocabulary | None,
-) -> str:
-    """standin_decode's choice, given the (k, d) unit rows of the context's
-    hits and the tokens of their captions."""
-    probe = normalize_total(context.suppressed_prefix.mean(axis=0))
-    # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
-    cosines = (vectors[:, None, :] @ probe[:, None])[:, 0, 0].tolist()
-    hits = context.retrieval.hits
-    order = sorted(range(len(hits)), key=lambda j: (-cosines[j], hits[j].id, hits[j].caption))
-    runs = _negative_runs(context.entity_sets.negative, vocab)
-    longest = longest_runs(runs)
-    for j in order:
-        if not _delete_negative_tokens(hit_tokens[j], runs, longest)[1]:
-            return hits[j].caption
-    return _delete_negative_tokens(hit_tokens[order[0]], runs, longest)[0]
-
-
 def standin_decode(
     context: GenerationContext,
-    store: Datastore,
+    hit_tokens: Sequence[list[str]],
     vocab: EntityVocabulary | None = None,
 ) -> str:
-    """Extractive stand-in for a neural decoder.
+    """Extractive stand-in for a neural decoder, given the tokens of the
+    context's retrieved captions (`hit_tokens`, in hit order) and the hits'
+    (k, d) unit rows that retrieve hands out as `context.retrieval.vectors`.
 
     Prefers the retrieved caption most aligned (by cosine) with the mean
     suppressed prefix token among captions that mention no negative entity;
@@ -519,9 +501,21 @@ def standin_decode(
     if not hits:
         raise EmptyRetrieval("stand-in decoding needs at least one retrieved caption")
     vectors = context.retrieval.vectors
-    if vectors is None:  # a result that retrieve_many did not make
-        vectors = np.array([store.vector_of(hit.id) for hit in hits])
-    return _decode(context, vectors, [tokenize(hit.caption) for hit in hits], vocab)
+    if vectors is None or len(vectors) != len(hits) or len(hit_tokens) != len(hits):
+        raise DimMismatch(
+            f"{len(hits)} hits need as many unit rows (RetrievalResult.vectors,"
+            " as retrieve makes them) and token lists"
+        )
+    probe = normalize_total(context.suppressed_prefix.mean(axis=0))
+    # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
+    cosines = (vectors[:, None, :] @ probe[:, None])[:, 0, 0].tolist()
+    order = sorted(range(len(hits)), key=lambda j: (-cosines[j], hits[j].id, hits[j].caption))
+    runs = _negative_runs(context.entity_sets.negative, vocab)
+    longest = longest_runs(runs)
+    for j in order:
+        if not _delete_negative_tokens(hit_tokens[j], runs, longest)[1]:
+            return hits[j].caption
+    return _delete_negative_tokens(hit_tokens[order[0]], runs, longest)[0]
 
 
 # --- batch runner ---------------------------------------------------------------
@@ -543,8 +537,9 @@ def _check_instances(instances: Sequence[dict], mode: str) -> None:
     """FormatError for the first fault of the instances, before any of them
     is processed: an "id" that is missing, not a string or repeated; then a
     text field of the mode that is not a string, a missing or blank
-    "caption" (training) or "image_key" (inference), or "references" that
-    `eval` would not read (see metrics.is_entity_json)."""
+    "caption" (training) or "image_key" (inference), a blank
+    "synthetic_key" (training), or "references" that `eval` would not read
+    (see metrics.is_entity_json)."""
     seen: set[str] = set()
     for number, obj in enumerate(instances, 1):
         if not isinstance(obj, dict) or "id" not in obj:
@@ -562,6 +557,9 @@ def _check_instances(instances: Sequence[dict], mode: str) -> None:
                 raise FormatError(f'instance {obj["id"]!r}: "{name}" must be a string, got {value!r}')
         if not (obj.get(fields[0]) or "").strip():
             raise FormatError(f'{mode} instance {obj["id"]!r} needs a non-empty "{fields[0]}"')
+        key = obj.get(fields[-1])
+        if key is not None and not key.strip():
+            raise FormatError(f'instance {obj["id"]!r}: "{fields[-1]}" is blank')
         if "references" in obj and not is_entity_json(obj["references"]):
             raise FormatError(
                 f'instance {obj["id"]!r}: "references" must be a string or an array'

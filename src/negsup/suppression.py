@@ -4,24 +4,24 @@ Tokens are scored by how strongly negative-entity embeddings attend to
 them; a selection strategy picks tokens from those scores; selected tokens
 are scaled by the suppression strength lambda.
 
-Each step has a block form over b instances' (b, L, d) prefixes, which the
-pipeline runs a chunk of instances at a time: score_stack, select_stack
-(a (b, L) mask) and suppress_stack (a mask multiply).
-score_negative_attention, select_tokens and suppress are their one-row
-case, and each row of a block equals its one-row call bit for bit.
+Each step runs over a block of b instances' (b, L, d) prefixes, which the
+pipeline finishes a chunk of instances at a time: score_negative_attention
+(b, L) scores, select_tokens (a (b, L) mask) and suppress (a mask
+multiply). Each row of a block equals the block of that row alone bit for
+bit, and one instance is a block of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .errors import DimMismatch, IndexOutOfRange, InvariantError
-from .fusion import as_prefix, as_prefixes
+from .errors import DimMismatch, InvariantError
+from .fusion import as_prefix
 from .validation import check_float
 
 STRATEGY_FIXED_THRESHOLD = "fixed-threshold"
@@ -99,12 +99,14 @@ def _negative_matrix(negative_embs, dim: int) -> np.ndarray:
     return negatives
 
 
-def score_stack(prefixes, negatives: Sequence) -> np.ndarray:
-    """score_negative_attention for a stack of b prefixes: (b, L) scores,
-    where negatives[i] holds the negative embeddings of prefix i. The
-    prefixes with equally many negatives are scored as one stack (see
-    kernels.negative_scores); a prefix without negatives scores 0."""
-    tokens = as_prefixes(prefixes)
+def score_negative_attention(prefixes, negatives: Sequence) -> np.ndarray:
+    """Per-token scores of a stack of b prefixes, (b, L), where
+    negatives[i] holds the negative embeddings of prefix i: each negative
+    embedding softmax-attends over the prefix's tokens, and a token keeps
+    the largest weight any negative gives it. The prefixes with equally
+    many negatives are scored as one stack (see kernels.negative_scores);
+    a prefix with an empty negative set scores every token 0."""
+    tokens = as_prefix(prefixes)
     if len(negatives) != tokens.shape[0]:
         raise DimMismatch(f"{len(negatives)} negative sets for {tokens.shape[0]} prefixes")
     mats = [_negative_matrix(neg, tokens.shape[2]) for neg in negatives]
@@ -116,19 +118,15 @@ def score_stack(prefixes, negatives: Sequence) -> np.ndarray:
     return scores
 
 
-def score_negative_attention(prefix, negative_embs) -> np.ndarray:
-    """Per-token scores: each negative embedding softmax-attends over the
-    tokens; a token keeps the largest weight any negative gives it.
-    An empty negative set scores every token 0."""
-    return score_stack(as_prefix(prefix)[None], [negative_embs])[0]
+def select_tokens(scores, neg_counts: Sequence[int], config: SuppressionConfig) -> np.ndarray:
+    """The (b, L) mask of the tokens to suppress that each row of (b, L)
+    scores selects, given the row's negative count.
 
-
-def select_stack(scores, neg_counts: Sequence[int], config: SuppressionConfig) -> np.ndarray:
-    """select_tokens for a block: the (b, L) mask of the tokens that each
-    row of (b, L) scores selects, given the row's negative count.
-
-    The top-scored tokens are those of lowest rank in a stable argsort of
-    the negated scores, the order of a sort by (score desc, index asc).
+    fixed-threshold keeps strict exceedances of tau_neg; top-k keeps the
+    neg_count best (top-k-minus-1 one fewer); proportional keeps the best
+    ceil(proportion * L). The best tokens are those of lowest rank in a
+    stable argsort of the negated scores, the order of a sort by (score
+    desc, index asc), so score ties resolve to the lower index.
     """
     values = np.asarray(scores, dtype=np.float64)
     if values.ndim != 2:
@@ -154,36 +152,16 @@ def select_stack(scores, neg_counts: Sequence[int], config: SuppressionConfig) -
     return rank < take[:, None]
 
 
-def select_tokens(scores, neg_count: int, config: SuppressionConfig) -> set[int]:
-    """Pick token indices to suppress from per-token scores.
-
-    fixed-threshold keeps strict exceedances of tau_neg; top-k keeps the
-    neg_count best (top-k-minus-1 one fewer); proportional keeps the best
-    ceil(proportion * L). Score ties resolve to the lower index.
-    """
-    values = np.asarray(scores, dtype=np.float64)
-    if values.ndim != 1:
-        raise DimMismatch(f"scores must be 1-D, got shape {values.shape}")
-    return set(np.flatnonzero(select_stack(values[None], [neg_count], config)[0]).tolist())
-
-
-def suppress_stack(prefixes: np.ndarray, mask: np.ndarray, lam: float) -> np.ndarray:
-    """suppress for a block of (b, L, d) prefixes: the tokens of the (b, L)
-    mask scaled by lam, which must lie in [0, 1], and every other token
-    multiplied by 1.0, which keeps its bits."""
-    return prefixes * np.where(mask, lam, 1.0)[..., None]
-
-
-def suppress(prefix, selected: Iterable[int], lam: float) -> np.ndarray:
-    """Scale the selected tokens by lam; all other tokens are untouched."""
-    tokens = as_prefix(prefix)
+def suppress(prefixes, mask, lam: float) -> np.ndarray:
+    """Scale the tokens of a block of (b, L, d) prefixes that the (b, L)
+    bool mask selects by lam, which must lie in [0, 1]; every other token
+    is multiplied by 1.0, which keeps its bits."""
+    tokens = as_prefix(prefixes)
+    mask = np.asarray(mask)
+    if mask.dtype != np.bool_ or mask.shape != tokens.shape[:2]:
+        raise DimMismatch(
+            f"expected a bool mask of shape {tokens.shape[:2]}, got {mask.dtype} {mask.shape}"
+        )
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    indices = sorted(set(int(i) for i in selected))
-    if indices and (indices[0] < 0 or indices[-1] >= tokens.shape[0]):
-        raise IndexOutOfRange(
-            f"selected indices {indices} outside [0, {tokens.shape[0]})"
-        )
-    mask = np.zeros(tokens.shape[0], dtype=bool)
-    mask[indices] = True
-    return suppress_stack(tokens[None], mask[None], lam)[0]
+    return tokens * np.where(mask, lam, 1.0)[..., None]

@@ -85,7 +85,7 @@ def test_criterion_1_retrieval_exactness():
             for _ in range(10):
                 query = rng.normal(size=dim)
                 k = int(rng.integers(1, 16))
-                got = retrieve(store, query, k=k)
+                got = retrieve(store, [query], k=k)[0]
                 want = brute_force_topk(records, query, k=k)
                 assert got.ids() == want.ids(), f"mismatch at case {cases}"
                 cases += 1
@@ -169,8 +169,9 @@ def test_criterion_3_suppression_identities():
                     n_tokens, size=rng.integers(0, n_tokens + 1), replace=False
                 )
             )
-            assert np.array_equal(suppress(prefix, selected, 1.0), prefix)
-            wiped = suppress(prefix, selected, 0.0)
+            mask = np.isin(np.arange(n_tokens), sorted(selected))[None]
+            assert np.array_equal(suppress(prefix[None], mask, 1.0)[0], prefix)
+            wiped = suppress(prefix[None], mask, 0.0)[0]
             for i in range(n_tokens):
                 if i in selected:
                     assert np.array_equal(wiped[i], np.zeros(dim))
@@ -178,30 +179,32 @@ def test_criterion_3_suppression_identities():
                     assert np.array_equal(wiped[i], prefix[i])
             lam1 = float(rng.uniform(0, 1))
             lam2 = float(rng.uniform(0, 1))
-            chained = suppress(suppress(prefix, selected, lam1), selected, lam2)
+            chained = suppress(suppress(prefix[None], mask, lam1), mask, lam2)[0]
             np.testing.assert_allclose(
-                chained, suppress(prefix, selected, lam1 * lam2), atol=1e-7
+                chained, suppress(prefix[None], mask, lam1 * lam2)[0], atol=1e-7
             )
 
             scores = rng.uniform(0, 1, size=n_tokens)
             neg_count = int(rng.integers(0, 10))
             tau = float(rng.uniform(0, 1))
-            got = select_tokens(
-                scores, neg_count,
+            got = np.flatnonzero(select_tokens(
+                scores[None], [neg_count],
                 SuppressionConfig(strategy="fixed-threshold", tau_neg=tau),
-            )
+            )[0])
             assert len(got) == int(np.sum(scores > tau))
-            got = select_tokens(scores, neg_count, SuppressionConfig(strategy="top-k"))
+            got = np.flatnonzero(select_tokens(
+                scores[None], [neg_count], SuppressionConfig(strategy="top-k")
+            )[0])
             assert len(got) == min(neg_count, n_tokens)
-            got = select_tokens(
-                scores, neg_count, SuppressionConfig(strategy="top-k-minus-1")
-            )
+            got = np.flatnonzero(select_tokens(
+                scores[None], [neg_count], SuppressionConfig(strategy="top-k-minus-1")
+            )[0])
             assert len(got) == min(max(neg_count - 1, 0), n_tokens)
             proportion = float(rng.uniform(0.01, 1.0))
-            got = select_tokens(
-                scores, neg_count,
+            got = np.flatnonzero(select_tokens(
+                scores[None], [neg_count],
                 SuppressionConfig(strategy="proportional", proportion=proportion),
-            )
+            )[0])
             assert len(got) == min(math.ceil(proportion * n_tokens), n_tokens)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -229,7 +232,7 @@ def test_criterion_4_fusion_duality_and_attention_oracle():
             weights = xavier_weights(dim, n_tokens, seed=int(rng.integers(0, 10_000)))
             tokens = rng.normal(size=(n_tokens, dim))
             retrieved = rng.normal(size=(n_retrieved, dim))
-            got, attn = fuse_retrieval(tokens, retrieved, weights, return_attention=True)
+            (got,), (attn,) = fuse_retrieval(tokens[None], retrieved[None], weights)
             np.testing.assert_allclose(
                 attn.sum(axis=1), np.ones(n_tokens), atol=1e-6
             )

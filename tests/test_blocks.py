@@ -1,4 +1,4 @@
-"""The block forms of the dense stage and of suppression against an
+"""The dense stage and suppression, run over blocks, against an
 independent per-instance oracle: the one-instance formulas written out
 here, compared bit for bit (uint64 views) over a grid of widths, hit
 counts, prefix lengths, chunk sizes and negative counts."""
@@ -8,13 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from negsup.fusion import fuse_stack, map_stack, xavier_weights
+from negsup.fusion import fuse_retrieval, map_to_prefix, xavier_weights
 from negsup.suppression import (
     SUPPRESSION_STRATEGIES,
     SuppressionConfig,
-    score_stack,
-    select_stack,
-    suppress_stack,
+    score_negative_attention,
+    select_tokens,
+    suppress,
 )
 
 DIMS = (1, 3, 4, 31, 32, 128)
@@ -102,9 +102,9 @@ def test_blocks_equal_the_per_instance_oracle(dim, k, prefix_len):
         counts = rng.permutation([i % 4 for i in range(b)]).tolist()
         negatives = [list(rng.normal(size=(n, dim))) for n in counts]
 
-        fused, attn = fuse_stack(features[:, None, :], retrieved, weights)
-        prefixes = map_stack(fused, weights)
-        scores = score_stack(prefixes, negatives)
+        fused, attn = fuse_retrieval(features[:, None, :], retrieved, weights)
+        prefixes = map_to_prefix(fused, weights)
+        scores = score_negative_attention(prefixes, negatives)
         assert prefixes.shape == (b, prefix_len, dim)
         assert scores.shape == (b, prefix_len)
 
@@ -117,8 +117,8 @@ def test_blocks_equal_the_per_instance_oracle(dim, k, prefix_len):
 
         for lam in (0.0, 0.3):
             for config in _configs(lam):
-                mask = select_stack(scores, counts, config)
-                suppressed = suppress_stack(prefixes, mask, lam)
+                mask = select_tokens(scores, counts, config)
+                suppressed = suppress(prefixes, mask, lam)
                 for i in range(b):
                     selected = _oracle_selected(want_scores[i], counts[i], config)
                     assert set(np.flatnonzero(mask[i]).tolist()) == selected
@@ -133,7 +133,7 @@ def test_selection_breaks_ties_as_the_oracle(lam):
     scores = rng.choice([0.0, 0.25, 0.5], size=(40, 5))
     counts = rng.integers(0, 7, size=40).tolist()
     for config in _configs(lam):
-        mask = select_stack(scores, counts, config)
+        mask = select_tokens(scores, counts, config)
         for row, count, picked in zip(scores, counts, mask):
             assert set(np.flatnonzero(picked).tolist()) == _oracle_selected(row, count, config)
 
@@ -141,7 +141,7 @@ def test_selection_breaks_ties_as_the_oracle(lam):
 def test_multi_token_map_equals_the_one_instance_product():
     weights = xavier_weights(8, 3, seed=2)
     tokens = np.random.default_rng(3).normal(size=(5, 3, 8))
-    got = map_stack(tokens, weights)
+    got = map_to_prefix(tokens, weights)
     for i in range(5):
         want = (weights.map_proj @ tokens[i].reshape(-1)).reshape(3, 8)
         assert np.array_equal(_bits(got[i]), _bits(want))

@@ -356,9 +356,9 @@ class TestWeightsFile:
         self, corpus, capsys, monkeypatch
     ):
         calls = []
-        retrieve_many = pipeline.retrieve_many
+        retrieve = pipeline.retrieve
         monkeypatch.setattr(
-            pipeline, "retrieve_many", lambda *args: calls.append(1) or retrieve_many(*args)
+            pipeline, "retrieve", lambda *args: calls.append(1) or retrieve(*args)
         )
         assert self._run(corpus, xavier_weights(16, 2), {}) == 2
         assert "weights dim 16 != store dim 24" in capsys.readouterr().err

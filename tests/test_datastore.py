@@ -11,7 +11,6 @@ from negsup.datastore import (
     ingest_datastore,
     load_datastore,
     retrieve,
-    retrieve_many,
     save_datastore,
 )
 from negsup.embedding import (
@@ -86,7 +85,7 @@ class TestRetrieve:
         rng = np.random.default_rng(1)
         records = _random_records(rng, 20, 16)
         store = build_datastore(records)
-        result = retrieve(store, store.vector_of("r0007"), k=1)
+        result = retrieve(store, [store.vector_of("r0007")], k=1)[0]
         assert result.ids() == ["r0007"]
         assert result.scores()[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -94,7 +93,7 @@ class TestRetrieve:
         rng = np.random.default_rng(2)
         records = _random_records(rng, 5, 8)
         store = build_datastore(records)
-        result = retrieve(store, rng.normal(size=8), k=50)
+        result = retrieve(store, [rng.normal(size=8)], k=50)[0]
         assert len(result) == 5
         scores = result.scores()
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
@@ -105,7 +104,7 @@ class TestRetrieve:
         store = build_datastore(records)
         for _ in range(10):
             query = rng.normal(size=16)
-            got = retrieve(store, query, k=9)
+            got = retrieve(store, [query], k=9)[0]
             want = brute_force_topk(records, query, k=9)
             assert got.ids() == want.ids()
             np.testing.assert_allclose(got.scores(), want.scores(), atol=1e-9)
@@ -113,18 +112,18 @@ class TestRetrieve:
     def test_dim_mismatch(self):
         store = build_datastore([("a", "x", np.ones(4))])
         with pytest.raises(DimMismatch):
-            retrieve(store, np.ones(5), k=1)
+            retrieve(store, [np.ones(5)], k=1)[0]
 
     def test_bad_k(self):
         store = build_datastore([("a", "x", np.ones(4))])
         with pytest.raises(ValueError):
-            retrieve(store, np.ones(4), k=0)
+            retrieve(store, [np.ones(4)], k=0)[0]
 
     def test_tie_break_by_ascending_id(self):
         vec = np.ones(4)
         records = [(rid, "same", vec) for rid in ("d", "b", "c", "a")]
         store = build_datastore(records)
-        assert retrieve(store, vec, k=3).ids() == ["a", "b", "c"]
+        assert retrieve(store, [vec], k=3)[0].ids() == ["a", "b", "c"]
         assert brute_force_topk(records, vec, k=3).ids() == ["a", "b", "c"]
 
     def test_monotone_prefix_in_k(self):
@@ -134,7 +133,7 @@ class TestRetrieve:
         query = rng.normal(size=8)
         previous = []
         for k in range(1, 15):
-            ids = retrieve(store, query, k=k).ids()
+            ids = retrieve(store, [query], k=k)[0].ids()
             assert ids[: len(previous)] == previous
             previous = ids
 
@@ -146,8 +145,8 @@ class TestRetrieve:
         rng.shuffle(shuffled)
         store_b = build_datastore(shuffled)
         query = rng.normal(size=8)
-        a = retrieve(store_a, query, k=7)
-        b = retrieve(store_b, query, k=7)
+        a = retrieve(store_a, [query], k=7)[0]
+        b = retrieve(store_b, [query], k=7)[0]
         assert a.ids() == b.ids()
         assert a.scores() == b.scores()
 
@@ -156,7 +155,7 @@ class TestRetrieve:
         records = _random_records(rng, 100, 4)
         store = build_datastore(records)
         for _ in range(20):
-            result = retrieve(store, rng.normal(size=4), k=100)
+            result = retrieve(store, [rng.normal(size=4)], k=100)[0]
             assert all(-1 - 1e-6 <= s <= 1 + 1e-6 for s in result.scores())
 
     def test_exactness_property(self):
@@ -174,7 +173,7 @@ class TestRetrieve:
             store = build_datastore(records)
             k = int(rng.integers(1, count + 3))
             query = rng.normal(size=dim)
-            got = retrieve(store, query, k=k)
+            got = retrieve(store, [query], k=k)[0]
             want = brute_force_topk(records, query, k=k)
             assert got.ids() == want.ids()
 
@@ -183,7 +182,7 @@ class TestRetrieve:
         records = _random_records(rng, 5000, 16)
         store = build_datastore(records)
         query = rng.normal(size=16)
-        got = retrieve(store, query, k=25)
+        got = retrieve(store, [query], k=25)[0]
         want = brute_force_topk(records, query, k=25)
         assert got.ids() == want.ids()
 
@@ -240,10 +239,10 @@ class TestRetrieveMany:
     def test_batch_equals_single_queries(self, planted, batch, k):
         _, store, queries, ranked = planted
         for offset in (0, 5, len(queries) - batch):
-            got = retrieve_many(store, queries[offset : offset + batch], k)
+            got = retrieve(store, queries[offset : offset + batch], k)
             assert len(got) == batch
             for i, result in enumerate(got, start=offset):
-                assert _bits(result) == _bits(retrieve(store, queries[i], k))
+                assert _bits(result) == _bits(retrieve(store, [queries[i]], k)[0])
                 _assert_matches_oracle(result, ranked[i], k)
 
     def test_duplicates_keep_id_order_at_the_cut(self, planted):
@@ -251,7 +250,7 @@ class TestRetrieveMany:
         ids = [records[i][0] for i in range(10, 16)]
         query = records[10][2]
         for k in range(1, 8):
-            results = retrieve_many(store, [query] * 40, k)
+            results = retrieve(store, [query] * 40, k)
             assert all(_bits(r) == _bits(results[0]) for r in results)
             assert results[0].ids()[: min(k, 6)] == ids[: min(k, 6)]
 
@@ -262,27 +261,27 @@ class TestRetrieveMany:
         store = build_datastore(records)
         queries = [rng.normal(size=8) for _ in range(40)]
         for k in (5, 9, 50):
-            for result, query in zip(retrieve_many(store, queries, k), queries):
-                assert _bits(result) == _bits(retrieve(store, query, k))
+            for result, query in zip(retrieve(store, queries, k), queries):
+                assert _bits(result) == _bits(retrieve(store, [query], k)[0])
                 _assert_matches_oracle(result, brute_force_topk(records, query, 5), k)
 
     def test_empty_query_list(self, planted):
         _, store, _, _ = planted
-        assert retrieve_many(store, [], 9) == []
+        assert retrieve(store, [], 9) == []
 
     def test_bad_queries_raise(self, planted):
         _, store, queries, _ = planted
         good = queries[:40]
         with pytest.raises(DimMismatch):
-            retrieve_many(store, good + [np.ones(17)], 3)
+            retrieve(store, good + [np.ones(17)], 3)
         with pytest.raises(ZeroVector):
-            retrieve_many(store, good + [np.zeros(16)], 3)
+            retrieve(store, good + [np.zeros(16)], 3)
         with pytest.raises(FormatError):
-            retrieve_many(store, good + [np.full(16, np.nan)], 3)
+            retrieve(store, good + [np.full(16, np.nan)], 3)
         with pytest.raises(ValueError):
-            retrieve_many(store, good, 0)
+            retrieve(store, good, 0)
         with pytest.raises(ValueError):
-            retrieve_many(store, [], 0)
+            retrieve(store, [], 0)
 
 
 class TestBruteForce:
@@ -323,7 +322,7 @@ class TestPersistence:
         save_datastore(store, tmp_path / "s")
         loaded = load_datastore(tmp_path / "s")
         query = embed_text(src, "a dog in the park")
-        assert retrieve(loaded, query, k=2).ids() == retrieve(store, query, k=2).ids()
+        assert retrieve(loaded, [query], k=2)[0].ids() == retrieve(store, [query], k=2)[0].ids()
 
     @pytest.mark.parametrize(
         "bad", [("c", "cap c\ud800"), ("c\udfff", "cap c")], ids=["caption", "id"]
@@ -536,7 +535,7 @@ def _assert_equals_oracle(store, oracle, file_rows, scan):
     for i in picked[:50]:
         assert store.vector_of(store.ids[i]).tobytes() == oracle.matrix[i].tobytes()
     queries = list(np.random.default_rng(38).normal(size=(30, store.dim))) + list(file_rows[picked[:10]])
-    for got, want in zip(retrieve_many(store, queries, 9), retrieve_many(oracle, queries, 9)):
+    for got, want in zip(retrieve(store, queries, 9), retrieve(oracle, queries, 9)):
         assert _bits(got) == _bits(want)
         assert got.vectors.tobytes() == want.vectors.tobytes()
 
@@ -672,8 +671,8 @@ class TestOneArray:
         records = list(_oracle(embeddings, captions).records())
         store = load_datastore(tmp_path / "s")
         for k in (1, 9):
-            assert retrieve(store, query, k).ids() == brute_force_topk(records, query, k).ids()
-        assert retrieve(store, query, 1).ids() == ["r0300"]
+            assert retrieve(store, [query], k)[0].ids() == brute_force_topk(records, query, k).ids()
+        assert retrieve(store, [query], 1)[0].ids() == ["r0300"]
         assert not np.shares_memory(store.scan, store.matrix)
 
 
@@ -715,8 +714,8 @@ class TestCompactStore:
         )
         rng = np.random.default_rng(31)
         queries = list(rng.normal(size=(40, 32))) + list(rows[:10])
-        got = retrieve_many(store, queries, 9)
-        want = retrieve_many(built, queries, 9)
+        got = retrieve(store, queries, 9)
+        want = retrieve(built, queries, 9)
         for a, b in zip(got, want):
             assert _bits(a) == _bits(b)
             assert a.vectors.tobytes() == b.vectors.tobytes()
@@ -784,10 +783,10 @@ def test_peak_memory_of_retrieve_many():
     queries = [l2_normalize(q) for q in rng.normal(size=(256, 32))]
     tracemalloc.start()
     try:
-        results = retrieve_many(store, queries, 9)
+        results = retrieve(store, queries, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
     for i in (0, 255):
-        assert _bits(results[i]) == _bits(retrieve(store, queries[i], 9))
+        assert _bits(results[i]) == _bits(retrieve(store, [queries[i]], 9)[0])

@@ -14,7 +14,6 @@ from negsup.entities import (
     EntitySets,
     EntityVocabulary,
     classify_image_entities,
-    classify_many,
     extract_entities,
     filter_inference,
     filter_training,
@@ -134,13 +133,13 @@ class TestClassify:
         src = HashSource(dim=32, seed=7)
         vocab = EntityVocabulary(["dog", "cat"])
         image = embed_entity(src, "dog")
-        assert classify_image_entities(image, EntityIndex(src, vocab), top_m=1) == ["dog"]
+        assert classify_image_entities([image], EntityIndex(src, vocab), top_m=1)[0] == ["dog"]
 
     def test_top_m_covers_whole_vocab(self):
         src = HashSource(dim=32, seed=7)
         vocab = EntityVocabulary(["dog", "cat", "car"])
         image = embed_entity(src, "car")
-        ranked = classify_image_entities(image, EntityIndex(src, vocab), top_m=10)
+        ranked = classify_image_entities([image], EntityIndex(src, vocab), top_m=10)[0]
         assert sorted(ranked) == ["car", "cat", "dog"]
         assert ranked[0] == "car"
 
@@ -154,18 +153,20 @@ class TestClassify:
         oracle = sorted(
             terms, key=lambda t: (-float(embed_entity(src, t) @ image), t)
         )
-        assert classify_image_entities(image, EntityIndex(src, vocab), top_m=4) == oracle[:4]
+        assert classify_image_entities([image], EntityIndex(src, vocab), top_m=4)[0] == oracle[:4]
 
     def test_dim_mismatch(self):
         src = HashSource(dim=8, seed=0)
         vocab = EntityVocabulary(["dog"])
         with pytest.raises(DimMismatch):
-            classify_image_entities(np.ones(4), EntityIndex(src, vocab), top_m=1)
+            classify_image_entities([np.ones(4)], EntityIndex(src, vocab), top_m=1)[0]
 
     def test_bad_top_m(self):
         src = HashSource(dim=8, seed=0)
         with pytest.raises(ValueError):
-            classify_image_entities(np.ones(8), EntityIndex(src, EntityVocabulary(["dog"])), top_m=0)
+            classify_image_entities(
+                [np.ones(8)], EntityIndex(src, EntityVocabulary(["dog"])), top_m=0
+            )[0]
 
 
 def _ranking_oracle(image, terms, source):
@@ -203,7 +204,7 @@ class TestEntityIndex:
             image = rng.normal(size=4)
             oracle = _ranking_oracle(image, terms, src)
             for top_m in (1, 3, 17, 40):
-                assert classify_image_entities(image, index, top_m) == oracle[:top_m]
+                assert classify_image_entities([image], index, top_m)[0] == oracle[:top_m]
 
     def test_shared_file_vectors_match_oracle(self):
         rng = np.random.default_rng(12)
@@ -216,10 +217,10 @@ class TestEntityIndex:
         index = EntityIndex(src, vocab)
         for image in (shared, other, -shared, rng.normal(size=6)):
             oracle = _ranking_oracle(image, terms, src)
-            assert classify_image_entities(image, index, 6) == oracle
-            assert classify_image_entities(image, index, 2) == oracle[:2]
+            assert classify_image_entities([image], index, 6)[0] == oracle
+            assert classify_image_entities([image], index, 2)[0] == oracle[:2]
         # the four terms sharing the image's vector tie and come in term order
-        assert classify_image_entities(shared, index, 4) == [
+        assert classify_image_entities([shared], index, 4)[0] == [
             "ant", "bee", "moth", "zebra"
         ]
 
@@ -235,10 +236,10 @@ class TestEntityIndex:
         for _ in range(40):
             image = rng.normal(size=24)
             oracle = _ranking_oracle(image, terms, src)
-            assert classify_image_entities(image, index, 30) == oracle
+            assert classify_image_entities([image], index, 30)[0] == oracle
             # below |V| a partition cuts the ranking, often inside a tie
             for top_m in range(1, 31):
-                assert classify_image_entities(image, index, top_m) == (
+                assert classify_image_entities([image], index, top_m)[0] == (
                     oracle[:top_m]
                 )
 
@@ -250,7 +251,7 @@ class TestEntityIndex:
         rng = np.random.default_rng(13)
         for _ in range(5):
             image = rng.normal(size=16)
-            classify_image_entities(image, index, 3)
+            classify_image_entities([image], index, 3)[0]
             filter_inference({"thing0"}, {"thing1", "thing2", "other"}, image, index, 0.1)
         assert src.calls == len(terms) + 1  # "other" is not in the vocabulary
 
@@ -279,15 +280,15 @@ class TestEntityIndex:
         index = EntityIndex(src, vocab)
         assert index.vector("dog").shape == (4,)
         with pytest.raises(UnknownKey):
-            classify_image_entities(np.ones(4), index, 1)
+            classify_image_entities([np.ones(4)], index, 1)[0]
 
     def test_dim_mismatch_with_filled_index(self):
         src = HashSource(dim=8, seed=0)
         vocab = EntityVocabulary(["dog", "cat"])
         index = EntityIndex(src, vocab)
-        classify_image_entities(np.ones(8), index, 1)
+        classify_image_entities([np.ones(8)], index, 1)[0]
         with pytest.raises(DimMismatch):
-            classify_image_entities(np.ones(4), index, 1)
+            classify_image_entities([np.ones(4)], index, 1)[0]
         with pytest.raises(DimMismatch):
             filter_inference(set(), {"dog"}, np.ones(4), index, 0.0)
 
@@ -306,19 +307,19 @@ class TestClassifyMany:
         images = [rng.normal(size=24) for _ in range(20)] + [base[3], -base[7]]
         oracles = [_ranking_oracle(image, terms, src) for image in images]
         for top_m in (1, 3, 4, 5, 9, 300):
-            ranked = classify_many(images, index, top_m)
+            ranked = classify_image_entities(images, index, top_m)
             assert ranked == [
-                classify_image_entities(image, index, top_m) for image in images
+                classify_image_entities([image], index, top_m)[0] for image in images
             ]
             assert ranked == [oracle[:top_m] for oracle in oracles]
 
     def test_no_images(self):
         src = HashSource(dim=8, seed=0)
-        assert classify_many([], EntityIndex(src, EntityVocabulary([])), 3) == []
+        assert classify_image_entities([], EntityIndex(src, EntityVocabulary([])), 3) == []
         with pytest.raises(ValueError):
-            classify_many([], EntityIndex(src, EntityVocabulary(["dog"])), 0)
+            classify_image_entities([], EntityIndex(src, EntityVocabulary(["dog"])), 0)
         with pytest.raises(EmptyInput):
-            classify_many([np.ones(8)], EntityIndex(src, EntityVocabulary([])), 3)
+            classify_image_entities([np.ones(8)], EntityIndex(src, EntityVocabulary([])), 3)
 
 
 class TestFilterTraining:

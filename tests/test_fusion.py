@@ -267,15 +267,15 @@ class TestFuseRetrieval:
         rng = np.random.default_rng(5)
         tokens = rng.normal(size=(3, 6))
         r = rng.normal(size=(1, 6))
-        out = fuse_retrieval(tokens, r, _identity_weights(6))
+        out = fuse_retrieval(tokens[None], r[None], _identity_weights(6))[0][0]
         np.testing.assert_allclose(out, tokens + r[0], atol=1e-12)
 
     def test_duplicate_keys_average_to_one_copy(self):
         rng = np.random.default_rng(6)
         tokens = rng.normal(size=(2, 5))
         r = rng.normal(size=5)
-        once = fuse_retrieval(tokens, r.reshape(1, -1), _identity_weights(5))
-        twice = fuse_retrieval(tokens, np.stack([r, r]), _identity_weights(5))
+        once = fuse_retrieval(tokens[None], r.reshape(1, 1, -1), _identity_weights(5))[0][0]
+        twice = fuse_retrieval(tokens[None], np.stack([r, r])[None], _identity_weights(5))[0][0]
         np.testing.assert_allclose(once, twice, atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -283,18 +283,17 @@ class TestFuseRetrieval:
         weights = xavier_weights(dim=8, prefix_len=4, seed=11)
         tokens = rng.normal(size=(4, 8))
         retrieved = rng.normal(size=(9, 8))
-        got = fuse_retrieval(tokens, retrieved, weights)
+        got = fuse_retrieval(tokens[None], retrieved[None], weights)[0][0]
         want = _attention_oracle(tokens, retrieved, weights)
         np.testing.assert_allclose(got, want, atol=1e-5, rtol=0)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
         weights = xavier_weights(dim=6, prefix_len=2, seed=12)
-        _, attn = fuse_retrieval(
-            rng.normal(size=(2, 6)),
-            rng.normal(size=(5, 6)),
+        _, (attn,) = fuse_retrieval(
+            rng.normal(size=(1, 2, 6)),
+            rng.normal(size=(1, 5, 6)),
             weights,
-            return_attention=True,
         )
         np.testing.assert_allclose(attn.sum(axis=1), np.ones(2), atol=1e-6)
 
@@ -303,31 +302,31 @@ class TestFuseRetrieval:
         weights = xavier_weights(dim=6, prefix_len=3, seed=13)
         tokens = rng.normal(size=(3, 6))
         retrieved = rng.normal(size=(7, 6))
-        base = fuse_retrieval(tokens, retrieved, weights)
+        base = fuse_retrieval(tokens[None], retrieved[None], weights)[0][0]
         perm = rng.permutation(7)
-        shuffled = fuse_retrieval(tokens, retrieved[perm], weights)
+        shuffled = fuse_retrieval(tokens[None], retrieved[perm][None], weights)[0][0]
         np.testing.assert_allclose(base, shuffled, atol=1e-12)
 
     def test_empty_retrieval(self):
         with pytest.raises(EmptyRetrieval):
-            fuse_retrieval(np.ones((1, 4)), np.zeros((0, 4)), _identity_weights(4))
+            fuse_retrieval(np.ones((1, 1, 4)), np.zeros((1, 0, 4)), _identity_weights(4))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            fuse_retrieval(np.ones((1, 4)), np.ones((2, 5)), _identity_weights(4))
+            fuse_retrieval(np.ones((1, 1, 4)), np.ones((1, 2, 5)), _identity_weights(4))
 
 
 class TestMapToPrefix:
     def test_identity_square_case(self):
         rng = np.random.default_rng(10)
         tokens = rng.normal(size=(3, 4))
-        out = map_to_prefix(tokens, _identity_weights(4, prefix_len=3))
+        out = map_to_prefix(tokens[None], _identity_weights(4, prefix_len=3))[0]
         assert np.array_equal(out, tokens)
 
     def test_zero_map(self):
         eye = np.eye(4)
         weights = AttentionWeights(eye, eye, eye, np.zeros((8, 8)))
-        out = map_to_prefix(np.ones((2, 4)), weights)
+        out = map_to_prefix(np.ones((1, 2, 4)), weights)[0]
         assert np.array_equal(out, np.zeros((2, 4)))
 
     def test_frozen_golden_output(self):
@@ -344,12 +343,15 @@ class TestMapToPrefix:
             "-0x1.26e80005fb768p+0", "-0x1.eeeacf13c322cp-1", "0x1.89705130a8cbep+0",
             "0x1.ce725c1867b64p-2", "-0x1.a9263dd55e4e0p-1", "0x1.3724ca21b653ap-1",
         ]
-        prefix = map_to_prefix(attn_out, weights)
+        prefix = map_to_prefix(attn_out[None], weights)[0]
         assert [x.hex() for x in prefix.reshape(-1)] == expected_out
 
     def test_shape_mismatch(self):
         with pytest.raises(DimMismatch):
-            map_to_prefix(np.ones((2, 4)), _identity_weights(4, prefix_len=3))
+            map_to_prefix(np.ones((1, 2, 4)), _identity_weights(4, prefix_len=3))
+        # one token of another width than the weights'
+        with pytest.raises(DimMismatch):
+            map_to_prefix(np.ones((1, 1, 5)), _identity_weights(4, prefix_len=3))
 
     # the default prefix length at the dimensions of the benchmark and the
     # tests, and a one-token map
@@ -364,9 +366,9 @@ class TestMapToPrefix:
         for token in rng.normal(size=(200, dim)):
             padded = np.zeros((prefix_len, dim))
             padded[0] = token
-            got = map_to_prefix(token[None, :], weights)
+            got = map_to_prefix(token[None, None, :], weights)[0]
             assert got.shape == (prefix_len, dim)
-            assert got.tobytes() == map_to_prefix(padded, weights).tobytes()
+            assert got.tobytes() == map_to_prefix(padded[None], weights)[0].tobytes()
 
 
 class TestXavier:

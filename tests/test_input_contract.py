@@ -22,7 +22,7 @@ CAPTIONS = {
 # row -> (options written over BASE_OPTIONS, None removing one; a file the
 # row writes first, as (name, bytes); strings the message must hold; the
 # calls that must not happen). "{d}" is the row's work directory.
-SET_UP = ("load_datastore", "retrieve_many")
+SET_UP = ("load_datastore", "retrieve")
 ROWS = {
     "out_in_missing_directory": (
         {"--out": "{d}/out/missing/o.jsonl"}, None, ["--out", "missing"], SET_UP,
@@ -47,38 +47,43 @@ ROWS = {
     ),
     "caption_blank": (
         {"--input": "{d}/bad.jsonl"}, ("bad.jsonl", b'{"id": "t1", "caption": " \\t "}\n'),
-        ["'t1'", '"caption"'], ("retrieve_many",),
+        ["'t1'", '"caption"'], ("retrieve",),
+    ),
+    "synthetic_key_blank": (
+        {"--input": "{d}/bad.jsonl"},
+        ("bad.jsonl", b'{"id": "t1", "caption": "a dog", "synthetic_key": ""}\n'),
+        ["'t1'", '"synthetic_key"', "blank"], ("retrieve",),
     ),
     "input_invalid_utf8": (
         {"--input": "{d}/bad.jsonl"},
         ("bad.jsonl", b'{"id": "t1", "caption": "a dog"}\n{"id": "t2", "caption": "\xe9"}\n'),
-        ["bad.jsonl", "line 2", "UTF-8"], ("retrieve_many",),
+        ["bad.jsonl", "line 2", "UTF-8"], ("retrieve",),
     ),
     "input_invalid_json": (
         {"--input": "{d}/bad.jsonl"},
         ("bad.jsonl", b'{"id": "t1", "caption": "a dog"}\n{"id": "t2", "caption": \n'),
-        ["bad.jsonl", "line 2", "invalid JSON"], ("retrieve_many",),
+        ["bad.jsonl", "line 2", "invalid JSON"], ("retrieve",),
     ),
     "aux_embeddings_bad_line": (
         {"--aux-embeddings": "{d}/bad_aux.jsonl"},
         ("bad_aux.jsonl", b'{"key": "a", "vector": [1.0, 0.0]}\n{"key": "b", "vector": "x"}\n'),
-        ["bad_aux.jsonl", "line 2", "vector"], ("retrieve_many",),
+        ["bad_aux.jsonl", "line 2", "vector"], ("retrieve",),
     ),
     "references_a_number": (
         {"--input": "{d}/bad.jsonl"},
         ("bad.jsonl", b'{"id": "t1", "caption": "a dog"}\n{"id": "t2", "caption": "a cat",'
                       b' "references": 5}\n'),
-        ["'t2'", '"references"', "a string or an array of strings"], ("retrieve_many",),
+        ["'t2'", '"references"', "a string or an array of strings"], ("retrieve",),
     ),
     "references_null": (
         {"--input": "{d}/bad.jsonl"},
         ("bad.jsonl", b'{"id": "t1", "caption": "a dog", "references": null}\n'),
-        ["'t1'", '"references"', "None"], ("retrieve_many",),
+        ["'t1'", '"references"', "None"], ("retrieve",),
     ),
     "references_not_strings": (
         {"--mode": "inference", "--input": "{d}/bad.jsonl"},
         ("bad.jsonl", b'{"id": "i1", "image_key": "a dog", "references": ["a dog", 1]}\n'),
-        ["'i1'", '"references"', "['a dog', 1]"], ("retrieve_many",),
+        ["'i1'", '"references"', "['a dog', 1]"], ("retrieve",),
     ),
     "synonyms_without_tab": (
         {"--synonyms": "{d}/syn.tsv"}, ("syn.tsv", b"# dog puppy\ndog\tpuppy\n\ncat kitty\n"),
@@ -87,7 +92,7 @@ ROWS = {
     "key_missing_from_aux_embeddings": (
         {"--mode": "inference", "--input": "{d}/keyed.jsonl", "--aux-embeddings": "{d}/aux.jsonl"},
         ("keyed.jsonl", b'{"id": "t1", "image_key": "a dog"}\n'),
-        ["aux.jsonl", "'t1'", '"image_key"', "'a dog'"], ("retrieve_many",),
+        ["aux.jsonl", "'t1'", '"image_key"', "'a dog'"], ("retrieve",),
     ),
 }
 
@@ -139,7 +144,7 @@ def test_fault_exits_2_naming_it_before_the_work(work, capsys, monkeypatch, row)
     if file is not None:
         (work / file[0]).write_bytes(file[1])
     calls = []
-    for module, name in ((cli, "load_datastore"), (pipeline, "retrieve_many")):
+    for module, name in ((cli, "load_datastore"), (pipeline, "retrieve")):
         real = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)

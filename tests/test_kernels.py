@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from negsup import kernels
-from negsup.datastore import brute_force_topk, build_datastore, retrieve_many
+from negsup.datastore import brute_force_topk, build_datastore, retrieve
 from negsup.embedding import l2_normalize
 
 
@@ -329,7 +329,7 @@ def test_traced_functions_run_on_the_calling_thread_only(monkeypatch, ranged):
                     monkeypatch.setattr(loaded, attr, wrapper)
     monkeypatch.setattr(kernels, "_scan_range", recording("scan", kernels._scan_range))
     monkeypatch.setattr(kernels, "SCAN_WORKERS", kernels.SCAN_THREADS)
-    retrieve_many(store, raw[:40], 9)
+    retrieve(store, raw[:40], 9)
     # two ranges, one scanned on the calling thread and one on a worker
     assert len(threads["scan"]) == 2 and len(set(threads["scan"])) == 2
     assert threads["span"] and set(threads["span"]) == {threading.get_ident()}

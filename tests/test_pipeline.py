@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,14 @@ import pytest
 
 import negsup.pipeline as pipeline_mod
 from negsup.datastore import Hit, RetrievalResult, build_datastore, retrieve
-from negsup.embedding import FileSource, HashSource, embed_entity, embed_text, l2_normalize
+from negsup.embedding import (
+    FileSource,
+    HashSource,
+    embed_entity,
+    embed_text,
+    l2_normalize,
+    tokenize,
+)
 from negsup.entities import EntityIndex, EntitySets, EntityVocabulary, extract_entities
 from negsup.errors import (
     DimMismatch,
@@ -181,7 +189,7 @@ class TestStageToggles:
             caption, synthetic, store, vocab, source_bundle(source),
             _config(enable_sir=False),
         )
-        expected = retrieve(store, embed_text(source, caption), k=3)
+        expected = retrieve(store, [embed_text(source, caption)], k=3)[0]
         assert ctx.retrieval.ids() == expected.ids()
 
     def test_sir_on_sif_off_uses_raw_synthetic_query(self, store, vocab, source):
@@ -191,7 +199,7 @@ class TestStageToggles:
             caption, synthetic, store, vocab, source_bundle(source),
             _config(enable_sif=False),
         )
-        expected = retrieve(store, synthetic, k=3)
+        expected = retrieve(store, [synthetic], k=3)[0]
         assert ctx.retrieval.ids() == expected.ids()
 
     def test_sif_off_equals_pipeline_built_without_the_stage(self, store, vocab, source):
@@ -206,11 +214,11 @@ class TestStageToggles:
 
         weights = xavier_weights(store.dim, config.prefix_length, config.seed)
         text_emb = embed_text(source, caption)
-        retrieval = retrieve(store, synthetic, k=config.retrieval_k)
+        retrieval = retrieve(store, [synthetic], k=config.retrieval_k)[0]
         retrieved = np.stack([store.vector_of(h.id) for h in retrieval.hits])
-        attn = fuse_retrieval(as_prefix(text_emb), retrieved, weights)
+        attn = fuse_retrieval(as_prefix(text_emb[None, None]), retrieved[None], weights)[0][0]
         grown = _grow_prefix(attn, weights.in_tokens)
-        prefix = map_to_prefix(grown, weights)
+        prefix = map_to_prefix(grown[None], weights)[0]
         key = frozenset(extract_entities(caption, vocab))
         negs = sorted(
             frozenset().union(*[extract_entities(h.caption, vocab) for h in retrieval.hits])
@@ -224,9 +232,9 @@ class TestStageToggles:
             if negs
             else np.zeros((0, store.dim))
         )
-        scores = score_negative_attention(prefix, neg_embs)
-        selected = select_tokens(scores, len(negs), config.suppression)
-        expected_prefix = suppress(prefix, selected, config.suppression.lam)
+        scores = score_negative_attention(prefix[None], [neg_embs])[0]
+        selected = select_tokens(scores[None], [len(negs)], config.suppression)[0]
+        expected_prefix = suppress(prefix[None], selected[None], config.suppression.lam)[0]
         assert np.array_equal(ctx.suppressed_prefix, expected_prefix)
 
     def test_as_off_is_identity_on_prefix(self, store, vocab, source):
@@ -275,7 +283,7 @@ class TestStageToggles:
             caption, synthetic, store, vocab, source_bundle(source), config
         )
         text_emb = embed_text(source, caption)
-        assert ctx.retrieval.ids() == retrieve(store, text_emb, k=3).ids()
+        assert ctx.retrieval.ids() == retrieve(store, [text_emb], k=3)[0].ids()
         assert ctx.entity_sets.negative == set()
         assert ctx.entity_sets.positive == ctx.entity_sets.key | ctx.entity_sets.candidates
         assert ctx.suppression_report.selected == set()
@@ -284,9 +292,9 @@ class TestStageToggles:
         # the prefix must be exactly what the text embedding alone produces
         weights = xavier_weights(store.dim, config.prefix_length, config.seed)
         retrieved = np.stack([store.vector_of(h.id) for h in ctx.retrieval.hits])
-        attn = fuse_retrieval(as_prefix(text_emb), retrieved, weights)
+        attn = fuse_retrieval(as_prefix(text_emb[None, None]), retrieved[None], weights)[0][0]
         grown = _grow_prefix(attn, weights.in_tokens)
-        assert np.array_equal(ctx.suppressed_prefix, map_to_prefix(grown, weights))
+        assert np.array_equal(ctx.suppressed_prefix, map_to_prefix(grown[None], weights)[0])
 
     def test_training_query_override(self, store, vocab, source):
         caption = CAPTIONS["c05"]
@@ -295,7 +303,7 @@ class TestStageToggles:
             caption, synthetic, store, vocab, source_bundle(source),
             _config(training_query="text"),
         )
-        assert ctx.retrieval.ids() == retrieve(store, embed_text(source, caption), k=3).ids()
+        assert ctx.retrieval.ids() == retrieve(store, [embed_text(source, caption)], k=3)[0].ids()
 
 
 class TestInferenceFlow:
@@ -324,7 +332,7 @@ class TestInferenceFlow:
             calls["fuse_sif"] += 1
             return embed_text(source, "a dog")
 
-        monkeypatch.setattr(pipeline_mod, "classify_many", fake_classify)
+        monkeypatch.setattr(pipeline_mod, "classify_image_entities", fake_classify)
         monkeypatch.setattr(pipeline_mod, "fuse_sif", fake_fuse_sif)
 
         caption = CAPTIONS["c01"]
@@ -355,18 +363,24 @@ def _context_for_decode(store, hits, negative, prefix_vec):
         positive=frozenset(candidates - negative),
         negative=frozenset(negative),
     )
-    prefix = as_prefix(prefix_vec)
+    prefix = as_prefix(prefix_vec[None, None])[0]
     return GenerationContext(
         suppressed_prefix=prefix,
         positive_prompt=build_prompt(sets.positive),
         entity_sets=sets,
-        retrieval=RetrievalResult(hits=tuple(hits)),
+        retrieval=RetrievalResult(
+            hits=tuple(hits), vectors=np.array([store.vector_of(h.id) for h in hits])
+        ),
         suppression_report=SuppressionReport(
             scores=tuple(0.0 for _ in range(prefix.shape[0])),
             selected=frozenset(),
             lambda_applied=1.0,
         ),
     )
+
+
+def _hit_tokens(ctx):
+    return [tokenize(hit.caption) for hit in ctx.retrieval.hits]
 
 
 class TestStandinDecode:
@@ -379,7 +393,7 @@ class TestStandinDecode:
             negative=set(),
             prefix_vec=embed_text(source, caption),
         )
-        assert standin_decode(ctx, store) == caption
+        assert standin_decode(ctx, _hit_tokens(ctx)) == caption
 
     def test_hard_filter_beats_score_ordering(self, source):
         bad = "a dog chases a kite"
@@ -397,7 +411,7 @@ class TestStandinDecode:
             negative={"kite"},
             prefix_vec=embed_text(source, bad),
         )
-        assert standin_decode(ctx, store) == good
+        assert standin_decode(ctx, _hit_tokens(ctx)) == good
 
     def test_all_candidates_contain_negative_get_tokens_deleted(self, source):
         first = "a dog chases a kite"
@@ -414,7 +428,7 @@ class TestStandinDecode:
             negative={"kite"},
             prefix_vec=embed_text(source, first),
         )
-        assert standin_decode(ctx, store) == "a dog chases a"
+        assert standin_decode(ctx, _hit_tokens(ctx)) == "a dog chases a"
 
     def test_synonym_surface_forms_filtered_with_vocab(self, source):
         vocab = EntityVocabulary(["television", "dog"], {"tv": "television"})
@@ -432,9 +446,9 @@ class TestStandinDecode:
             negative={"television"},
             prefix_vec=embed_text(source, bad),
         )
-        assert standin_decode(ctx, store, vocab) == good
+        assert standin_decode(ctx, _hit_tokens(ctx), vocab) == good
         # without the vocabulary the synonym leaks through
-        assert standin_decode(ctx, store) == bad
+        assert standin_decode(ctx, _hit_tokens(ctx)) == bad
 
     def test_negative_outside_vocab_deleted_with_vocab(self, source):
         vocab = EntityVocabulary(["dog"], {"puppy": "dog"})
@@ -446,14 +460,25 @@ class TestStandinDecode:
             negative={"dog", "kite"},
             prefix_vec=embed_text(source, caption),
         )
-        assert standin_decode(ctx, store, vocab) == "a chases a red"
-        assert standin_decode(ctx, store) == "a puppy chases a red"
+        assert standin_decode(ctx, _hit_tokens(ctx), vocab) == "a chases a red"
+        assert standin_decode(ctx, _hit_tokens(ctx)) == "a puppy chases a red"
 
     def test_empty_retrieval_rejected(self, source):
         store = build_datastore([("a", "x", np.ones(DIM))])
         ctx = _context_for_decode(store, [], set(), np.ones(DIM))
         with pytest.raises(EmptyRetrieval):
-            standin_decode(ctx, store)
+            standin_decode(ctx, _hit_tokens(ctx))
+
+    def test_hits_without_rows_or_tokens_rejected(self, source):
+        caption = "a dog in the park"
+        store = build_datastore([("a", caption, embed_text(source, caption))])
+        hits = [Hit("a", caption, 1.0), Hit("a", caption, 1.0)]
+        ctx = _context_for_decode(store, hits, set(), embed_text(source, caption))
+        with pytest.raises(DimMismatch):
+            standin_decode(ctx, _hit_tokens(ctx)[:1])
+        bare = dataclasses.replace(ctx, retrieval=RetrievalResult(hits=tuple(hits)))
+        with pytest.raises(DimMismatch):
+            standin_decode(bare, _hit_tokens(ctx))
 
     def test_tie_breaks_by_id(self, source):
         caption = "a dog in the park"
@@ -465,7 +490,7 @@ class TestStandinDecode:
             negative=set(),
             prefix_vec=vec,
         )
-        assert standin_decode(ctx, store) == caption  # same caption either way
+        assert standin_decode(ctx, _hit_tokens(ctx)) == caption  # same caption either way
         # ids tie-break: the sort key puts "a" first
         probe = l2_normalize(ctx.suppressed_prefix.mean(axis=0))
         assert float(probe @ store.vector_of("a")) == float(probe @ store.vector_of("b"))
@@ -570,7 +595,7 @@ def _per_instance_outputs(instances, store, vocab, sources, config, keys=None):
         outputs.append(
             {
                 "id": obj["id"],
-                "generated": standin_decode(ctx, store, vocab),
+                "generated": standin_decode(ctx, _hit_tokens(ctx), vocab),
                 "retrieved": ctx.retrieval.captions(),
                 "context": ctx.to_json_dict(),
             }

@@ -14,13 +14,14 @@ rows are the scan themselves when every norm is within float32 eps of 1,
 as in every file save_datastore writes, so such a store holds one
 float32 array; other rows get a separate scan.
 
-Retrieval is exact and batched: retrieve ranks all its queries with
-kernels.exact_top, which scans `scan` in cache-sized chunks against blocks
-of queries, keeps only per-group maxima to bound each query's k-th score,
-and re-scores the rows near that bound in float64; so a hit's score
-depends only on its row and the query, never on the batch; one query is
-a batch of one. brute_force_topk is the independent oracle (per-record
-dots, full stable sort).
+Retrieval is exact and batched: retrieve normalizes all its queries as
+one matrix and ranks them with kernels.exact_top, which scans `scan` in
+cache-sized chunks against blocks of queries, keeps only per-group maxima
+to bound each query's k-th score, scores the groups near that bound a
+block at a time, and re-scores the rows near the k-th score in float64;
+so a hit's score depends only on its row and the query, never on the
+batch; one query is a batch of one. brute_force_topk is the independent
+oracle (per-record l2_normalize and dots, full stable sort).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .embedding import (
     Texts,
     _gather,
     l2_normalize,
+    l2_normalize_rows,
     normalize_rows,
     read_vector_file,
     unit_rows,
@@ -193,9 +195,6 @@ class Datastore:
             return False
         return True
 
-    def caption_of(self, rid: str) -> str:
-        return self.captions[self._row(rid)]
-
     def vector_of(self, rid: str) -> np.ndarray:
         return self.unit_rows(np.array([self._row(rid)]))[0]
 
@@ -221,28 +220,35 @@ def build_datastore(records: Sequence[tuple[str, str, np.ndarray]]) -> Datastore
 def retrieve(store: Datastore, queries, k: int = DEFAULT_K) -> list[RetrievalResult]:
     """Exact top-k records by cosine similarity for each query, in order.
 
-    Every query is normalized and dimension-checked before the scan, which
-    kernels.exact_top runs over blocks of queries; each result is the same
-    bit for bit whatever else the batch holds, so `retrieve(store, [query],
-    k)[0]` ranks one query. The hits' unit rows are fetched from the store
-    in one call for all queries and handed out as each result's `vectors`.
+    The queries, a sequence or an (n, d) stack of vectors, are normalized
+    as one matrix (embedding.l2_normalize_rows, each row equal to
+    l2_normalize of it bit for bit) and checked once: a non-finite value
+    is a FormatError, a zero query ZeroVector, another width DimMismatch.
+    kernels.exact_top then ranks them a block at a time; each result is
+    the same bit for bit whatever else the batch holds, so
+    `retrieve(store, [query], k)[0]` ranks one query. The hits' unit rows
+    are fetched from the store in one call for all queries and handed out
+    as each result's `vectors`; their ids and captions are decoded from
+    one read of their spans (Texts.take).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    vecs = []
-    for query in queries:
-        vec = l2_normalize(query)
-        if vec.shape[0] != store.dim:
-            raise DimMismatch(f"query dim {vec.shape[0]} != store dim {store.dim}")
-        vecs.append(vec)
-    tops = kernels.exact_top(store.unit_rows, store.scan, vecs, k)
-    vectors = store.unit_rows(np.array([i for top in tops for _, i in top], dtype=np.intp))
+    if len(queries) == 0:
+        return []
+    units = l2_normalize_rows(queries)
+    if units.shape[1] != store.dim:
+        raise DimMismatch(f"query dim {units.shape[1]} != store dim {store.dim}")
+    tops = kernels.exact_top(store.unit_rows, store.scan, units, k)
+    index = np.array([i for top in tops for _, i in top], dtype=np.intp)
+    vectors = store.unit_rows(index)
+    ids, captions = store.ids.take(index), store.captions.take(index)
     results = []
     at = 0
     for top in tops:
-        hits = tuple(Hit(store.ids[i], store.captions[i], score) for score, i in top)
-        results.append(RetrievalResult(hits, vectors[at : at + len(hits)]))
-        at += len(hits)
+        end = at + len(top)
+        hits = tuple(map(Hit, ids[at:end], captions[at:end], [score for score, _ in top]))
+        results.append(RetrievalResult(hits, vectors[at:end]))
+        at = end
     return results
 
 

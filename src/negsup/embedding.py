@@ -5,6 +5,14 @@ shared space: HashSource (seeded feature hashing, fully deterministic and
 self-contained) and FileSource (precomputed vectors loaded from disk in
 either a binary or a JSON-lines format).
 
+embed_rows embeds many texts at once. HashSource.embed_many sums every
+text's signed bucket counts as integers with one np.add.at and
+normalizes all rows with one normalize_rows call, and HashSource.embed
+is its one-text case; a FileSource's rows are gathered. Stacks of query
+vectors are normalized the same way (l2_normalize_rows,
+normalize_total_rows), each row equal bit for bit to l2_normalize or
+normalize_total of it, which stay as the one-vector forms.
+
 read_vector_file reads an embedding file in either format into a
 VectorTable: the keys, as one UTF-8 blob (Texts), and one matrix of their
 vectors as the file holds them (float32 for a binary file, a view of the
@@ -105,8 +113,42 @@ def _unit(vec: np.ndarray) -> np.ndarray | None:
     return vec / math.sqrt(squares)
 
 
+def as_rows(values) -> np.ndarray:
+    """A new finite (n, d) float64 array, d >= 1, of a stack of n vectors,
+    or of one (d,) vector as one row. Any other shape, a ragged stack
+    included, raises DimMismatch; a non-finite value, FormatError."""
+    try:
+        matrix = np.array(values, dtype=np.float64)
+    except ValueError as exc:  # a ragged stack, or a value that is no number
+        raise DimMismatch(f"expected numeric vectors of one width: {exc}") from None
+    if matrix.ndim == 1:
+        matrix = matrix[None]
+    if matrix.ndim != 2 or matrix.shape[1] < 1:
+        raise DimMismatch(f"expected a stack of 1-D vectors, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise FormatError("vector contains non-finite values")
+    return matrix
+
+
+def l2_normalize_rows(values, keys=None) -> np.ndarray:
+    """l2_normalize of every vector of a stack (see as_rows), as one new
+    matrix normalized by normalize_rows, so each row equals l2_normalize
+    of it bit for bit. keys[i] (by default i) names row i in errors."""
+    matrix = as_rows(values)
+    return normalize_rows(matrix, range(len(matrix)) if keys is None else keys)
+
+
+def normalize_total_rows(values) -> np.ndarray:
+    """normalize_total of every vector of a stack, as l2_normalize_rows:
+    a zero row becomes the unit basis e1."""
+    matrix = as_rows(values)
+    matrix[~matrix.any(axis=1), 0] = 1.0
+    return normalize_rows(matrix, range(len(matrix)))
+
+
 def l2_normalize(values) -> np.ndarray:
-    """Return `values` scaled to unit Euclidean norm; zero vectors raise."""
+    """Return `values` scaled to unit Euclidean norm; zero vectors raise.
+    The one-vector form: brute_force_topk and the tests' oracles use it."""
     unit = _unit(as_vector(values))
     if unit is None:
         raise ZeroVector("cannot normalize a zero vector")
@@ -149,8 +191,9 @@ class HashSource:
 
     Tokens are hashed to one of `dim` buckets with a +/-1 sign; bucket
     counts are accumulated in integers and only then projected to floats,
-    so identical (seed, text) always yields an identical vector. Texts
-    whose signed counts cancel exactly embed to the unit basis e1.
+    so identical (seed, text) always yields an identical vector, whatever
+    else is embedded with it. Texts whose signed counts cancel exactly, or
+    that hold no token, embed to the unit basis e1.
     """
 
     kind = "hash"
@@ -170,12 +213,25 @@ class HashSource:
             self._bucket_cache[token] = hit
         return hit
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """The (len(texts), dim) unit rows of the texts, row i the vector of
+        texts[i]: all bucket counts summed by one np.add.at into an int64
+        matrix (integer sums, so their order does not matter), zero rows
+        set to e1, then one normalize_rows call."""
+        token_lists = [tokenize(text) for text in texts]
+        cache = self._bucket_cache
+        pairs = [cache.get(t) or self._bucket_sign(t) for tokens in token_lists for t in tokens]
+        counts = np.zeros((len(token_lists), self.dim), dtype=np.int64)
+        if pairs:
+            buckets, signs = np.array(pairs, dtype=np.int64).T
+            owner = np.repeat(np.arange(len(token_lists)), [len(t) for t in token_lists])
+            np.add.at(counts, (owner, buckets), signs)
+        matrix = counts.astype(np.float64)
+        matrix[~counts.any(axis=1), 0] = 1.0
+        return normalize_rows(matrix, texts)
+
     def embed(self, text: str) -> np.ndarray:
-        counts = np.zeros(self.dim, dtype=np.int64)
-        for token in tokenize(text):
-            bucket, sign = self._bucket_sign(token)
-            counts[bucket] += sign
-        return normalize_total(counts.astype(np.float64))
+        return self.embed_many([text])[0]
 
     def __repr__(self) -> str:
         return f"HashSource(dim={self.dim}, seed={self.seed})"
@@ -269,6 +325,15 @@ class Texts(Sequence):
         for start, stop in zip(self.starts.tolist(), self.stops.tolist()):
             yield blob[start:stop].decode("utf-8", "surrogatepass")
 
+    def take(self, index) -> list[str]:
+        """The strings at `index`, an array of positions, each decoded from
+        its span; the spans are read with one tolist() each."""
+        blob = self.blob
+        return [
+            blob[start:stop].decode("utf-8", "surrogatepass")
+            for start, stop in zip(self.starts[index].tolist(), self.stops[index].tolist())
+        ]
+
     def __eq__(self, other):
         if not isinstance(other, (Texts, tuple)):
             return NotImplemented
@@ -360,6 +425,16 @@ class FileSource:
 
 
 EmbeddingSource = Union[HashSource, FileSource]
+
+
+def embed_rows(source: EmbeddingSource, texts: Sequence[str]) -> np.ndarray:
+    """The vectors of many texts as one new (len(texts), dim) matrix: one
+    bulk pass for a HashSource (HashSource.embed_many), each text's own
+    vector from any other source (a FileSource's stored rows, the first
+    missing key raising UnknownKey). The texts are used as given."""
+    if isinstance(source, HashSource):
+        return source.embed_many(texts)
+    return np.array([source.embed(text) for text in texts]).reshape(len(texts), source.dim)
 
 
 def embed_text(source: EmbeddingSource, text: str) -> np.ndarray:

@@ -23,7 +23,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .embedding import EmbeddingSource, embed_entity, l2_normalize, tokenize
+from .embedding import (
+    ENTITY_TEMPLATE,
+    EmbeddingSource,
+    embed_rows,
+    l2_normalize_rows,
+    tokenize,
+)
 from .errors import DimMismatch, EmptyInput, FormatError, InvariantError
 from .validation import read_lines
 
@@ -165,9 +171,12 @@ class EntityIndex:
     A run embeds each term's templated description ("A photo of {term}")
     once: the first request embeds it, later ones reuse the read-only
     vector. Embedding is lazy, so a source may lack the vectors of terms a
-    run never scores; only classification stacks all of them, on first use.
-    Without a vocabulary the index only memoizes vectors: classification
-    rejects it as an empty vocabulary, and inference filtering uses it.
+    run never scores. The vectors of many terms are asked for at once
+    (vectors()), and those not embedded yet are embedded in one
+    embedding.embed_rows call: all the terms, when classification first
+    stacks them (rows()), or a chunk's filtered or negative terms. Without a vocabulary the
+    index only memoizes vectors: classification rejects it as an empty
+    vocabulary, and inference filtering uses it.
     """
 
     def __init__(self, source: EmbeddingSource, vocab: EntityVocabulary | None = None):
@@ -177,51 +186,62 @@ class EntityIndex:
         self._vectors: dict[str, np.ndarray] = {}
         self._rows: np.ndarray | None = None
 
+    def vectors(self, terms: Sequence[str]) -> np.ndarray:
+        """The vectors of `terms` as one (len(terms), d) matrix. The terms
+        not embedded before are embedded in one embed_rows call, and their
+        read-only rows kept; a blank term is an EmptyInput, as in
+        embed_entity."""
+        missing = [term for term in dict.fromkeys(terms) if term not in self._vectors]
+        if missing:
+            if not all(term.strip() for term in missing):
+                raise EmptyInput("entity is empty")
+            rows = embed_rows(self.source, [ENTITY_TEMPLATE.format(t) for t in missing])
+            rows.flags.writeable = False
+            self._vectors.update(zip(missing, rows))
+        return np.array([self._vectors[term] for term in terms]).reshape(len(terms), self.source.dim)
+
     def vector(self, term: str) -> np.ndarray:
-        vec = self._vectors.get(term)
-        if vec is None:
-            vec = embed_entity(self.source, term)
-            vec.flags.writeable = False
-            self._vectors[term] = vec
-        return vec
+        self.vectors([term])
+        return self._vectors[term]
 
     def rows(self) -> np.ndarray:
         """The vectors of all vocabulary terms as one read-only (|V|, d)
         matrix; row i is the vector of terms[i]."""
         if self._rows is None:
-            self._rows = np.stack([self.vector(term) for term in self.terms])
+            self._rows = self.vectors(self.terms)
             self._rows.flags.writeable = False
         return self._rows
 
 
-def _check_width(vec: np.ndarray, img: np.ndarray) -> None:
+def _check_width(entity_dim: int, image_dim: int) -> None:
     # every vector of one source has the same width, so one check per call
-    if vec.shape[0] != img.shape[0]:
-        raise DimMismatch(f"entity dim {vec.shape[0]} != image dim {img.shape[0]}")
+    if entity_dim != image_dim:
+        raise DimMismatch(f"entity dim {entity_dim} != image dim {image_dim}")
 
 
 def classify_image_entities(images, index: EntityIndex, top_m: int) -> list[list[str]]:
     """The index's vocabulary terms ranked by cosine to each image
     embedding, best first.
 
-    Each term scores via its templated description embedding, ranked by
-    kernels.exact_top over the index's float64 term matrix, which is both
-    the unit rows and the scan copy, in one call for all images; terms are
-    sorted, so ties break by ascending term. Returns the top
-    min(top_m, |vocab|) terms of each image, in order; no images, no
-    result, whatever the vocabulary.
+    `images` is a sequence or an (n, d) stack of embeddings, normalized as
+    one matrix (embedding.l2_normalize_rows: FormatError for a non-finite
+    value, ZeroVector for a zero image) and checked once for width
+    (DimMismatch). Each term scores via its templated
+    description embedding, ranked by kernels.exact_top over the index's
+    float64 term matrix, which is both the unit rows and the scan copy, in
+    one call for all images; terms are sorted, so ties break by ascending
+    term. Returns the top min(top_m, |vocab|) terms of each image, in
+    order; no images, no result, whatever the vocabulary.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
-    images = list(images)
-    if not images:
+    if len(images) == 0:
         return []
     if not index.terms:
         raise EmptyInput("vocabulary is empty")
-    imgs = [l2_normalize(image) for image in images]
+    imgs = l2_normalize_rows(images)
     rows = index.rows()
-    for img in imgs:
-        _check_width(rows[0], img)
+    _check_width(rows.shape[1], imgs.shape[1])
     return [
         [index.terms[i] for _, i in top]
         for top in kernels.exact_top(rows.__getitem__, rows, imgs, top_m)
@@ -235,26 +255,44 @@ def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets
 
 
 def filter_inference(
-    key: Iterable[str],
-    candidates: Iterable[str],
+    key,
+    candidates,
     image_emb,
     index: EntityIndex,
     tau_sim: float = 0.2,
-) -> EntitySets:
+):
     """Inference-mode partition: filtered entities whose description
     embedding (from `index`, whatever its vocabulary) has a similarity to
     the image strictly above tau_sim join the positive set; the rest are
     negative.
+
+    For one (d,) image embedding, `key` and `candidates` are its entity
+    sets and the result is its EntitySets. For an (n, d) stack of images
+    they are lists of n sets each, and the result is a list of n
+    EntitySets. The images are normalized as one matrix and checked once,
+    as classify_image_entities checks them, and every (image, filtered term) similarity is one
+    row of a stack of (1, d) @ (d, 1) products, which runs np.dot's
+    per-row BLAS dot.
     """
     if not (-1.0 <= tau_sim <= 1.0) or math.isnan(tau_sim):
         raise ValueError(f"tau_sim must be in [-1, 1], got {tau_sim}")
-    key, candidates = frozenset(key), frozenset(candidates)
-    img = l2_normalize(image_emb)
-    vectors = {term: index.vector(term) for term in candidates - key}
-    if vectors:
-        _check_width(next(iter(vectors.values())), img)
-    negative = [term for term, vec in vectors.items() if float(np.dot(vec, img)) <= tau_sim]
-    return EntitySets.split(key, candidates, negative)
+    one = np.ndim(image_emb) == 1
+    keys, candidate_sets = ([key], [candidates]) if one else (key, candidates)
+    keys = [frozenset(k) for k in keys]
+    candidate_sets = [frozenset(c) for c in candidate_sets]
+    imgs = l2_normalize_rows(image_emb)
+    pairs = [(i, t) for i, (k, c) in enumerate(zip(keys, candidate_sets)) for t in sorted(c - k)]
+    negative: list[list[str]] = [[] for _ in keys]
+    if pairs:
+        vectors = index.vectors([term for _, term in pairs])
+        _check_width(vectors.shape[1], imgs.shape[1])
+        owner = np.fromiter((i for i, _ in pairs), np.intp, len(pairs))
+        scores = (vectors[:, None, :] @ imgs[owner, :, None])[:, 0, 0]
+        for (i, term), below in zip(pairs, (scores <= tau_sim).tolist()):
+            if below:
+                negative[i].append(term)
+    splits = [EntitySets.split(*parts) for parts in zip(keys, candidate_sets, negative)]
+    return splits[0] if one else splits
 
 
 # --- vocabulary files --------------------------------------------------------

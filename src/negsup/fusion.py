@@ -2,6 +2,11 @@
 mixing, cross-attention over retrieved captions, and the prefix mapping
 network.
 
+The gate's score and the mix (clip_score, fuse_sif) take one pair of
+vectors or two (n, d) stacks, as the pipeline gates and fuses a batch at
+once; every dot product is a per-row BLAS dot, so each row equals the
+one-pair call bit for bit.
+
 An instance's prefix features are an (L, d) float64 array. Projection
 matrices act on column vectors (token_out = M @ token_in), stored
 row-major.
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .embedding import as_vector, normalize_total
+from .embedding import as_rows, normalize_total_rows
 from .errors import (
     DimMismatch,
     EmptyRetrieval,
@@ -74,39 +79,57 @@ class FusionConfig:
             raise ValueError(f"tau_quality must be in [0, 1], got {self.tau_quality}")
 
 
-def clip_score(a, b) -> float:
-    """Cosine similarity of two (not necessarily normalized) vectors."""
-    va = as_vector(a)
-    vb = as_vector(b)
-    if va.shape[0] != vb.shape[0]:
-        raise DimMismatch(f"dims differ: {va.shape[0]} vs {vb.shape[0]}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two vectors, or two (n, d) stacks, as rows (see embedding.as_rows),
+    of one shape."""
+    rows_a, rows_b = as_rows(a), as_rows(b)
+    if rows_a.shape != rows_b.shape:
+        raise DimMismatch(f"shapes differ: {np.shape(a)} vs {np.shape(b)}")
+    return rows_a, rows_b
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i].dot(b[i]) of every row, as a stack of (1, d) @ (d, 1) products,
+    which run np.dot's per-row BLAS dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def clip_score(a, b):
+    """Cosine similarity of two (not necessarily normalized) vectors: a
+    float for two (d,) vectors, an (n,) array for two (n, d) stacks, row
+    by row. Each is dot(a, b) / (norm(a) * norm(b)), with np.linalg.norm's
+    sqrt(v.dot(v)), every dot a per-row BLAS dot, so a stack's rows equal
+    the scores of their vectors bit for bit."""
+    va, vb = _pair(a, b)
+    na, nb = np.sqrt(_row_dots(va, va)), np.sqrt(_row_dots(vb, vb))
+    if not (na.all() and nb.all()):
         raise ZeroVector("clip_score is undefined for zero vectors")
-    return float(np.dot(va, vb)) / (na * nb)
+    scores = _row_dots(va, vb) / (na * nb)
+    return float(scores[0]) if np.ndim(a) == 1 else scores
 
 
 def fuse_sif(synthetic_emb, text_emb, config: FusionConfig) -> np.ndarray:
-    """Mix a synthetic-image embedding with a text embedding.
+    """Mix a synthetic-image embedding with a text embedding: two (d,)
+    vectors give one (d,) mix, two (n, d) stacks the (n, d) mixes, row by
+    row, each equal to the mix of its vectors bit for bit.
 
     forward: w*synthetic + (1-w)*text, reverse swaps the roles; w is the
     fixed alpha or the pair's similarity clamped to [0, 1]. The mix is
     renormalized (an exactly-cancelling mix becomes the unit basis e1).
     """
-    synth = as_vector(synthetic_emb)
-    text = as_vector(text_emb)
-    if synth.shape[0] != text.shape[0]:
-        raise DimMismatch(f"dims differ: {synth.shape[0]} vs {text.shape[0]}")
+    synth, text = _pair(synthetic_emb, text_emb)
     if config.strategy == STRATEGY_FIXED:
         w = float(config.alpha)
     else:
-        w = min(1.0, max(0.0, clip_score(synth, text)))
+        # min(1.0, max(0.0, score)), as Python's min and max pick
+        score = np.atleast_1d(clip_score(synth, text))
+        w = np.where(score > 0.0, np.where(score < 1.0, score, 1.0), 0.0)[:, None]
     if config.strategy == STRATEGY_CLIPSCORE_REVERSE:
         mixed = (1.0 - w) * synth + w * text
     else:
         mixed = w * synth + (1.0 - w) * text
-    return normalize_total(mixed)
+    fused = normalize_total_rows(mixed)
+    return fused[0] if np.ndim(synthetic_emb) == 1 else fused
 
 
 # --- attention weights -------------------------------------------------------

@@ -10,11 +10,14 @@ Kernels are deterministic for fixed inputs:
                        that a caller-given function supplies for the
                        candidates only, and ordered (score desc, row asc);
                        the one ranking rule of both retrieval and entity
-                       classification. When BLAS runs one thread (by its
-                       thread variables) and the process may run on 2 or
-                       more CPUs, its first pass splits the scan into two
-                       contiguous ranges of chunks, one scanned by the
-                       calling thread and one by a worker thread
+                       classification. Each block is ranked with no loop
+                       over its queries: pass 2 scores each candidate
+                       group's slab against all its queries at once. When
+                       BLAS runs one thread (by its thread variables) and
+                       the process may run on 2 or more CPUs, its first
+                       pass splits the scan into two contiguous ranges of
+                       chunks, one scanned by the calling thread and one
+                       by a worker thread
   attention_core    -- row-softmax scaled dot-product attention
   negative_scores   -- per-token max attention weight over negative queries
 
@@ -140,8 +143,9 @@ def exact_top(
     copy of it in a narrower float dtype; every approximate score below is a
     product with `scan`, and the score returned is one float64 dot product
     of a unit row per row, so it does not depend on the block, the chunk or
-    the scan, and rows with equal vectors tie exactly. Queries are ranked
-    QUERY_BLOCK at a time, in two passes:
+    the scan, and rows with equal vectors tie exactly. `queries` is a
+    sequence or an array of them. Queries are ranked QUERY_BLOCK at a time,
+    in two passes, with no loop over the queries of a block:
 
     1. `scan` is scored against the block SCAN_ROWS rows at a time, and each
        chunk is kept only as its per-query maximum over every GROUP rows.
@@ -151,20 +155,31 @@ def exact_top(
        worker thread; otherwise the calling thread scans them all, and
        BLAS's own threads share out each product. The calling thread alone
        takes each query's bound from the maxima and runs pass 2.
-    2. For each query, the rows of the groups whose maximum is within the
-       margin of the bound (below) are scored again from `scan`, SCAN_ROWS
-       rows at a time. Those within the margin of their k-th score are the
-       query's candidates. The block's candidates are fetched from
-       `unit_rows` SCAN_ROWS rows at a time and re-scored in float64 as
-       one stack of (1, d) @ (d, 1) products per fetch, which runs the
-       per-row BLAS dot of np.dot(row, query), bit for bit; each query's
-       are sorted and cut to k.
+    2. The (query, group) pairs whose group maximum is within the margin
+       (below) of the query's bound are read from the maxima with one
+       np.nonzero. Each such group is scored again from `scan`, as one
+       product of its GROUP-row slab of `scan` (a view, not a gather) with
+       all the queries it is a candidate for. The pass-2 scores at or
+       above a query's bound hold its k-th best (see below); one np.lexsort
+       of them by (query, -score) gives every query's k-th best pass-2
+       score, and the rows within the margin of it are the query's
+       candidates (see _near_candidates). With k >= the number of groups
+       the bound is -inf: pass 1 is skipped, and one product of all of
+       `scan` with the block and one np.partition along its rows give each
+       query's k-th best scan score (see _all_candidates).
+
+    The block's candidates are fetched from `unit_rows` SCAN_ROWS rows at a
+    time and re-scored in float64 as one stack of (1, d) @ (d, 1) products
+    per fetch, which runs the per-row BLAS dot of np.dot(row, query), bit
+    for bit. One np.lexsort orders them by (query, -score, row) and each
+    query keeps its first k (see _ranked).
 
     The margin: for unit vectors, a dot product in a precision with unit
     roundoff u = eps/2 is off by at most (d+2)*u (d*u from the sum, 2*u
     from rounding the operands to that precision), so any scan score of a
-    row and its float64 re-score differ by at most e = 2*(d+2)*u. A scan
-    row s need not be the rounding of its unit row v: a row with
+    row and its float64 re-score differ by at most e = 2*(d+2)*u, and two
+    scan scores of one row (pass 1's and pass 2's products) by at most e.
+    A scan row s need not be the rounding of its unit row v: a row with
     |norm(s) - 1| <= eps (a loaded store scans its file's rows when all
     are) differs from v by at most |norm(s) - 1| + O(d*u64) <= 2*u, one u
     more than a rounding, for at most (d+3)*u, still within e. The margin
@@ -174,63 +189,100 @@ def exact_top(
     Its k best groups hold k distinct rows that scan at >= b, so at least k
     rows re-score at >= b - e, and so does every row of the exact top k.
     Such a row scans at >= b - 2*e, so its group's maximum is within the
-    margin of b, and pass 2 sees it. The candidate groups hold at least k
-    rows; with c their k-th pass-2 score, the same argument puts every
-    row of the exact top k within 2*e of c. So the rows re-scored hold the
-    exact top k, and sorting them returns it. With k >= the number of
-    groups the bound is -inf: pass 1 is skipped and pass 2 scores all rows.
+    margin of b, and pass 2 sees it. The k best groups' maximum rows score
+    >= b - e in pass 2 as well, so the query's k-th best pass-2 score c is
+    at least b - margin, and the pass-2 scores at or above b - margin hold
+    it. The candidate groups hold at least k rows; the same argument puts
+    every row of the exact top k within 2*e of c. So the rows re-scored
+    hold the exact top k, and sorting them returns it.
     """
     n, d = scan.shape
     margin = 4 * (d + 2) * float(np.finfo(scan.dtype).eps)
     n_groups = -(-n // GROUP)
-    offsets = np.arange(GROUP)
     results = []
     for start in range(0, len(queries), QUERY_BLOCK):
         batch = queries[start : start + QUERY_BLOCK]
         block = np.array(batch, dtype=scan.dtype)
         if k < n_groups:
-            maxima = _group_maxima(scan, block)
-            kth = n_groups - k
-            # partitioned in place along C-ordered rows: np.partition would
-            # keep the transpose's strides, np.ascontiguousarray would give
-            # a view of the maxima at B = 1
-            part = maxima.T.copy()
-            part.partition(kth, axis=1)
-            bounds = part[:, kth].astype(np.float64) - margin
-            del part
-            near = np.greater_equal(maxima.T, bounds[:, None], order="C")
-            del maxima  # before the next block's
-        picked = []  # each query's candidate rows
-        for b in range(len(batch)):
-            if k < n_groups:
-                rows = (np.flatnonzero(near[b])[:, None] * GROUP + offsets).ravel()
-                if rows[-1] >= n:  # the last group is short
-                    rows = rows[rows < n]
-                # gathered SCAN_ROWS at a time: ties can make all groups candidates
-                scores = np.concatenate([
-                    dot_scores(scan[rows[i : i + SCAN_ROWS]], block[b])
-                    for i in range(0, rows.shape[0], SCAN_ROWS)
-                ])
-            else:
-                rows = np.arange(n)
-                scores = dot_scores(scan, block[b])
-            m = rows.shape[0]
-            cutoff = float(np.partition(scores, m - k)[m - k]) - margin if k < m else -np.inf
-            picked.append(rows[scores >= cutoff])
-        rows = np.concatenate(picked)
-        owner = np.repeat(np.arange(len(batch)), [p.shape[0] for p in picked])
-        units = np.asarray(batch, dtype=np.float64)
-        # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
-        exact = (-np.concatenate([
-            (unit_rows(rows[i : i + SCAN_ROWS])[:, None, :]
-             @ units[owner[i : i + SCAN_ROWS], :, None])[:, 0, 0]
-            for i in range(0, rows.shape[0], SCAN_ROWS)
-        ])).tolist()
-        at = 0
-        for p in picked:
-            scored = sorted(zip(exact[at : at + p.shape[0]], p.tolist()))
-            at += p.shape[0]
-            results.append([(-neg, i) for neg, i in scored[:k]])
+            owner, rows = _near_candidates(scan, block, k, margin)
+        else:
+            owner, rows = _all_candidates(scan, block, k, margin)
+        results += _ranked(unit_rows, np.asarray(batch, dtype=np.float64), owner, rows, k)
+    return results
+
+
+def _kth_best(values: np.ndarray, owner: np.ndarray, k: int, width: int) -> np.ndarray:
+    """The k-th largest of the values of each of owners 0..width-1, each of
+    which owns at least k of them, as float64: one np.lexsort by (owner,
+    -value)."""
+    order = np.lexsort((-values, owner))
+    counts = np.bincount(owner, minlength=width)
+    return values[order[np.cumsum(counts) - counts + k - 1]].astype(np.float64)
+
+
+def _near_candidates(scan, block, k, margin) -> tuple[np.ndarray, np.ndarray]:
+    """(query, row) of every candidate of the block's queries, for k below
+    the number of groups: passes 1 and 2 of exact_top."""
+    n = scan.shape[0]
+    maxima = _group_maxima(scan, block)
+    n_groups = maxima.shape[0]
+    kth = n_groups - k
+    # partitioned in place along C-ordered rows: np.partition would keep the
+    # transpose's strides, np.ascontiguousarray would give a view of the
+    # maxima at B = 1
+    part = maxima.T.copy()
+    part.partition(kth, axis=1)
+    bounds = part[:, kth].astype(np.float64) - margin
+    del part
+    groups, owner = np.nonzero(maxima >= bounds)  # in (group, query) order
+    del maxima  # before pass 2's scores
+    pairs = groups.shape[0]
+    firsts = np.flatnonzero(np.diff(groups, prepend=-1))
+    pair_queries = block[owner]
+    scores = np.empty((pairs, GROUP), dtype=scan.dtype)
+    for g, lo, hi in zip(groups[firsts].tolist(), firsts.tolist(), [*firsts[1:].tolist(), pairs]):
+        slab = scan[g * GROUP : (g + 1) * GROUP]
+        scores[lo:hi, : slab.shape[0]] = dot_scores(slab, pair_queries[lo:hi])
+    if n % GROUP:  # the short last group's missing rows
+        scores[groups == n_groups - 1, n % GROUP :] = -np.inf
+    pair, col = np.nonzero(scores >= bounds[owner][:, None])
+    values = scores[pair, col]
+    cutoffs = _kth_best(values, owner[pair], k, block.shape[0]) - margin
+    near = values >= cutoffs[owner[pair]]
+    pair, col = pair[near], col[near]
+    return owner[pair], groups[pair] * GROUP + col
+
+
+def _all_candidates(scan, block, k, margin) -> tuple[np.ndarray, np.ndarray]:
+    """(query, row) of every candidate of the block's queries, for k at or
+    above the number of groups: one product and one partition."""
+    n = scan.shape[0]
+    scores = dot_scores(scan, block)
+    if k < n:
+        cutoffs = np.partition(scores, n - k, axis=1)[:, n - k].astype(np.float64) - margin
+    else:
+        cutoffs = np.full(block.shape[0], -np.inf)
+    return np.nonzero(scores >= cutoffs[:, None])
+
+
+def _ranked(unit_rows, units, owner, rows, k) -> list[list[tuple[float, int]]]:
+    """Each query's (score, row) pairs: its candidates re-scored in float64,
+    ordered by (score desc, row asc) and cut to k."""
+    # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
+    exact = np.concatenate([
+        (unit_rows(rows[i : i + SCAN_ROWS])[:, None, :]
+         @ units[owner[i : i + SCAN_ROWS], :, None])[:, 0, 0]
+        for i in range(0, rows.shape[0], SCAN_ROWS)
+    ])
+    order = np.lexsort((rows, -exact, owner))
+    owner, rows, exact = owner[order], rows[order], exact[order]
+    counts = np.bincount(owner, minlength=units.shape[0])
+    keep = np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner] < k
+    scores, kept = exact[keep].tolist(), rows[keep].tolist()
+    results, at = [], 0
+    for count in np.minimum(counts, k).tolist():
+        results.append(list(zip(scores[at : at + count], kept[at : at + count])))
+        at += count
     return results
 
 

@@ -34,9 +34,11 @@ import numpy as np
 from .datastore import DEFAULT_K, Datastore, RetrievalResult, retrieve
 from .embedding import (
     EmbeddingSource,
+    as_rows,
+    embed_rows,
     embed_text,
-    l2_normalize,
-    normalize_total,
+    l2_normalize_rows,
+    normalize_total_rows,
     tokenize,
 )
 from .entities import (
@@ -51,7 +53,14 @@ from .entities import (
     longest_runs,
     match_runs,
 )
-from .errors import DimMismatch, EmptyRetrieval, FormatError, InvariantError, UnknownKey
+from .errors import (
+    DimMismatch,
+    EmptyRetrieval,
+    FormatError,
+    InvariantError,
+    UnknownKey,
+    ZeroVector,
+)
 from .fusion import (
     AttentionWeights,
     FusionConfig,
@@ -220,19 +229,18 @@ def default_weights(store: Datastore, config: PipelineConfig) -> AttentionWeight
     return xavier_weights(store.dim, config.prefix_length, config.seed)
 
 
-def _training_query(
-    text_emb: np.ndarray, synthetic_emb, config: PipelineConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Query stage of a training instance: (retrieval query, fused features)."""
-    synthetic = l2_normalize(synthetic_emb)
-    fused = fuse_sif(synthetic, text_emb, config.fusion) if config.enable_sif else text_emb
+def _training_query(text: np.ndarray, synthetic, config: PipelineConfig):
+    """Query stage of training instances, as (n, d) stacks of their text
+    and synthetic-image embeddings: (retrieval queries, fused features)."""
+    synthetic = l2_normalize_rows(synthetic)
+    fused = fuse_sif(synthetic, text, config.fusion) if config.enable_sif else text
     choice = config.training_query
     if choice == QUERY_AUTO:
         if not config.enable_sir:
             choice = QUERY_TEXT
         else:
             choice = QUERY_FUSED if config.enable_sif else QUERY_SYNTHETIC
-    query = {QUERY_TEXT: text_emb, QUERY_SYNTHETIC: synthetic, QUERY_FUSED: fused}[choice]
+    query = {QUERY_TEXT: text, QUERY_SYNTHETIC: synthetic, QUERY_FUSED: fused}[choice]
     return query, fused
 
 
@@ -267,69 +275,67 @@ class Run:
         self.hashes_keys = keys is None
         self.keys = sources.text if keys is None else keys
 
-    def contexts(
-        self, mode: str, items: Sequence[tuple[str | None, np.ndarray, np.ndarray]]
-    ) -> Iterator[GenerationContext]:
-        """The flow of both phases for (caption | None, retrieval query,
-        features) items: one context per item, in order, made CHUNK items
-        at a time as the caller asks for them.
+    def contexts(self, mode: str, captions, queries, features) -> Iterator[GenerationContext]:
+        """The flow of both phases for n instances, given as their captions
+        (None in inference), their (n, d) retrieval queries and their (n,
+        d) features (one vector is one instance): one context per
+        instance, in order, made CHUNK instances at a time as the caller
+        asks for them.
 
         All queries are retrieved together (see retrieve). The key
         entities are the caption's own in training and, in inference, the
-        features' zero-shot classes, ranked for all items together (see
-        classify_image_entities). The entity split is filter_training,
-        filter_inference against tau_sim, or with NEF off EntitySets.split
-        with no negatives; the features then attend to the retrieved
-        captions and the negatives are suppressed.
+        features' zero-shot classes, ranked for all instances together
+        (see classify_image_entities). The entity split is
+        filter_training, filter_inference against tau_sim (a chunk at a
+        time), or with NEF off EntitySets.split with no negatives; the
+        features then attend to the retrieved captions and the negatives
+        are suppressed.
         """
-        for context, _ in self._finished(mode, items):
-            yield context
+        for contexts, _ in self._chunks(mode, captions, queries, features):
+            yield from contexts
 
-    def _finished(self, mode: str, items) -> Iterator[tuple[GenerationContext, list[list[str]]]]:
-        """contexts() paired with the tokens of each context's hits."""
+    def _chunks(self, mode: str, captions, queries, features):
+        """contexts() a chunk at a time, as (contexts, the tokens of each
+        context's hits)."""
         config = self.config
-        retrievals = retrieve(self.store, [query for _, query, _ in items], config.retrieval_k)
+        features = as_rows(features)
+        retrievals = retrieve(self.store, queries, config.retrieval_k)
         if mode == MODE_INFERENCE:
-            key_terms = classify_image_entities(
-                [features for _, _, features in items], self.index, config.top_m
-            )
+            key_terms = classify_image_entities(features, self.index, config.top_m)
         else:
-            key_terms = [extract_entities(caption, self.vocab) for caption, _, _ in items]
-        for start in range(0, len(items), CHUNK):
+            key_terms = [extract_entities(caption, self.vocab) for caption in captions]
+        for start in range(0, len(retrievals), CHUNK):
             chunk = slice(start, start + CHUNK)
-            yield from self._finish_chunk(mode, items[chunk], retrievals[chunk], key_terms[chunk])
+            yield self._finish_chunk(mode, features[chunk], retrievals[chunk], key_terms[chunk])
 
     def _finish_chunk(
-        self, mode: str, items, retrievals: Sequence[RetrievalResult], key_terms
-    ) -> list[tuple[GenerationContext, list[list[str]]]]:
-        """Finish a chunk of items: each one's entity split (from its hits,
-        tokenized once), then the dense stage and suppression over the
+        self, mode: str, features: np.ndarray, retrievals: Sequence[RetrievalResult], key_terms
+    ) -> tuple[list[GenerationContext], list[list[list[str]]]]:
+        """Finish a chunk of instances: each one's entity split (from its
+        hits, tokenized once), then the dense stage and suppression over the
         chunk's stacks, each stage checking its stack once per chunk."""
         config, index = self.config, self.index
-        hit_tokens, splits, negatives = [], [], []
-        for (_, _, features), retrieval, key in zip(items, retrievals, key_terms):
-            tokens = [tokenize(hit.caption) for hit in retrieval.hits]
-            candidates = frozenset().union(*[entities_in(t, self.vocab) for t in tokens])
-            if not config.enable_nef:
-                entity_sets = EntitySets.split(key, candidates, ())
-            elif mode == MODE_TRAINING:
-                entity_sets = filter_training(key, candidates)
-            else:
-                entity_sets = filter_inference(
-                    key, candidates, features, index, config.tau_sim
-                )
-            hit_tokens.append(tokens)
-            splits.append(entity_sets)
-            negatives.append([index.vector(t) for t in sorted(entity_sets.negative)])
+        hit_tokens = [[tokenize(hit.caption) for hit in r.hits] for r in retrievals]
+        candidates = [
+            frozenset().union(*[entities_in(t, self.vocab) for t in tokens]) for tokens in hit_tokens
+        ]
+        if not config.enable_nef:
+            splits = [EntitySets.split(key, cands, ()) for key, cands in zip(key_terms, candidates)]
+        elif mode == MODE_TRAINING:
+            splits = [filter_training(key, cands) for key, cands in zip(key_terms, candidates)]
+        else:
+            splits = filter_inference(key_terms, candidates, features, index, config.tau_sim)
+        counts = [len(s.negative) for s in splits]
+        terms = [term for s in splits for term in sorted(s.negative)]
+        negatives = np.split(index.vectors(terms), np.cumsum(counts)[:-1])
 
-        # each item's features are one input token
-        tokens_in = np.stack([features for _, _, features in items])[:, None, :]
+        # each instance's features are one input token
         retrieved = np.stack([retrieval.vectors for retrieval in retrievals])
-        fused = fuse_retrieval(tokens_in, retrieved, self.weights)[0]
+        fused = fuse_retrieval(features[:, None, :], retrieved, self.weights)[0]
         prefixes = map_to_prefix(fused, self.weights)
         scores = score_negative_attention(prefixes, negatives)
         if config.enable_as:
-            selected = select_tokens(scores, [len(n) for n in negatives], config.suppression)
+            selected = select_tokens(scores, counts, config.suppression)
             lam = config.suppression.lam
             suppressed = suppress(prefixes, selected, lam)
         else:
@@ -337,7 +343,7 @@ class Run:
             lam = 1.0
             suppressed = prefixes
 
-        finished = []
+        contexts = []
         for i, (retrieval, entity_sets) in enumerate(zip(retrievals, splits)):
             report = SuppressionReport(
                 scores=tuple(scores[i].tolist()),
@@ -352,65 +358,87 @@ class Run:
                 suppression_report=report,
             )
             context.check()
-            finished.append((context, hit_tokens[i]))
-        return finished
+            contexts.append(context)
+        return contexts, hit_tokens
 
-    def _key_vector(self, obj: dict) -> np.ndarray | None:
-        """The vector of the instance's key (see KEY_FIELDS), if it has one;
-        UnknownKey names the instance, the field and the key."""
+    def _key_rows(self, instances: Sequence[dict]) -> tuple[list[int], np.ndarray]:
+        """The positions of the instances that have a key (see KEY_FIELDS)
+        and the (m, d) rows of their keys' vectors, embedded in one call and
+        checked once: an UnknownKey, a width other than the store's
+        (DimMismatch), a non-finite value (FormatError) or a zero vector
+        (ZeroVector) names the first instance at fault, its key field and
+        its key."""
         name = KEY_FIELDS[self.config.mode]
-        key = obj.get(name)
-        if key is None:
-            return None
+        present = [i for i, obj in enumerate(instances) if obj.get(name) is not None]
+        keys = [instances[i][name] for i in present]
         try:
-            return embed_text(self.keys, key)
+            rows = embed_rows(self.keys, keys)
         except UnknownKey as exc:
-            raise UnknownKey(f'instance {obj["id"]!r}: "{name}": {exc}') from None
+            first = next(i for i, key in zip(present, keys) if key not in self.keys)
+            raise UnknownKey(f'instance {instances[first]["id"]!r}: "{name}": {exc}') from None
+        faults = (
+            (DimMismatch, np.full(len(keys), rows.shape[1] != self.store.dim),
+             f"vector dim {rows.shape[1]} != store dim {self.store.dim}"),
+            (FormatError, ~np.isfinite(rows).all(axis=1), "vector has non-finite values"),
+            (ZeroVector, ~rows.any(axis=1), "vector is zero"),
+        )
+        for error, bad, message in faults:
+            if bad.any():
+                at = int(np.argmax(bad))
+                obj = instances[present[at]]
+                raise error(f'instance {obj["id"]!r}: "{name}" {keys[at]!r}: {message}')
+        return present, rows
 
     def batch(self, instances: Sequence[dict]) -> BatchResult:
-        """run_batch's flow for instances that _check_instances passed: each
-        instance's query is made (and training's quality gate applied), then
-        all of them go through contexts() together."""
+        """run_batch's flow for instances that _check_instances passed. The
+        batch's vectors are made as matrices: the key rows (see _key_rows)
+        and, in training, the captions' embeddings (one embed_rows call),
+        the gate's clip_score and the fused queries, row by row; in
+        inference the normalized images. Then all instances that pass the
+        gate go through contexts() together, and each chunk's contexts are
+        decoded together."""
         config = self.config
         skipped: list[dict] = []
-        kept: list[dict] = []
-        # (caption | None, retrieval query, features) of each kept instance
-        items: list[tuple[str | None, np.ndarray, np.ndarray]] = []
-        for obj in instances:
-            if config.mode == MODE_TRAINING:
-                caption = obj["caption"]
-                text_emb = embed_text(self.sources.text, caption)
-                synthetic = self._key_vector(obj)
-                if synthetic is None:
-                    synthetic = text_emb
-                if config.enable_sir or config.enable_sif:
-                    score = clip_score(synthetic, text_emb)
-                    if score < config.fusion.tau_quality:
-                        skipped.append({"id": obj["id"], "clip_score": score})
-                        continue
-                query, fused = _training_query(text_emb, synthetic, config)
-                items.append((caption, query, fused))
-            else:
-                image = l2_normalize(self._key_vector(obj))
-                items.append((None, image, image))
-            kept.append(obj)
+        present, key_rows = self._key_rows(instances)
+        if config.mode == MODE_TRAINING:
+            captions = [obj["caption"] for obj in instances]
+            text = embed_rows(self.sources.text, captions)
+            synthetic = text.copy()
+            synthetic[present] = key_rows
+            kept = list(range(len(instances)))
+            if config.enable_sir or config.enable_sif:
+                scores = clip_score(synthetic, text)
+                low = scores < config.fusion.tau_quality
+                skipped = [
+                    {"id": instances[i]["id"], "clip_score": score}
+                    for i, score in zip(np.flatnonzero(low).tolist(), scores[low].tolist())
+                ]
+                kept = np.flatnonzero(~low).tolist()
+            queries, features = _training_query(text[kept], synthetic[kept], config)
+            captions = [captions[i] for i in kept]
+        else:
+            features = queries = l2_normalize_rows(key_rows)
+            captions = [None] * len(instances)
+            kept = present
 
         outputs: list[dict] = []
         # one chunk at a time: each context is dropped once its output dict is made
-        for obj, (context, hit_tokens) in zip(kept, self._finished(config.mode, items)):
-            out = {
-                "id": obj["id"],
-                "generated": standin_decode(context, hit_tokens, self.vocab),
-                "retrieved": context.retrieval.captions(),
-                "context": context.to_json_dict(),
-            }
-            if "references" in obj:
-                out["references"] = obj["references"]
-            elif config.mode == MODE_TRAINING:
-                out["references"] = [obj["caption"]]
-            outputs.append(out)
-        key_field = KEY_FIELDS[config.mode]
-        hashed = sum(obj.get(key_field) is not None for obj in instances) if self.hashes_keys else 0
+        for contexts, hit_tokens in self._chunks(config.mode, captions, queries, features):
+            generated = standin_decode(contexts, hit_tokens, self.vocab)
+            objs = [instances[i] for i in kept[len(outputs) : len(outputs) + len(contexts)]]
+            for obj, context, text in zip(objs, contexts, generated):
+                out = {
+                    "id": obj["id"],
+                    "generated": text,
+                    "retrieved": context.retrieval.captions(),
+                    "context": context.to_json_dict(),
+                }
+                if "references" in obj:
+                    out["references"] = obj["references"]
+                elif config.mode == MODE_TRAINING:
+                    out["references"] = [obj["caption"]]
+                outputs.append(out)
+        hashed = len(present) if self.hashes_keys else 0
         return BatchResult(outputs=outputs, skipped=skipped, hashed=hashed)
 
 
@@ -429,9 +457,10 @@ def run_training_instance(
     (the caller gates the synthetic embedding). `index` is the run's
     EntityIndex of (sources.entity, vocab); a throwaway one is built when
     it is not given."""
-    query, fused = _training_query(embed_text(sources.text, caption), synthetic_emb, config)
+    text = embed_text(sources.text, caption)[None]
+    query, fused = _training_query(text, synthetic_emb, config)
     run = Run(store, vocab, sources, config, weights, index=index)
-    return next(run.contexts(MODE_TRAINING, [(caption, query, fused)]))
+    return next(run.contexts(MODE_TRAINING, [caption], query, fused))
 
 
 def run_inference_instance(
@@ -448,9 +477,9 @@ def run_inference_instance(
     come from zero-shot classification, and the entity partition uses
     embedding similarity against tau_sim. `index` is as in
     run_training_instance."""
-    image = l2_normalize(image_emb)
+    image = l2_normalize_rows(image_emb)
     run = Run(store, vocab, sources, config, weights, index=index)
-    return next(run.contexts(MODE_INFERENCE, [(None, image, image)]))
+    return next(run.contexts(MODE_INFERENCE, [None], image, image))
 
 
 # --- stand-in decoder ---------------------------------------------------------
@@ -482,33 +511,50 @@ def _delete_negative_tokens(
     return " ".join(kept), len(kept) < len(tokens)
 
 
-def standin_decode(
-    context: GenerationContext,
-    hit_tokens: Sequence[list[str]],
-    vocab: EntityVocabulary | None = None,
-) -> str:
+def standin_decode(contexts, hit_tokens, vocab: EntityVocabulary | None = None):
     """Extractive stand-in for a neural decoder, given the tokens of the
     context's retrieved captions (`hit_tokens`, in hit order) and the hits'
     (k, d) unit rows that retrieve hands out as `context.retrieval.vectors`.
+    For one GenerationContext it returns a caption; for a sequence of
+    contexts of one prefix shape, with one `hit_tokens` list each, a list
+    of captions.
 
     Prefers the retrieved caption most aligned (by cosine) with the mean
     suppressed prefix token among captions that mention no negative entity;
     if every candidate mentions one, the best candidate is returned with
-    the negative surface forms deleted token-wise. Not a language model:
-    exists so the evaluation loop closes deterministically.
+    the negative surface forms deleted token-wise. The probes, the means'
+    normalize_total, are one matrix for all contexts (normalize_total_rows).
+    Not a language model: exists so the evaluation loop closes
+    deterministically.
     """
+    one = isinstance(contexts, GenerationContext)
+    if one:
+        contexts, hit_tokens = [contexts], [hit_tokens]
+    for context, tokens in zip(contexts, hit_tokens):
+        hits, vectors = context.retrieval.hits, context.retrieval.vectors
+        if not hits:
+            raise EmptyRetrieval("stand-in decoding needs at least one retrieved caption")
+        if vectors is None or len(vectors) != len(hits) or len(tokens) != len(hits):
+            raise DimMismatch(
+                f"{len(hits)} hits need as many unit rows (RetrievalResult.vectors,"
+                " as retrieve makes them) and token lists"
+            )
+    if len(contexts) != len(hit_tokens):
+        raise DimMismatch(f"{len(contexts)} contexts need as many token lists")
+    prefixes = np.stack([context.suppressed_prefix for context in contexts])
+    probes = normalize_total_rows(prefixes.mean(axis=1))
+    captions = [
+        _decode_one(context, tokens, probe, vocab)
+        for context, tokens, probe in zip(contexts, hit_tokens, probes)
+    ]
+    return captions[0] if one else captions
+
+
+def _decode_one(context: GenerationContext, hit_tokens, probe, vocab) -> str:
+    """standin_decode of one checked context, given its probe."""
     hits = context.retrieval.hits
-    if not hits:
-        raise EmptyRetrieval("stand-in decoding needs at least one retrieved caption")
-    vectors = context.retrieval.vectors
-    if vectors is None or len(vectors) != len(hits) or len(hit_tokens) != len(hits):
-        raise DimMismatch(
-            f"{len(hits)} hits need as many unit rows (RetrievalResult.vectors,"
-            " as retrieve makes them) and token lists"
-        )
-    probe = normalize_total(context.suppressed_prefix.mean(axis=0))
     # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
-    cosines = (vectors[:, None, :] @ probe[:, None])[:, 0, 0].tolist()
+    cosines = (context.retrieval.vectors[:, None, :] @ probe[:, None])[:, 0, 0].tolist()
     order = sorted(range(len(hits)), key=lambda j: (-cosines[j], hits[j].id, hits[j].caption))
     runs = _negative_runs(context.entity_sets.negative, vocab)
     longest = longest_runs(runs)

@@ -31,6 +31,11 @@ from negsup.errors import (
 )
 
 
+def caption_of(store, rid):
+    """The caption of record `rid` (KeyError when the store has none)."""
+    return store.captions[store._row(rid)]
+
+
 def _random_records(rng, count, dim, prefix="r"):
     return [
         (f"{prefix}{i:04d}", f"caption {prefix}{i}", rng.normal(size=dim))
@@ -380,7 +385,7 @@ class TestPersistence:
         )
         (tmp_path / "caps.tsv").write_text("a\tthe caption\n")
         store = ingest_datastore(tmp_path / "caps.tsv", tmp_path / "v.jsonl")
-        assert store.caption_of("a") == "the caption"
+        assert caption_of(store, "a") == "the caption"
 
 
 # characters str.splitlines() splits on, other than "\n" and "\r"
@@ -733,7 +738,7 @@ class TestCompactStore:
         store = loaded[0]
         assert "r0000" in store and "r2999" in store and "r1234" in store
         assert "r3000" not in store and "" not in store and "r12345" not in store
-        assert store.caption_of("r1234") == "caption r1234"
+        assert caption_of(store, "r1234") == "caption r1234"
         with pytest.raises(KeyError):
             store.vector_of("r3000")
 

@@ -657,20 +657,23 @@ class TestBatchEntityIndex:
         )
 
     def test_batch_embeds_each_term_once(self, store, vocab, source, monkeypatch):
-        import negsup.entities as entities_mod
+        # every hashed text goes through HashSource.embed_many; the terms'
+        # descriptions go through it once, all in one bulk call
+        calls = []
+        bulk = HashSource.embed_many
 
-        embedded = []
+        def counting_embed_many(src, texts):
+            calls.append([t for t in texts if t.startswith("A photo of ")])
+            return bulk(src, texts)
 
-        def counting_embed_entity(src, term):
-            embedded.append(term)
-            return embed_entity(src, term)
-
-        monkeypatch.setattr(entities_mod, "embed_entity", counting_embed_entity)
+        monkeypatch.setattr(HashSource, "embed_many", counting_embed_many)
         instances = [{"id": rid, "image_key": cap} for rid, cap in CAPTIONS.items()]
         run_batch(
             instances, store, vocab, source_bundle(source), _config(mode="inference", top_m=3)
         )
-        assert sorted(embedded) == sorted(vocab.canonical)
+        descriptions = sorted(f"A photo of {term}" for term in vocab.canonical)
+        assert sorted(t for texts in calls for t in texts) == descriptions
+        assert descriptions in [sorted(texts) for texts in calls]
 
     def test_training_with_partial_entity_file_source(self, store, vocab, source):
         # the entity source lacks the vectors of vocabulary terms that never

@@ -130,19 +130,21 @@ def as_rows(values) -> np.ndarray:
     return matrix
 
 
-def l2_normalize_rows(values, keys=None) -> np.ndarray:
+def l2_normalize_rows(values) -> np.ndarray:
     """l2_normalize of every vector of a stack (see as_rows), as one new
     matrix normalized by normalize_rows, so each row equals l2_normalize
-    of it bit for bit. keys[i] (by default i) names row i in errors."""
+    of it bit for bit; errors name a row by its position."""
     matrix = as_rows(values)
-    return normalize_rows(matrix, range(len(matrix)) if keys is None else keys)
+    return normalize_rows(matrix, range(len(matrix)))
 
 
 def normalize_total_rows(values) -> np.ndarray:
     """normalize_total of every vector of a stack, as l2_normalize_rows:
-    a zero row becomes the unit basis e1."""
+    a zero row (-0.0 entries included) becomes the unit basis e1."""
     matrix = as_rows(values)
-    matrix[~matrix.any(axis=1), 0] = 1.0
+    zero = ~matrix.any(axis=1)
+    matrix[zero] = 0.0
+    matrix[zero, 0] = 1.0
     return normalize_rows(matrix, range(len(matrix)))
 
 

@@ -174,9 +174,9 @@ class EntityIndex:
     run never scores. The vectors of many terms are asked for at once
     (vectors()), and those not embedded yet are embedded in one
     embedding.embed_rows call: all the terms, when classification first
-    stacks them (rows()), or a chunk's filtered or negative terms. Without a vocabulary the
-    index only memoizes vectors: classification rejects it as an empty
-    vocabulary, and inference filtering uses it.
+    stacks them (rows()), or a chunk's filtered or negative terms.
+    Without a vocabulary the index only memoizes vectors: classification
+    rejects it as an empty vocabulary, and inference filtering uses it.
     """
 
     def __init__(self, source: EmbeddingSource, vocab: EntityVocabulary | None = None):
@@ -198,7 +198,8 @@ class EntityIndex:
             rows = embed_rows(self.source, [ENTITY_TEMPLATE.format(t) for t in missing])
             rows.flags.writeable = False
             self._vectors.update(zip(missing, rows))
-        return np.array([self._vectors[term] for term in terms]).reshape(len(terms), self.source.dim)
+        rows = [self._vectors[term] for term in terms]
+        return np.array(rows).reshape(len(terms), self.source.dim)
 
     def vector(self, term: str) -> np.ndarray:
         self.vectors([term])
@@ -226,12 +227,12 @@ def classify_image_entities(images, index: EntityIndex, top_m: int) -> list[list
     `images` is a sequence or an (n, d) stack of embeddings, normalized as
     one matrix (embedding.l2_normalize_rows: FormatError for a non-finite
     value, ZeroVector for a zero image) and checked once for width
-    (DimMismatch). Each term scores via its templated
-    description embedding, ranked by kernels.exact_top over the index's
-    float64 term matrix, which is both the unit rows and the scan copy, in
-    one call for all images; terms are sorted, so ties break by ascending
-    term. Returns the top min(top_m, |vocab|) terms of each image, in
-    order; no images, no result, whatever the vocabulary.
+    (DimMismatch). Each term scores via its templated description
+    embedding, ranked by kernels.exact_top over the index's float64 term
+    matrix, which is both the unit rows and the scan copy, in one call for
+    all images; terms are sorted, so ties break by ascending term. Returns
+    the top min(top_m, |vocab|) terms of each image, in order; no images,
+    no result, whatever the vocabulary.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
@@ -270,9 +271,9 @@ def filter_inference(
     sets and the result is its EntitySets. For an (n, d) stack of images
     they are lists of n sets each, and the result is a list of n
     EntitySets. The images are normalized as one matrix and checked once,
-    as classify_image_entities checks them, and every (image, filtered term) similarity is one
-    row of a stack of (1, d) @ (d, 1) products, which runs np.dot's
-    per-row BLAS dot.
+    as classify_image_entities checks them, and every (image, filtered
+    term) similarity is one row of a stack of (1, d) @ (d, 1) products,
+    which runs np.dot's per-row BLAS dot.
     """
     if not (-1.0 <= tau_sim <= 1.0) or math.isnan(tau_sim):
         raise ValueError(f"tau_sim must be in [-1, 1], got {tau_sim}")
@@ -281,6 +282,11 @@ def filter_inference(
     keys = [frozenset(k) for k in keys]
     candidate_sets = [frozenset(c) for c in candidate_sets]
     imgs = l2_normalize_rows(image_emb)
+    if not len(keys) == len(candidate_sets) == len(imgs):
+        raise DimMismatch(
+            f"{len(imgs)} images need as many key and candidate sets,"
+            f" got {len(keys)} and {len(candidate_sets)}"
+        )
     pairs = [(i, t) for i, (k, c) in enumerate(zip(keys, candidate_sets)) for t in sorted(c - k)]
     negative: list[list[str]] = [[] for _ in keys]
     if pairs:

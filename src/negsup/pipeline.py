@@ -12,13 +12,19 @@ similarity. run_batch runs the
 flow for many instances at once; run_training_instance and
 run_inference_instance run it for one, without the gate.
 
+A batch's vectors go through as matrices: its key vectors are embedded
+in one call and checked once (naming the instance at fault), training
+embeds its captions in one call and gates and fuses them row by row, and
+each stage normalizes its whole batch once (see embedding.l2_normalize_rows).
+
 After retrieval, instances are finished CHUNK at a time: each retrieved
 caption is tokenized once, for both the candidate entities and the
 decoder, and the dense stage (cross-attention, prefix map) and suppression
 run over the chunk's stacked arrays (fusion.fuse_retrieval and
 map_to_prefix, suppression.score_negative_attention, select_tokens and
 suppress), each of whose rows equals that instance's stack alone bit for
-bit, so the chunk size changes no output byte.
+bit, so the chunk size changes no output byte. The entity filter and the
+stand-in decoder take the chunk at once too.
 
 A small extractive stand-in decoder closes the loop so hallucination
 metrics are computable without a neural decoder.
@@ -317,7 +323,8 @@ class Run:
         config, index = self.config, self.index
         hit_tokens = [[tokenize(hit.caption) for hit in r.hits] for r in retrievals]
         candidates = [
-            frozenset().union(*[entities_in(t, self.vocab) for t in tokens]) for tokens in hit_tokens
+            frozenset().union(*[entities_in(t, self.vocab) for t in tokens])
+            for tokens in hit_tokens
         ]
         if not config.enable_nef:
             splits = [EntitySets.split(key, cands, ()) for key, cands in zip(key_terms, candidates)]

@@ -5,10 +5,14 @@ a config value, a file read before the store) is reported before the
 store is loaded and before anything is retrieved."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import negsup
 from negsup import cli, pipeline
 from negsup.embedding import HashSource, embed_text, write_embedding_file
 from negsup.errors import FormatError
@@ -162,6 +166,60 @@ def test_fault_exits_2_naming_it_before_the_work(work, capsys, monkeypatch, row)
         assert name in err
     assert _tree(work) == before
     assert not set(calls) & set(forbidden)
+
+
+@pytest.mark.parametrize("mode,field", [("inference", "image_key"), ("training", "synthetic_key")])
+def test_key_vector_of_another_width_names_the_instance(work, capsys, monkeypatch, mode, field):
+    """The batch's key vectors are checked once, before any retrieval: a
+    width other than the store's exits 2 naming the instance, its key field
+    and its key."""
+    write_embedding_file(work / "aux8.jsonl", {"k1": [1.0] * 8, "k2": [0.5] * 8}, "jsonl")
+    lines = [{"id": "t1", "caption": "a dog"}, {"id": "t2", "caption": "a cat", field: "k2"}]
+    (work / "keyed.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    calls = []
+    real = pipeline.retrieve
+    monkeypatch.setattr(pipeline, "retrieve", lambda *a: calls.append(a) or real(*a))
+    options = {**BASE_OPTIONS, "--mode": mode, "--input": "{d}/keyed.jsonl",
+               "--aux-embeddings": "{d}/aux8.jsonl"}
+    if mode == "inference":
+        (work / "keyed.jsonl").write_text(
+            '{"id": "t1", "image_key": "k1"}\n{"id": "t2", "image_key": "k2"}\n'
+        )
+    argv = ["run", *(a.format(d=work) for kv in options.items() for a in kv)]
+    before = _tree(work)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    first = "t1" if mode == "inference" else "t2"
+    assert err.startswith("error: ") and f"'{first}'" in err and f'"{field}"' in err
+    assert "dim 8 != store dim 16" in err
+    assert _tree(work) == before and calls == []
+
+
+# `negsup run` in a child whose address space is capped at 1 GiB: argv follows
+CAPPED_RUN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from negsup import cli\n"
+    "sys.exit(cli.main(['run', *sys.argv[1:]]))\n"
+)
+
+
+def test_huge_prefix_length_exits_2_before_allocating(work):
+    """A prefix length whose mapping matrix no memory holds is refused by
+    its size, before the matrix is drawn: under a 1 GiB address space the
+    run exits 2 naming the length and the limit, and writes no output."""
+    (work / "huge.json").write_text('{"prefix_length": 1000000}')
+    argv = [a.format(d=work) for kv in BASE_OPTIONS.items() for a in kv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(negsup.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_RUN, *argv, "--config", str(work / "huge.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
+    assert "prefix length 1000000 at dim 16 needs a" in proc.stderr
+    assert "MiB mapping matrix, over the 512 MiB limit" in proc.stderr
+    assert not (work / "out" / "o.jsonl").exists()
 
 
 # row -> (layout, the vector of key "a", load_embedding_file's message for

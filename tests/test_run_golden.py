@@ -35,7 +35,10 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "run_golden.json"
 
 WORKLOADS = ("infer-vocab", "infer-store", "train-gate")
 SEEDS = (5, 7)
-FLAGS = {"plain": [], "no-as": ["--no-as"], "no-nef": ["--no-nef"], "no-as-no-nef": ["--no-as", "--no-nef"]}
+FLAGS = {
+    "plain": [], "no-as": ["--no-as"], "no-nef": ["--no-nef"],
+    "no-as-no-nef": ["--no-as", "--no-nef"],
+}
 
 # branch -> why no cell reaches it
 UNREACHED = {
@@ -78,7 +81,8 @@ def run_cells(root: Path) -> dict:
             work = root / f"{name}-{seed}"
             inputs.generate(inputs.WORKLOADS[name].tiny(), seed, str(work))
             for flag_name, flags in FLAGS.items():
-                out, report = work / f"{flag_name}.out.jsonl", work / f"{flag_name}.report.jsonl"
+                out = work / f"{flag_name}.out.jsonl"
+                report = work / f"{flag_name}.report.jsonl"
                 argv = [
                     "run", "--store", work / inputs.STORE_DIR, "--config", work / inputs.CONFIG_FILE,
                     "--input", work / inputs.INPUT_FILE, "--vocab", work / inputs.VOCAB_FILE,

@@ -20,13 +20,17 @@ cache-sized chunks against blocks of queries, keeps only per-group maxima
 to bound each query's k-th score, scores the groups near that bound a
 block at a time, and re-scores the rows near the k-th score in float64;
 so a hit's score depends only on its row and the query, never on the
-batch; one query is a batch of one. brute_force_topk is the independent
-oracle (per-record l2_normalize and dots, full stable sort).
+batch; one query is a batch of one. A result carries its hits' unit rows
+(`vectors`) and, made on first use, their captions' tokens (`tokens`), so
+the pipeline's entity filter and stand-in decoder read both from it.
+brute_force_topk is the independent oracle (per-record l2_normalize and
+dots, full stable sort).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import operator
 import os
 from collections.abc import Iterable, Sequence
@@ -44,6 +48,7 @@ from .embedding import (
     l2_normalize_rows,
     normalize_rows,
     read_vector_file,
+    tokenize,
     unit_rows,
     write_embedding_file,
 )
@@ -75,10 +80,17 @@ class RetrievalResult:
 
     `vectors` holds the hits' float64 unit rows when retrieve made the
     result (pipeline.standin_decode reads them), and is not serialized.
+    `tokens` holds each hit's caption as embedding.tokenize splits it, made
+    on first use and kept, so the entity filter's candidates and the
+    stand-in decoder share one tokenizing of each hit.
     """
 
     hits: tuple[Hit, ...]
     vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def tokens(self) -> list[list[str]]:
+        return [tokenize(hit.caption) for hit in self.hits]
 
     def ids(self) -> list[str]:
         return [h.id for h in self.hits]

@@ -41,6 +41,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DimMismatch,
     EmptyInput,
@@ -239,27 +240,21 @@ class HashSource:
         return f"HashSource(dim={self.dim}, seed={self.seed})"
 
 
-def _square_sums(matrix: np.ndarray) -> np.ndarray:
-    """row.dot(row) of every row, as a stack of (1, d) @ (d, 1) products."""
-    return (matrix[:, None, :] @ matrix[:, :, None])[:, 0, 0]
-
-
 def normalize_rows(matrix: np.ndarray, keys) -> np.ndarray:
     """Divide each row of the float64 `matrix` by its norm, in place, and
     return it; keys[i] names row i in errors.
 
     A non-finite row raises FormatError and a zero row ZeroVector. Each norm
     is sqrt(row.dot(row)), as l2_normalize computes it, taken for all rows at
-    once as a stack of (1, d) @ (d, 1) products, which run the same per-row
-    BLAS dot; so every row equals l2_normalize(row) bit for bit. A norm that
-    sums the rows another way (einsum, (m*m).sum(1), norm(axis=1)) rounds
-    many rows differently.
+    once by kernels.row_dots, so every row equals l2_normalize(row) bit for
+    bit. A norm that sums the rows another way (einsum, (m*m).sum(1),
+    norm(axis=1)) rounds many rows differently.
     """
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise FormatError(f"non-finite value in vector for {keys[np.argmin(finite)]!r}")
     with np.errstate(over="ignore"):
-        squares = _square_sums(matrix)
+        squares = kernels.row_dots(matrix, matrix)
     # rows whose square sum overflows, or underflows while nonzero: as in
     # l2_normalize, divided by their largest |entry| first
     zero = squares == 0.0
@@ -267,7 +262,7 @@ def normalize_rows(matrix: np.ndarray, keys) -> np.ndarray:
     odd = odd[~zero[odd] | matrix[odd].any(axis=1)]
     if odd.size:
         matrix[odd] /= np.abs(matrix[odd]).max(axis=1)[:, None]
-        squares[odd] = _square_sums(matrix[odd])
+        squares[odd] = kernels.row_dots(matrix[odd], matrix[odd])
     norms = np.sqrt(squares)
     if not norms.all():
         raise ZeroVector(f"cannot normalize the zero vector for {keys[np.argmin(norms)]!r}")

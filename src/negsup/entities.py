@@ -10,7 +10,8 @@ Zero-shot classification ranks the index's terms for many images at once
 with kernels.exact_top (classify_image_entities). Filtering partitions
 candidate entities into positive/negative sets, either against
 ground-truth key entities (training) or by embedding similarity to the
-image (inference).
+image (inference, for a batch of images at once, each (image, term)
+similarity one row of kernels.row_dots).
 """
 
 from __future__ import annotations
@@ -255,50 +256,43 @@ def filter_training(key: Iterable[str], candidates: Iterable[str]) -> EntitySets
     return EntitySets.split(key, candidates, candidates - key)
 
 
-def filter_inference(
-    key,
-    candidates,
-    image_emb,
-    index: EntityIndex,
-    tau_sim: float = 0.2,
-):
-    """Inference-mode partition: filtered entities whose description
-    embedding (from `index`, whatever its vocabulary) has a similarity to
-    the image strictly above tau_sim join the positive set; the rest are
-    negative.
+def filter_inference(keys, candidates, images, index: EntityIndex, tau_sim: float = 0.2):
+    """Inference-mode partition of n instances: filtered entities whose
+    description embedding (from `index`, whatever its vocabulary) has a
+    similarity to the instance's image strictly above tau_sim join the
+    positive set; the rest are negative.
 
-    For one (d,) image embedding, `key` and `candidates` are its entity
-    sets and the result is its EntitySets. For an (n, d) stack of images
-    they are lists of n sets each, and the result is a list of n
-    EntitySets. The images are normalized as one matrix and checked once,
-    as classify_image_entities checks them, and every (image, filtered
-    term) similarity is one row of a stack of (1, d) @ (d, 1) products,
-    which runs np.dot's per-row BLAS dot.
+    `keys` and `candidates` are lists of n entity sets each and `images` a
+    sequence or an (n, d) stack of n embeddings (one instance is a list of
+    one); the result is a list of n EntitySets. A single (d,) image is a
+    DimMismatch, as its two sets would be read as lists of sets. The
+    images are normalized as one matrix and checked once, as
+    classify_image_entities checks them, and every (image, filtered term)
+    similarity is one row of a kernels.row_dots.
     """
     if not (-1.0 <= tau_sim <= 1.0) or math.isnan(tau_sim):
         raise ValueError(f"tau_sim must be in [-1, 1], got {tau_sim}")
-    one = np.ndim(image_emb) == 1
-    keys, candidate_sets = ([key], [candidates]) if one else (key, candidates)
+    if np.ndim(images) != 2:
+        raise DimMismatch(f"images must be an (n, d) stack, got shape {np.shape(images)}")
     keys = [frozenset(k) for k in keys]
-    candidate_sets = [frozenset(c) for c in candidate_sets]
-    imgs = l2_normalize_rows(image_emb)
-    if not len(keys) == len(candidate_sets) == len(imgs):
+    candidates = [frozenset(c) for c in candidates]
+    imgs = l2_normalize_rows(images)
+    if not len(keys) == len(candidates) == len(imgs):
         raise DimMismatch(
             f"{len(imgs)} images need as many key and candidate sets,"
-            f" got {len(keys)} and {len(candidate_sets)}"
+            f" got {len(keys)} and {len(candidates)}"
         )
-    pairs = [(i, t) for i, (k, c) in enumerate(zip(keys, candidate_sets)) for t in sorted(c - k)]
+    pairs = [(i, t) for i, (k, c) in enumerate(zip(keys, candidates)) for t in sorted(c - k)]
     negative: list[list[str]] = [[] for _ in keys]
     if pairs:
         vectors = index.vectors([term for _, term in pairs])
         _check_width(vectors.shape[1], imgs.shape[1])
         owner = np.fromiter((i for i, _ in pairs), np.intp, len(pairs))
-        scores = (vectors[:, None, :] @ imgs[owner, :, None])[:, 0, 0]
+        scores = kernels.row_dots(vectors, imgs[owner])
         for (i, term), below in zip(pairs, (scores <= tau_sim).tolist()):
             if below:
                 negative[i].append(term)
-    splits = [EntitySets.split(*parts) for parts in zip(keys, candidate_sets, negative)]
-    return splits[0] if one else splits
+    return [EntitySets.split(*parts) for parts in zip(keys, candidates, negative)]
 
 
 # --- vocabulary files --------------------------------------------------------

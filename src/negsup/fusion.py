@@ -88,12 +88,6 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return rows_a, rows_b
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i].dot(b[i]) of every row, as a stack of (1, d) @ (d, 1) products,
-    which run np.dot's per-row BLAS dot."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def clip_score(a, b):
     """Cosine similarity of two (not necessarily normalized) vectors: a
     float for two (d,) vectors, an (n,) array for two (n, d) stacks, row
@@ -101,10 +95,10 @@ def clip_score(a, b):
     sqrt(v.dot(v)), every dot a per-row BLAS dot, so a stack's rows equal
     the scores of their vectors bit for bit."""
     va, vb = _pair(a, b)
-    na, nb = np.sqrt(_row_dots(va, va)), np.sqrt(_row_dots(vb, vb))
+    na, nb = np.sqrt(kernels.row_dots(va, va)), np.sqrt(kernels.row_dots(vb, vb))
     if not (na.all() and nb.all()):
         raise ZeroVector("clip_score is undefined for zero vectors")
-    scores = _row_dots(va, vb) / (na * nb)
+    scores = kernels.row_dots(va, vb) / (na * nb)
     return float(scores[0]) if np.ndim(a) == 1 else scores
 
 

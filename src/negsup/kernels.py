@@ -3,6 +3,10 @@
 Kernels are deterministic for fixed inputs:
   dot_scores        -- dot products of a matrix's rows against one query
                        or a block of queries
+  row_dots          -- a[i].dot(b[i]) of every row, each np.dot's per-row
+                       BLAS dot bit for bit; the one per-row dot rule of
+                       normalization, clip scores, inference filtering,
+                       the decoder's cosines and exact_top's re-scores
   exact_top         -- the top k rows of a matrix for each of many queries,
                        found in a scan copy of the matrix (float32 for
                        retrieval) in cache-sized chunks against blocks of
@@ -40,6 +44,15 @@ def dot_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Score of every row of `matrix` against `queries` (plain dot products):
     shape (N,) for one (d,) query, (B, N) for a (B, d) block."""
     return queries @ matrix.T
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i].dot(b[i]) of every row of two (n, d) matrices (b may be one
+    (1, d) row, dotted with every row of a), as a stack of (1, d) @ (d, 1)
+    products: each runs the BLAS dot that np.dot(a[i], b[i]) runs, so every
+    row equals it bit for bit. A sum taken another way (einsum, (a*b).sum(1))
+    rounds many rows differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 # Queries ranked per block, and store rows scored per chunk of a block: a
@@ -169,10 +182,9 @@ def exact_top(
        query's k-th best scan score (see _all_candidates).
 
     The block's candidates are fetched from `unit_rows` SCAN_ROWS rows at a
-    time and re-scored in float64 as one stack of (1, d) @ (d, 1) products
-    per fetch, which runs the per-row BLAS dot of np.dot(row, query), bit
-    for bit. One np.lexsort orders them by (query, -score, row) and each
-    query keeps its first k (see _ranked).
+    time and re-scored in float64 by one row_dots per fetch, equal to
+    np.dot(row, query) bit for bit. One np.lexsort orders them by (query,
+    -score, row) and each query keeps its first k (see _ranked).
 
     The margin: for unit vectors, a dot product in a precision with unit
     roundoff u = eps/2 is off by at most (d+2)*u (d*u from the sum, 2*u
@@ -197,6 +209,7 @@ def exact_top(
     hold the exact top k, and sorting them returns it.
     """
     n, d = scan.shape
+    k = min(k, n)  # so a k past any C integer ranks the whole matrix
     margin = 4 * (d + 2) * float(np.finfo(scan.dtype).eps)
     n_groups = -(-n // GROUP)
     results = []
@@ -268,10 +281,8 @@ def _all_candidates(scan, block, k, margin) -> tuple[np.ndarray, np.ndarray]:
 def _ranked(unit_rows, units, owner, rows, k) -> list[list[tuple[float, int]]]:
     """Each query's (score, row) pairs: its candidates re-scored in float64,
     ordered by (score desc, row asc) and cut to k."""
-    # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
     exact = np.concatenate([
-        (unit_rows(rows[i : i + SCAN_ROWS])[:, None, :]
-         @ units[owner[i : i + SCAN_ROWS], :, None])[:, 0, 0]
+        row_dots(unit_rows(rows[i : i + SCAN_ROWS]), units[owner[i : i + SCAN_ROWS]])
         for i in range(0, rows.shape[0], SCAN_ROWS)
     ])
     order = np.lexsort((rows, -exact, owner))

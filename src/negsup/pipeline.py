@@ -17,10 +17,11 @@ in one call and checked once (naming the instance at fault), training
 embeds its captions in one call and gates and fuses them row by row, and
 each stage normalizes its whole batch once (see embedding.l2_normalize_rows).
 
-After retrieval, instances are finished CHUNK at a time: each retrieved
-caption is tokenized once, for both the candidate entities and the
-decoder, and the dense stage (cross-attention, prefix map) and suppression
-run over the chunk's stacked arrays (fusion.fuse_retrieval and
+After retrieval, instances are finished CHUNK at a time, each chunk's
+retrieval results handed off to it: each retrieved caption is tokenized
+once, as its result's `tokens`, which both the candidate entities and the
+decoder read, and the dense stage (cross-attention, prefix map) and
+suppression run over the chunk's stacked arrays (fusion.fuse_retrieval and
 map_to_prefix, suppression.score_negative_attention, select_tokens and
 suppress), each of whose rows equals that instance's stack alone bit for
 bit, so the chunk size changes no output byte. The entity filter and the
@@ -76,6 +77,7 @@ from .fusion import (
     map_to_prefix,
     xavier_weights,
 )
+from .kernels import row_dots
 from .metrics import is_entity_json
 from .suppression import (
     SuppressionConfig,
@@ -297,12 +299,13 @@ class Run:
         features then attend to the retrieved captions and the negatives
         are suppressed.
         """
-        for contexts, _ in self._chunks(mode, captions, queries, features):
+        for contexts in self._chunks(mode, captions, queries, features):
             yield from contexts
 
     def _chunks(self, mode: str, captions, queries, features):
-        """contexts() a chunk at a time, as (contexts, the tokens of each
-        context's hits)."""
+        """contexts() a chunk at a time, as lists of contexts. Each chunk's
+        retrieval results leave the batch's list as it takes them, so the
+        hit tokens they make die with the chunk."""
         config = self.config
         features = as_rows(features)
         retrievals = retrieve(self.store, queries, config.retrieval_k)
@@ -310,21 +313,22 @@ class Run:
             key_terms = classify_image_entities(features, self.index, config.top_m)
         else:
             key_terms = [extract_entities(caption, self.vocab) for caption in captions]
-        for start in range(0, len(retrievals), CHUNK):
+        for start in range(0, len(key_terms), CHUNK):
             chunk = slice(start, start + CHUNK)
-            yield self._finish_chunk(mode, features[chunk], retrievals[chunk], key_terms[chunk])
+            results = retrievals[:CHUNK]
+            del retrievals[:CHUNK]
+            yield self._finish_chunk(mode, features[chunk], results, key_terms[chunk])
 
     def _finish_chunk(
         self, mode: str, features: np.ndarray, retrievals: Sequence[RetrievalResult], key_terms
-    ) -> tuple[list[GenerationContext], list[list[list[str]]]]:
+    ) -> list[GenerationContext]:
         """Finish a chunk of instances: each one's entity split (from its
-        hits, tokenized once), then the dense stage and suppression over the
-        chunk's stacks, each stage checking its stack once per chunk."""
+        hits' tokens), then the dense stage and suppression over the chunk's
+        stacks, each stage checking its stack once per chunk."""
         config, index = self.config, self.index
-        hit_tokens = [[tokenize(hit.caption) for hit in r.hits] for r in retrievals]
         candidates = [
-            frozenset().union(*[entities_in(t, self.vocab) for t in tokens])
-            for tokens in hit_tokens
+            frozenset().union(*[entities_in(t, self.vocab) for t in r.tokens])
+            for r in retrievals
         ]
         if not config.enable_nef:
             splits = [EntitySets.split(key, cands, ()) for key, cands in zip(key_terms, candidates)]
@@ -366,7 +370,7 @@ class Run:
             )
             context.check()
             contexts.append(context)
-        return contexts, hit_tokens
+        return contexts
 
     def _key_rows(self, instances: Sequence[dict]) -> tuple[list[int], np.ndarray]:
         """The positions of the instances that have a key (see KEY_FIELDS)
@@ -430,8 +434,8 @@ class Run:
 
         outputs: list[dict] = []
         # one chunk at a time: each context is dropped once its output dict is made
-        for contexts, hit_tokens in self._chunks(config.mode, captions, queries, features):
-            generated = standin_decode(contexts, hit_tokens, self.vocab)
+        for contexts in self._chunks(config.mode, captions, queries, features):
+            generated = standin_decode(contexts, self.vocab)
             objs = [instances[i] for i in kept[len(outputs) : len(outputs) + len(contexts)]]
             for obj, context, text in zip(objs, contexts, generated):
                 out = {
@@ -518,13 +522,12 @@ def _delete_negative_tokens(
     return " ".join(kept), len(kept) < len(tokens)
 
 
-def standin_decode(contexts, hit_tokens, vocab: EntityVocabulary | None = None):
-    """Extractive stand-in for a neural decoder, given the tokens of the
-    context's retrieved captions (`hit_tokens`, in hit order) and the hits'
-    (k, d) unit rows that retrieve hands out as `context.retrieval.vectors`.
-    For one GenerationContext it returns a caption; for a sequence of
-    contexts of one prefix shape, with one `hit_tokens` list each, a list
-    of captions.
+def standin_decode(contexts: Sequence[GenerationContext], vocab: EntityVocabulary | None = None):
+    """Extractive stand-in for a neural decoder: one caption for each of a
+    sequence of GenerationContexts of one prefix shape (one context is a
+    list of one). It reads each context's retrieved captions' tokens
+    (`context.retrieval.tokens`) and the hits' (k, d) unit rows that
+    retrieve hands out as `context.retrieval.vectors`.
 
     Prefers the retrieved caption most aligned (by cosine) with the mean
     suppressed prefix token among captions that mention no negative entity;
@@ -534,41 +537,31 @@ def standin_decode(contexts, hit_tokens, vocab: EntityVocabulary | None = None):
     Not a language model: exists so the evaluation loop closes
     deterministically.
     """
-    one = isinstance(contexts, GenerationContext)
-    if one:
-        contexts, hit_tokens = [contexts], [hit_tokens]
-    for context, tokens in zip(contexts, hit_tokens):
+    for context in contexts:
         hits, vectors = context.retrieval.hits, context.retrieval.vectors
         if not hits:
             raise EmptyRetrieval("stand-in decoding needs at least one retrieved caption")
-        if vectors is None or len(vectors) != len(hits) or len(tokens) != len(hits):
+        if vectors is None or len(vectors) != len(hits):
             raise DimMismatch(
                 f"{len(hits)} hits need as many unit rows (RetrievalResult.vectors,"
-                " as retrieve makes them) and token lists"
+                " as retrieve makes them)"
             )
-    if len(contexts) != len(hit_tokens):
-        raise DimMismatch(f"{len(contexts)} contexts need as many token lists")
     prefixes = np.stack([context.suppressed_prefix for context in contexts])
     probes = normalize_total_rows(prefixes.mean(axis=1))
-    captions = [
-        _decode_one(context, tokens, probe, vocab)
-        for context, tokens, probe in zip(contexts, hit_tokens, probes)
-    ]
-    return captions[0] if one else captions
+    return [_decode_one(context, probe, vocab) for context, probe in zip(contexts, probes)]
 
 
-def _decode_one(context: GenerationContext, hit_tokens, probe, vocab) -> str:
+def _decode_one(context: GenerationContext, probe, vocab) -> str:
     """standin_decode of one checked context, given its probe."""
-    hits = context.retrieval.hits
-    # a stack of (1, d) @ (d, 1) products runs np.dot's per-row BLAS dot
-    cosines = (context.retrieval.vectors[:, None, :] @ probe[:, None])[:, 0, 0].tolist()
+    hits, tokens = context.retrieval.hits, context.retrieval.tokens
+    cosines = row_dots(context.retrieval.vectors, probe[None]).tolist()
     order = sorted(range(len(hits)), key=lambda j: (-cosines[j], hits[j].id, hits[j].caption))
     runs = _negative_runs(context.entity_sets.negative, vocab)
     longest = longest_runs(runs)
     for j in order:
-        if not _delete_negative_tokens(hit_tokens[j], runs, longest)[1]:
+        if not _delete_negative_tokens(tokens[j], runs, longest)[1]:
             return hits[j].caption
-    return _delete_negative_tokens(hit_tokens[order[0]], runs, longest)[0]
+    return _delete_negative_tokens(tokens[order[0]], runs, longest)[0]
 
 
 # --- batch runner ---------------------------------------------------------------

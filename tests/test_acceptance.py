@@ -132,7 +132,7 @@ def test_criterion_2_set_algebra_oracle():
             assert trained.negative == neg
 
             tau = float(rng.uniform(-1.0, 1.0))
-            inferred = filter_inference(key, candidates, image, EntityIndex(source), tau)
+            inferred = filter_inference([key], [candidates], [image], EntityIndex(source), tau)[0]
             inferred.check()
             filt, pos, neg = _exhaustive_partition(
                 key,
@@ -145,7 +145,7 @@ def test_criterion_2_set_algebra_oracle():
 
             if trial % 5 == 0:
                 ladder = [
-                    filter_inference(key, candidates, image, EntityIndex(source), t)
+                    filter_inference([key], [candidates], [image], EntityIndex(source), t)[0]
                     for t in tau_ladder
                 ]
                 for lo, hi in zip(ladder, ladder[1:]):

@@ -252,7 +252,7 @@ class TestEntityIndex:
         for _ in range(5):
             image = rng.normal(size=16)
             classify_image_entities([image], index, 3)[0]
-            filter_inference({"thing0"}, {"thing1", "thing2", "other"}, image, index, 0.1)
+            filter_inference([{"thing0"}], [{"thing1", "thing2", "other"}], [image], index, 0.1)[0]
         assert src.calls == len(terms) + 1  # "other" is not in the vocabulary
 
     def test_filter_inference_matches_throwaway_index(self):
@@ -263,8 +263,8 @@ class TestEntityIndex:
             image = rng.normal(size=8)
             key, candidates = {"dog"}, {"dog", "kite", "ball", "cat"}
             for tau in (-0.5, 0.0, 0.3):
-                assert filter_inference(key, candidates, image, index, tau) == (
-                    filter_inference(key, candidates, image, EntityIndex(src), tau)
+                assert filter_inference([key], [candidates], [image], index, tau)[0] == (
+                    filter_inference([key], [candidates], [image], EntityIndex(src), tau)[0]
                 )
 
     def test_vectors_are_read_only(self):
@@ -290,7 +290,7 @@ class TestEntityIndex:
         with pytest.raises(DimMismatch):
             classify_image_entities([np.ones(4)], index, 1)[0]
         with pytest.raises(DimMismatch):
-            filter_inference(set(), {"dog"}, np.ones(4), index, 0.0)
+            filter_inference([set()], [{"dog"}], [np.ones(4)], index, 0.0)[0]
 
 
 class TestClassifyMany:
@@ -346,14 +346,18 @@ class TestFilterInference:
     def test_tau_minus_one_passes_everything(self):
         src = HashSource(dim=16, seed=4)
         image = embed_entity(src, "dog")
-        sets = filter_inference({"dog"}, {"dog", "kite", "ball"}, image, EntityIndex(src), -1.0)
+        sets = filter_inference(
+            [{"dog"}], [{"dog", "kite", "ball"}], [image], EntityIndex(src), -1.0
+        )[0]
         assert sets.positive == {"dog", "kite", "ball"}
         assert sets.negative == set()
 
     def test_tau_one_passes_nothing(self):
         src = HashSource(dim=16, seed=4)
         image = embed_entity(src, "dog")
-        sets = filter_inference({"dog"}, {"dog", "kite", "ball"}, image, EntityIndex(src), 1.0)
+        sets = filter_inference(
+            [{"dog"}], [{"dog", "kite", "ball"}], [image], EntityIndex(src), 1.0
+        )[0]
         assert sets.positive == {"dog"}
         assert sets.negative == {"kite", "ball"}
 
@@ -361,8 +365,8 @@ class TestFilterInference:
         src = HashSource(dim=32, seed=5)
         image = embed_entity(src, "frisbee")
         sets = filter_inference(
-            {"dog"}, {"dog", "frisbee", "kite"}, image, EntityIndex(src), tau_sim=0.5
-        )
+            [{"dog"}], [{"dog", "frisbee", "kite"}], [image], EntityIndex(src), tau_sim=0.5
+        )[0]
         assert "frisbee" in sets.positive  # cosine with itself is 1 > 0.5
         kite_cos = float(embed_entity(src, "kite") @ image)
         if kite_cos > 0.5:
@@ -374,12 +378,18 @@ class TestFilterInference:
     def test_tau_out_of_range(self):
         src = HashSource(dim=8, seed=0)
         with pytest.raises(ValueError):
-            filter_inference(set(), set(), embed_entity(src, "dog"), EntityIndex(src), 1.5)
+            filter_inference([set()], [set()], [embed_entity(src, "dog")], EntityIndex(src), 1.5)[0]
 
     def test_dim_mismatch(self):
         src = HashSource(dim=8, seed=0)
         with pytest.raises(DimMismatch):
-            filter_inference(set(), {"dog"}, np.ones(4), EntityIndex(src), 0.0)
+            filter_inference([set()], [{"dog"}], [np.ones(4)], EntityIndex(src), 0.0)[0]
+
+    def test_one_image_without_its_batch_rejected(self):
+        # one-instance arguments: the sets would be read as lists of sets
+        src = HashSource(dim=8, seed=0)
+        with pytest.raises(DimMismatch, match="stack"):
+            filter_inference({"dog"}, {"kite"}, embed_entity(src, "dog"), EntityIndex(src), 0.0)
 
 
 _terms = st.sets(
@@ -399,7 +409,7 @@ class TestSetAlgebraProperties:
     def test_inference_invariants(self, key, candidates, tau):
         src = HashSource(dim=16, seed=6)
         image = l2_normalize(np.arange(1.0, 17.0))
-        sets = filter_inference(key, candidates, image, EntityIndex(src), tau)
+        sets = filter_inference([key], [candidates], [image], EntityIndex(src), tau)[0]
         sets.check()
 
     @given(key=_terms, candidates=_terms)
@@ -409,7 +419,8 @@ class TestSetAlgebraProperties:
         image = l2_normalize(np.arange(1.0, 17.0))
         ladder = [-1.0, -0.5, 0.0, 0.5, 1.0]
         results = [
-            filter_inference(key, candidates, image, EntityIndex(src), tau) for tau in ladder
+            filter_inference([key], [candidates], [image], EntityIndex(src), tau)[0]
+            for tau in ladder
         ]
         for lo, hi in zip(results, results[1:]):
             assert hi.positive <= lo.positive
@@ -423,7 +434,7 @@ class TestSetAlgebraProperties:
         src = HashSource(dim=16, seed=8)
         image = l2_normalize(np.arange(1.0, 17.0))
         trained = filter_training(key, candidates)
-        inferred = filter_inference(key, candidates, image, EntityIndex(src), 1.0)
+        inferred = filter_inference([key], [candidates], [image], EntityIndex(src), 1.0)[0]
         assert trained.positive == inferred.positive
         assert trained.negative == inferred.negative
 

@@ -16,6 +16,7 @@ import negsup
 from negsup import cli, pipeline
 from negsup.embedding import HashSource, embed_text, write_embedding_file
 from negsup.errors import FormatError
+from test_run_golden import _inputs_module
 
 CAPTIONS = {
     "c1": "a dog catches a frisbee in the park",
@@ -220,6 +221,67 @@ def test_huge_prefix_length_exits_2_before_allocating(work):
     assert "prefix length 1000000 at dim 16 needs a" in proc.stderr
     assert "MiB mapping matrix, over the 512 MiB limit" in proc.stderr
     assert not (work / "out" / "o.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_infer_vocab(tmp_path_factory):
+    """The tiny infer-vocab benchmark inputs at seed 5 (perfbench/inputs.py)
+    and its module, for its file names."""
+    inputs = _inputs_module()
+    root = tmp_path_factory.mktemp("tiny")
+    inputs.generate(inputs.WORKLOADS["infer-vocab"].tiny(), 5, str(root))
+    return root, inputs
+
+
+def _lines(path):
+    return len(path.read_text("utf-8").splitlines())
+
+
+# row -> (config key, a value past any C integer, the size it acts as)
+HUGE_SIZES = {
+    "top_m_past_int64": ("top_m", 2**63, lambda d, inputs: _lines(d / inputs.VOCAB_FILE)),
+    "retrieval_k_past_int64": (
+        "retrieval_k", 10**23 - 1, lambda d, inputs: _lines(d / inputs.STORE_DIR / "captions.tsv"),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(HUGE_SIZES))
+def test_huge_size_runs_as_the_whole_table(tiny_infer_vocab, capsys, row):
+    """A top_m or retrieval_k past any C integer is capped at the vocabulary
+    or store size: the run exits 0 with no traceback and writes the bytes
+    of a run given that size."""
+    work, inputs = tiny_infer_vocab
+    key, huge, size = HUGE_SIZES[row]
+    config = json.loads((work / inputs.CONFIG_FILE).read_text("utf-8"))
+    outs = []
+    for value in (huge, size(work, inputs)):
+        (work / "sized.json").write_text(json.dumps({**config, key: value}))
+        out = work / f"{row}-{value}.jsonl"
+        argv = [
+            "run", "--store", work / inputs.STORE_DIR, "--config", work / "sized.json",
+            "--input", work / inputs.INPUT_FILE, "--vocab", work / inputs.VOCAB_FILE,
+            "--synonyms", work / inputs.SYNONYMS_FILE, "--aux-embeddings", work / inputs.AUX_FILE,
+            "--out", out,
+        ]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_retrieve_k_past_int64_lists_the_whole_store(tiny_infer_vocab, capsys):
+    work, inputs = tiny_infer_vocab
+    size = _lines(work / inputs.STORE_DIR / "captions.tsv")
+    printed = []
+    for k in (2**63, size):
+        argv = ["retrieve", "--store", str(work / inputs.STORE_DIR), "--query-key", "c0000001",
+                "-k", str(k)]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        printed.append(out)
+    assert printed[0] == printed[1] and len(printed[0].splitlines()) == size
 
 
 # row -> (layout, the vector of key "a", load_embedding_file's message for

@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib
 import importlib.util
@@ -368,3 +369,70 @@ def test_scan_workers_read_at_import(value, workers):
         env=environ, capture_output=True, text=True, check=True,
     )
     assert got.stdout.strip() == str(workers)
+
+
+def _adds_axis(node) -> bool:
+    """Whether `node` indexes with a None, as x[:, None, :] adds an axis."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    parts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(isinstance(p, ast.Constant) and p.value is None for p in parts)
+
+
+def _stacked_row_products(tree) -> list[str]:
+    """The scope ("Class.function", or None for module level) of each
+    stacked row product in `tree`: an `@` or a matmul call both of whose
+    operands add an axis, as a[:, None, :] @ b[:, :, None] does."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        operands = None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "matmul":
+                operands = node.args[:2]
+        if operands is not None and all(_adds_axis(op) for op in operands):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_row_dots_is_the_one_stacked_row_product():
+    """Every per-row dot of the package goes through kernels.row_dots."""
+    package = Path(kernels.__file__).parent
+    found = {
+        (path.stem, scope)
+        for path in sorted(package.glob("*.py"))
+        for scope in _stacked_row_products(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("kernels", "row_dots")}
+
+
+def test_row_product_guard_sees_each_form():
+    source = (
+        "def f(v, p):\n"
+        "    return (v[:, None, :] @ p[:, None])[:, 0, 0]\n"
+        "class A:\n"
+        "    def g(self, a, b):\n"
+        "        return np.matmul(a[:, None, :], b[:, :, None])\n"
+        "    def h(self, a, b):\n"
+        "        return a @ b.T, a[:, None] * b[None]\n"
+    )
+    assert _stacked_row_products(ast.parse(source)) == ["f", "A.g"]
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (7, 16), (300, 128)])
+def test_row_dots_equal_np_dot_of_each_row(shape):
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    dots = kernels.row_dots(a, b)
+    assert [float(x) for x in dots] == [float(np.dot(x, y)) for x, y in zip(a, b)]
+    one = kernels.row_dots(a, b[:1])
+    assert [float(x) for x in one] == [float(np.dot(x, b[0])) for x in a]

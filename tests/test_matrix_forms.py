@@ -206,7 +206,7 @@ def test_batch_filter_equals_one_image_calls():
     for tau in (-0.2, 0.0, 0.15, 1.0):
         batch = filter_inference(keys, candidates, images, EntityIndex(src), tau)
         assert batch == [
-            filter_inference(k, c, image, EntityIndex(src), tau)
+            filter_inference([k], [c], [image], EntityIndex(src), tau)[0]
             for k, c, image in zip(keys, candidates, images)
         ]
     assert filter_inference([], [], np.empty((0, 16)), EntityIndex(src)) == []
@@ -223,9 +223,9 @@ def test_decoder_probes_equal_one_context_calls():
     run = Run(store, vocab, SourceBundle(src), _config(mode="inference", tau_sim=0.1, top_m=3))
     keys = [obj["image_key"] for obj in _seventy_instances("inference")]
     images = l2_normalize_rows([embed_text(src, key) for key in keys])
-    for contexts, tokens in run._chunks("inference", [None] * len(images), images, images):
-        batch = standin_decode(contexts, tokens, vocab)
-        assert batch == [standin_decode(c, t, vocab) for c, t in zip(contexts, tokens)]
+    for contexts in run._chunks("inference", [None] * len(images), images, images):
+        batch = standin_decode(contexts, vocab)
+        assert batch == [standin_decode([c], vocab)[0] for c in contexts]
         prefixes = np.stack([c.suppressed_prefix for c in contexts])
         probes = normalize_total_rows(prefixes.mean(axis=1))
         for context, probe in zip(contexts, probes):

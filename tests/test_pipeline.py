@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import negsup.datastore as datastore_mod
 import negsup.pipeline as pipeline_mod
 from negsup.datastore import Hit, RetrievalResult, build_datastore, retrieve
 from negsup.embedding import (
@@ -14,7 +15,6 @@ from negsup.embedding import (
     embed_entity,
     embed_text,
     l2_normalize,
-    tokenize,
 )
 from negsup.entities import EntityIndex, EntitySets, EntityVocabulary, extract_entities
 from negsup.errors import (
@@ -379,10 +379,6 @@ def _context_for_decode(store, hits, negative, prefix_vec):
     )
 
 
-def _hit_tokens(ctx):
-    return [tokenize(hit.caption) for hit in ctx.retrieval.hits]
-
-
 class TestStandinDecode:
     def test_single_clean_caption_verbatim(self, source):
         caption = "a dog in the park"
@@ -393,7 +389,7 @@ class TestStandinDecode:
             negative=set(),
             prefix_vec=embed_text(source, caption),
         )
-        assert standin_decode(ctx, _hit_tokens(ctx)) == caption
+        assert standin_decode([ctx])[0] == caption
 
     def test_hard_filter_beats_score_ordering(self, source):
         bad = "a dog chases a kite"
@@ -411,7 +407,7 @@ class TestStandinDecode:
             negative={"kite"},
             prefix_vec=embed_text(source, bad),
         )
-        assert standin_decode(ctx, _hit_tokens(ctx)) == good
+        assert standin_decode([ctx])[0] == good
 
     def test_all_candidates_contain_negative_get_tokens_deleted(self, source):
         first = "a dog chases a kite"
@@ -428,7 +424,7 @@ class TestStandinDecode:
             negative={"kite"},
             prefix_vec=embed_text(source, first),
         )
-        assert standin_decode(ctx, _hit_tokens(ctx)) == "a dog chases a"
+        assert standin_decode([ctx])[0] == "a dog chases a"
 
     def test_synonym_surface_forms_filtered_with_vocab(self, source):
         vocab = EntityVocabulary(["television", "dog"], {"tv": "television"})
@@ -446,9 +442,9 @@ class TestStandinDecode:
             negative={"television"},
             prefix_vec=embed_text(source, bad),
         )
-        assert standin_decode(ctx, _hit_tokens(ctx), vocab) == good
+        assert standin_decode([ctx], vocab)[0] == good
         # without the vocabulary the synonym leaks through
-        assert standin_decode(ctx, _hit_tokens(ctx)) == bad
+        assert standin_decode([ctx])[0] == bad
 
     def test_negative_outside_vocab_deleted_with_vocab(self, source):
         vocab = EntityVocabulary(["dog"], {"puppy": "dog"})
@@ -460,25 +456,23 @@ class TestStandinDecode:
             negative={"dog", "kite"},
             prefix_vec=embed_text(source, caption),
         )
-        assert standin_decode(ctx, _hit_tokens(ctx), vocab) == "a chases a red"
-        assert standin_decode(ctx, _hit_tokens(ctx)) == "a puppy chases a red"
+        assert standin_decode([ctx], vocab)[0] == "a chases a red"
+        assert standin_decode([ctx])[0] == "a puppy chases a red"
 
     def test_empty_retrieval_rejected(self, source):
         store = build_datastore([("a", "x", np.ones(DIM))])
         ctx = _context_for_decode(store, [], set(), np.ones(DIM))
         with pytest.raises(EmptyRetrieval):
-            standin_decode(ctx, _hit_tokens(ctx))
+            standin_decode([ctx])[0]
 
     def test_hits_without_rows_or_tokens_rejected(self, source):
         caption = "a dog in the park"
         store = build_datastore([("a", caption, embed_text(source, caption))])
         hits = [Hit("a", caption, 1.0), Hit("a", caption, 1.0)]
         ctx = _context_for_decode(store, hits, set(), embed_text(source, caption))
-        with pytest.raises(DimMismatch):
-            standin_decode(ctx, _hit_tokens(ctx)[:1])
         bare = dataclasses.replace(ctx, retrieval=RetrievalResult(hits=tuple(hits)))
         with pytest.raises(DimMismatch):
-            standin_decode(bare, _hit_tokens(ctx))
+            standin_decode([bare])
 
     def test_tie_breaks_by_id(self, source):
         caption = "a dog in the park"
@@ -490,7 +484,7 @@ class TestStandinDecode:
             negative=set(),
             prefix_vec=vec,
         )
-        assert standin_decode(ctx, _hit_tokens(ctx)) == caption  # same caption either way
+        assert standin_decode([ctx])[0] == caption  # same caption either way
         # ids tie-break: the sort key puts "a" first
         probe = l2_normalize(ctx.suppressed_prefix.mean(axis=0))
         assert float(probe @ store.vector_of("a")) == float(probe @ store.vector_of("b"))
@@ -595,7 +589,7 @@ def _per_instance_outputs(instances, store, vocab, sources, config, keys=None):
         outputs.append(
             {
                 "id": obj["id"],
-                "generated": standin_decode(ctx, _hit_tokens(ctx), vocab),
+                "generated": standin_decode([ctx], vocab)[0],
                 "retrieved": ctx.retrieval.captions(),
                 "context": ctx.to_json_dict(),
             }
@@ -801,6 +795,22 @@ class TestChunkIndependence:
         assert any(o["context"]["suppression"]["selected"] for o in outputs) == (
             enable_as and enable_nef
         )
+
+
+@pytest.mark.parametrize("mode", ["training", "inference"])
+def test_each_hit_is_tokenized_once_per_run_batch(store, vocab, source, mode, monkeypatch):
+    """RetrievalResult.tokens tokenizes every retrieved hit once, for the
+    entity filter and the decoder both, over chunks of the batch."""
+    tokenized = []
+    real = datastore_mod.tokenize
+    monkeypatch.setattr(
+        datastore_mod, "tokenize", lambda text: tokenized.append(text) or real(text)
+    )
+    config = _config(mode=mode, tau_sim=0.1, top_m=3, fusion=FusionConfig(tau_quality=0.3))
+    instances = _seventy_instances(mode)
+    outputs = run_batch(instances, store, vocab, source_bundle(source), config).outputs
+    assert len(outputs) > pipeline_mod.CHUNK
+    assert sorted(tokenized) == sorted(c for obj in outputs for c in obj["retrieved"])
 
 
 class TestPrefixEncoding:

@@ -5,7 +5,9 @@ read-only from its file) is generated at two seeds and run through
 `negsup run` with no flag, --no-as, --no-nef and both. The sha256 of every
 out.jsonl and --report file must equal the one in tests/data/run_golden.json.
 The bits rest on numpy's BLAS calls, so a failure prints the kernel backend
-and numpy version the file was made with beside the current ones.
+and numpy version the file was made with beside the current ones. The
+cells run again with pipeline.CHUNK at 5 and 1, so the 12 tiny instances
+span several chunks, against the same hashes.
 
 The same outputs show which branches the cells reach: in each pipeline
 mode some instance has negatives and some has selected tokens, and
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negsup import cli, kernels
+from negsup import cli, kernels, pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = Path(__file__).resolve().parent / "data" / "run_golden.json"
@@ -127,6 +129,21 @@ def test_bytes_equal_the_golden_file(cells, golden, cell):
     assert got == golden["cells"][cell], (
         f"recorded with {golden['environment']}, running with {_environment()}"
     )
+
+
+@pytest.mark.parametrize("chunk", (5, 1))
+def test_bytes_equal_the_golden_file_across_chunks(golden, tmp_path, monkeypatch, chunk):
+    """With CHUNK 5 (3 chunks of the 12 instances) and 1 (12 chunks) every
+    cell still writes the golden bytes, so each chunk's outputs pair with
+    its own instances."""
+    monkeypatch.setattr(pipeline, "CHUNK", chunk)
+    cells = run_cells(tmp_path)
+    assert all(cell["inputs"] > chunk for cell in cells.values())
+    wrong = [
+        cell for cell in CELLS
+        if {part: cells[cell][part] for part in ("out", "report")} != golden["cells"][cell]
+    ]
+    assert wrong == [], f"recorded with {golden['environment']}, running with {_environment()}"
 
 
 def test_golden_file_holds_exactly_these_cells(golden):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from negsup.errors import DimMismatch, InvariantError
+from negsup.pipeline import SourceBundle, run_batch
 from negsup.suppression import (
     SUPPRESSION_STRATEGIES,
     SuppressionConfig,
@@ -12,6 +14,7 @@ from negsup.suppression import (
     select_tokens,
     suppress,
 )
+from toycorpus import ablation_batch, ablation_config, make_corpus
 
 
 class TestScores:
@@ -269,3 +272,38 @@ class TestReport:
         report = SuppressionReport(scores=(0.1,), selected=frozenset({3}), lambda_applied=0.3)
         with pytest.raises(InvariantError):
             report.check()
+
+
+# (mode, seed, config fields over toycorpus.ablation_config): runs whose
+# top-k suppression selects tokens (training retrieves with the text query)
+TOY_RUNS = [("training", seed, {"enable_sir": False}) for seed in range(4)] + [
+    ("inference", seed, {}) for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("mode,seed,fields", TOY_RUNS)
+def test_toy_corpus_runs_scale_exactly_the_selected_rows(mode, seed, fields):
+    """On the toy corpus top-k suppression selects tokens, and each output's
+    prefix is the prefix of the same run with AS off, its selected rows
+    (and no other) multiplied by lambda, bit for bit."""
+    corpus = make_corpus(seed)
+    batch, keys = ablation_batch(corpus, mode)
+    config = dataclasses.replace(
+        ablation_config(seed, enable_nef=True, mode=mode),
+        suppression=SuppressionConfig(strategy="top-k"), **fields,
+    )
+    runs = [
+        run_batch(batch, corpus.store, corpus.vocab, SourceBundle(corpus.source), c, keys=keys)
+        for c in (config, dataclasses.replace(config, enable_as=False))
+    ]
+    on, off = (run.outputs for run in runs)
+    assert [obj["id"] for obj in on] == [obj["id"] for obj in off]
+    selected_total = 0
+    for suppressed, plain in zip(on, off):
+        selected = sorted(suppressed["context"]["suppression"]["selected"])
+        selected_total += len(selected)
+        expected = plain["context"]["prefix"].copy()
+        expected[selected] *= config.suppression.lam
+        assert suppressed["context"]["prefix"].tobytes() == expected.tobytes()
+        assert plain["context"]["suppression"]["selected"] == []
+    assert selected_total > 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from negsup.datastore import Datastore, build_datastore
-from negsup.embedding import HashSource, embed_text
+from negsup.embedding import FileSource, HashSource, embed_text
 from negsup.entities import EntityVocabulary, extract_entities
 from negsup.fusion import FusionConfig
 from negsup.metrics import EvalInstance
@@ -156,15 +156,15 @@ def ablation_config(
     )
 
 
-def run_ablation(corpus: ToyCorpus, config: PipelineConfig) -> list[EvalInstance]:
-    """Run the pipeline with per-instance synthetic/image captions hashed
-    into embeddings, returning metric-ready instances."""
+def ablation_batch(corpus: ToyCorpus, mode: str) -> tuple[list[dict], FileSource]:
+    """The corpus's instances as run_batch input of `mode`, with the key
+    store that maps each instance's key to its hashed synthetic caption."""
     batch = []
     key_vectors = {}
     for inst in corpus.instances:
         key = f"visual::{inst['id']}"
         key_vectors[key] = embed_text(corpus.source, inst["synthetic"])
-        if config.mode == "training":
+        if mode == "training":
             batch.append(
                 {"id": inst["id"], "caption": inst["caption"], "synthetic_key": key}
             )
@@ -176,10 +176,13 @@ def run_ablation(corpus: ToyCorpus, config: PipelineConfig) -> list[EvalInstance
                     "references": [inst["caption"]],
                 }
             )
+    return batch, FileSource(key_vectors)
 
-    from negsup.embedding import FileSource
 
-    keys = FileSource(key_vectors)
+def run_ablation(corpus: ToyCorpus, config: PipelineConfig) -> list[EvalInstance]:
+    """Run the pipeline with per-instance synthetic/image captions hashed
+    into embeddings, returning metric-ready instances."""
+    batch, keys = ablation_batch(corpus, config.mode)
     result = run_batch(
         batch, corpus.store, corpus.vocab, SourceBundle(corpus.source), config, keys=keys
     )
